@@ -83,6 +83,8 @@ class FreqGrid:
                 raise InvalidArgumentError("tensor grid needs extent and count")
             if self.count % 2 == 0 or self.count < 3:
                 raise InvalidArgumentError("tensor axis count must be odd and >= 3 (origin on grid)")
+            if not (math.isfinite(self.extent) and self.extent > 0):
+                raise InvalidArgumentError("tensor extent must be finite and positive")
 
     # -- tensor helpers ----------------------------------------------------
 
@@ -405,44 +407,12 @@ def tensor_integral(f: FreqFunction) -> complex:
 # tensor-grid convolution
 # ---------------------------------------------------------------------------
 
-def _fft_lin_convolve(u: np.ndarray, kernel: np.ndarray, axes: tuple) -> np.ndarray:
-    """Linear (zero-padded) convolution of u with kernel along ``axes``.
-
-    kernel's shape must equal u's shape on ``axes`` (odd length M per axis,
-    center = index (M-1)/2) and be singleton elsewhere.  Returns the "same"
-    central part: out[a] = sum_j kernel[j] * u[a - j + m].
-    """
-    from scipy.fft import next_fast_len
-
-    pad = {}
-    for ax in axes:
-        M = u.shape[ax]
-        pad[ax] = next_fast_len(2 * M - 1)
-    sizes = [pad[ax] for ax in axes]
-    Uf = np.fft.fftn(u, s=sizes, axes=axes)
-    Kf = np.fft.fftn(kernel, s=sizes, axes=axes)
-    full = np.fft.ifftn(Uf * Kf, s=sizes, axes=axes)
-    sl = [slice(None)] * u.ndim
-    for ax in axes:
-        M = u.shape[ax]
-        m = (M - 1) // 2
-        sl[ax] = slice(m, m + M)
-    out = full[tuple(sl)]
-    if not (np.iscomplexobj(u) or np.iscomplexobj(kernel)):
-        out = out.real
-    return out
-
-
-def _cell_average_indices(radius_idx: np.ndarray, n_cells: float = 3.0) -> np.ndarray:
-    return radius_idx <= n_cells
-
-
 def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
                              shift: np.ndarray | None = None) -> np.ndarray:
     """Sample V_hat on the n-dim sub-lattice with trapezoid weights folded in.
 
-    Cells within 3 lattice spacings of the origin are replaced by cell
-    averages (subsampled 9^n per cell) so integrable singularities such as
+    Cells within 3 lattice spacings of the origin are replaced by the mean
+    over 16^n midpoint sub-cells, so integrable singularities such as
     |theta|^(t-n) are integrated rather than evaluated at the node.
     A nonzero real-space shift contributes the exact phase factor.
     """
@@ -482,61 +452,104 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
     return kernel
 
 
-def convolve(v_hat, u_hat: FreqFunction, structure: str, particle=None, n: int | None = None,
-             shift=None) -> FreqFunction:
-    """Sampled F(V u) on u's tensor grid.
+@dataclass(frozen=True, eq=False)
+class LatticeKernel:
+    """A potential term's kernel laid out on a tensor grid, kept as its FFT.
 
-    structure: "additive" (full d-dim kernel), "one_particle" with
-    particle=i (kernel over particle i's n axes), or "pairwise" with
-    particle=(i, j) (anti-diagonal kernel over the two particles' axes).
-    Particle indices are 1-based; ``n`` is the single-particle dimension.
+    The kernel spans ``axes`` of ``grid`` (odd length M each, center index
+    (M-1)/2) and is singleton elsewhere; ``fft`` is its FFT zero-padded to
+    ``sizes`` along those axes, long enough that the circular product is
+    the linear convolution.
     """
-    g = u_hat.grid
-    if g.kind != "tensor":
+
+    grid: FreqGrid
+    axes: tuple
+    sizes: tuple
+    fft: np.ndarray = field(repr=False)
+    complex_kernel: bool
+
+
+def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
+                   n: int | None = None, shift=None) -> LatticeKernel:
+    """Lay V_hat out on ``grid`` and take its padded FFT.
+
+    structure: "additive" (full d-dim kernel; ``v_hat`` is a radial profile
+    or a FreqFunction sampled on ``grid``), "one_particle" with particle=i
+    (kernel over particle i's n axes), or "pairwise" with particle=(i, j)
+    (anti-diagonal kernel over the two particles' axes).  Particle indices
+    are 1-based; ``n`` is the single-particle dimension.
+    """
+    from scipy.fft import next_fast_len
+
+    if grid.kind != "tensor":
         raise DimensionMismatchError("convolve operates on tensor grids")
-    if g.dim > 3:
+    if grid.dim > 3:
         raise UnsupportedScaleError("tensor convolution capped at total dimension 3")
-    d = g.dim
-    u = np.asarray(u_hat.values)
+    d = grid.dim
+    M = grid.count
     if structure == "additive":
         if isinstance(v_hat, FreqFunction):
-            if v_hat.grid.shape != g.shape:
+            if v_hat.grid.shape != grid.shape:
                 raise DimensionMismatchError("additive kernel grid mismatch")
-            w = FreqGrid(dim=d, kind="tensor", extent=g.extent, count=g.count).trapezoid_weights()
-            kernel = np.asarray(v_hat.values) * w
+            kernel = np.asarray(v_hat.values) * grid.trapezoid_weights()
         else:
-            kernel = sample_kernel_on_lattice(v_hat, d, g, shift)
-        out = _fft_lin_convolve(u, kernel, axes=tuple(range(d)))
-        return u_hat.copy_with(out)
-
-    if n is None:
+            kernel = sample_kernel_on_lattice(v_hat, d, grid, shift)
+        axes = tuple(range(d))
+    elif n is None:
         raise InvalidArgumentError("one_particle/pairwise convolution needs n")
-    if structure == "one_particle":
+    elif structure == "one_particle":
         i = int(particle)
         axes = tuple(range((i - 1) * n, i * n))
-        kernel = sample_kernel_on_lattice(v_hat, n, g, shift)
+        kernel = sample_kernel_on_lattice(v_hat, n, grid, shift)
         shape = [1] * d
-        for k, ax in enumerate(axes):
-            shape[ax] = kernel.shape[k]
-        out = _fft_lin_convolve(u, kernel.reshape(shape), axes=axes)
-        return u_hat.copy_with(out)
-
-    if structure == "pairwise":
+        for ax in axes:
+            shape[ax] = M
+        kernel = kernel.reshape(shape)
+    elif structure == "pairwise":
         i, j = particle
         if n != 1:
             raise UnsupportedScaleError("pairwise convolution implemented for n = 1 lattices")
-        axi, axj = (i - 1) * n, (j - 1) * n
-        k1 = sample_kernel_on_lattice(v_hat, 1, g, shift)
-        M = g.count
+        axes = ((i - 1) * n, (j - 1) * n)
+        k1 = sample_kernel_on_lattice(v_hat, 1, grid, shift)
         k2 = np.zeros((M, M), dtype=k1.dtype)
         k2[np.arange(M), M - 1 - np.arange(M)] = k1  # support on theta_j = -theta_i
         shape = [1] * d
-        shape[axi] = M
-        shape[axj] = M
-        out = _fft_lin_convolve(u, k2.reshape(shape), axes=(axi, axj))
-        return u_hat.copy_with(out)
+        for ax in axes:
+            shape[ax] = M
+        kernel = k2.reshape(shape)
+    else:
+        raise InvalidArgumentError(f"unknown convolution structure {structure!r}")
+    sizes = tuple(next_fast_len(2 * M - 1) for _ in axes)
+    return LatticeKernel(grid, axes, sizes, np.fft.fftn(kernel, s=sizes, axes=axes),
+                         np.iscomplexobj(kernel))
 
-    raise InvalidArgumentError(f"unknown convolution structure {structure!r}")
+
+def convolve(v_hat, u_hat: FreqFunction, structure: str | None = None, particle=None,
+             n: int | None = None, shift=None) -> FreqFunction:
+    """Sampled F(V u) on u's tensor grid.
+
+    ``v_hat`` is a LatticeKernel, whose FFT is applied as it is, or a kernel
+    that ``lattice_kernel`` first lays out with the remaining arguments.
+    Returns the "same" central part of the linear convolution:
+    out[a] = sum_j kernel[j] * u[a - j + m], m = (M-1)/2 per kernel axis.
+    """
+    g = u_hat.grid
+    kernel = v_hat if isinstance(v_hat, LatticeKernel) else lattice_kernel(
+        v_hat, g, structure, particle, n, shift)
+    kg = kernel.grid
+    if g.kind != "tensor" or (g.dim, g.extent, g.count) != (kg.dim, kg.extent, kg.count):
+        raise DimensionMismatchError("kernel was laid out on another grid")
+    u = np.asarray(u_hat.values)
+    Uf = np.fft.fftn(u, s=kernel.sizes, axes=kernel.axes)
+    full = np.fft.ifftn(Uf * kernel.fft, s=kernel.sizes, axes=kernel.axes)
+    m = (g.count - 1) // 2
+    sl = [slice(None)] * u.ndim
+    for ax in kernel.axes:
+        sl[ax] = slice(m, m + g.count)
+    out = full[tuple(sl)]
+    if not (np.iscomplexobj(u) or kernel.complex_kernel):
+        out = out.real
+    return u_hat.copy_with(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The free resolvent is a pointwise division by the kinetic symbol; potential
 multiplication is the structured convolution; the fixed-point operator and
-the solver operator are compositions of the two.  ``empirical_operator_norm``
+the solver operator are compositions of the two.  An ``OperatorPlan`` builds
+the symbol and the potential's kernels once per (spec, grid), so loops that
+apply an operator many times reuse them.  ``empirical_operator_norm``
 probes any of them with random band-limited inputs and compares the measured
 ratio against the certified bound.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,110 +30,138 @@ from .grid import (
     RadialKernel3D,
     RadialProfile,
     convolve,
+    lattice_kernel,
     radial_convolve_3d,
 )
 from .potentials import HamiltonianSpec, PotentialSpec, fourier_transform
 from .spaces import SpaceIndex, fl_norm
 
 
-@dataclass(frozen=True)
-class SymbolH0:
-    """Kinetic symbol h(xi) = 2 pi^2 sum_i |xi_i|^2 / mu_i + 1 on a tensor grid."""
+class OperatorPlan:
+    """The frequency-side operators of one Hamiltonian on one grid.
 
-    spec: HamiltonianSpec
+    Everything that does not depend on the input is built once per plan, on
+    first use: the kinetic symbol h(xi) = 2 pi^2 sum_i |xi_i|^2 / mu_i + 1,
+    and per potential term either its lattice kernel with the kernel's
+    padded FFT (tensor grids) or its bipolar primitive (radial grids).  The
+    methods act on sample arrays of the grid's shape; build one plan per
+    (spec, grid) and reuse it for every application.
+    """
 
-    def values(self, grid: FreqGrid) -> np.ndarray:
-        n, N = self.spec.n, self.spec.N
+    def __init__(self, spec: HamiltonianSpec, grid: FreqGrid):
+        self.spec = spec
+        self.grid = grid
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """h(xi) at every grid node."""
+        spec, grid = self.spec, self.grid
+        n, N = spec.n, spec.N
         if grid.kind == "radial":
             if N != 1:
                 raise DimensionMismatchError("radial symbol only for N = 1")
-            return 2.0 * math.pi ** 2 * grid.nodes ** 2 / self.spec.masses[0] + 1.0
+            return 2.0 * math.pi ** 2 * grid.nodes ** 2 / spec.masses[0] + 1.0
         if grid.dim != n * N:
             raise DimensionMismatchError(f"grid dim {grid.dim} != n*N = {n * N}")
         ax = grid.axis
         h = np.ones(grid.shape)
         for i in range(N):
             for k in range(n):
-                axis_index = i * n + k
                 shape = [1] * grid.dim
-                shape[axis_index] = grid.count
-                h = h + (2.0 * math.pi ** 2 / self.spec.masses[i]) * (ax ** 2).reshape(shape)
+                shape[i * n + k] = grid.count
+                h = h + (2.0 * math.pi ** 2 / spec.masses[i]) * (ax ** 2).reshape(shape)
         return h
+
+    @cached_property
+    def _kernels(self) -> list:
+        """Per potential term: (coeff, LatticeKernel) on tensor grids, the
+        RadialKernel3D with the coefficient folded in on radial grids."""
+        pot, g = self.spec.potential, self.grid
+        terms = ([("one_particle", i, t, pot.n) for i, t in pot.one_particle]
+                 + [("pairwise", (i, j), t, pot.n) for i, j, t in pot.pairwise]
+                 + ([("additive", None, pot.additive, pot.dim)] if pot.additive else []))
+        if g.kind == "radial":
+            if pot.N != 1 or pot.n != 3 or g.dim != 3:
+                raise UnsupportedScaleError("radial multiplication implemented for N=1, n=3")
+            if any(t.shift for _, _, t, _ in terms):
+                raise UnsupportedScaleError("shifted terms need a tensor grid")
+            return [RadialKernel3D(fourier_transform(t, dim), coeff=t.coeff)
+                    for _, _, t, dim in terms]
+        if g.dim != pot.dim:
+            raise DimensionMismatchError(f"grid dim {g.dim} != n*N = {pot.dim}")
+        return [(t.coeff, lattice_kernel(fourier_transform(t, dim), g, structure, particle,
+                                         pot.n, np.asarray(t.shift, float) if t.shift else None))
+                for structure, particle, t, dim in terms]
+
+    def _samples(self, values) -> np.ndarray:
+        values = np.asarray(values)
+        if values.shape != self.grid.shape:
+            raise DimensionMismatchError(
+                f"values shape {values.shape} does not match grid {self.grid.shape}")
+        return values
+
+    def h0_inverse(self, values, rho: float) -> np.ndarray:
+        """(H0 + rho I)^(-1): divide samples by h(xi) - 1 + rho."""
+        if not rho > 0:
+            raise InvalidArgumentError(f"rho must be positive (got {rho!r})")
+        return self._samples(values) / (self.symbol - 1.0 + rho)
+
+    def multiply_V(self, values, tail_profile: RadialProfile | None = None) -> np.ndarray:
+        """F(V u) via the structured convolutions.
+
+        Radial grids (N = 1, dimension 3) take the high-order bipolar route;
+        ``tail_profile`` then supplies u's decay model for the truncation
+        correction.  Tensor grids use the lattice convolutions.
+        """
+        u = FreqFunction(self.grid, self._samples(values))
+        if self.spec.potential.is_zero():
+            return np.zeros_like(u.values)
+        if self.grid.kind == "radial":
+            total = np.zeros(len(self.grid.nodes))
+            for kernel in self._kernels:
+                total = total + radial_convolve_3d(kernel, u, tail_profile=tail_profile)
+            return total
+        out = np.zeros(self.grid.shape, dtype=complex)
+        for coeff, kernel in self._kernels:
+            out = out + coeff * np.asarray(convolve(kernel, u).values)
+        if not (np.iscomplexobj(u.values) or any(k.complex_kernel for _, k in self._kernels)):
+            out = out.real
+        return out
+
+    def R(self, values, rho: float, tail_profile: RadialProfile | None = None) -> np.ndarray:
+        """R u = (H0 + rho)^{-1} (V u)."""
+        return self.h0_inverse(self.multiply_V(values, tail_profile), rho)
+
+    def T_lambda(self, values, lam: float,
+                 tail_profile: RadialProfile | None = None) -> np.ndarray:
+        """T_lambda u = (lambda+1)(H0+I)^{-1} u - (H0+I)^{-1}(V u)."""
+        vu = self.multiply_V(values, tail_profile)
+        return (lam + 1.0) * self.h0_inverse(values, 1.0) - self.h0_inverse(vu, 1.0)
 
 
 def apply_h0_inverse(u: FreqFunction, spec: HamiltonianSpec, rho: float) -> FreqFunction:
     """(H0 + rho I)^(-1): divide samples by h(xi) - 1 + rho."""
-    if rho <= 0:
-        raise InvalidArgumentError("rho must be positive")
-    h = SymbolH0(spec).values(u.grid)
-    return u.copy_with(np.asarray(u.values) / (h - 1.0 + rho))
-
-
-def _term_kernels(spec: PotentialSpec):
-    """[(structure, particle, profile, coeff, shift)] for every term."""
-    out = []
-    for i, term in spec.one_particle:
-        out.append(("one_particle", i, fourier_transform(term, spec.n), term.coeff,
-                    np.asarray(term.shift, float) if term.shift else None))
-    for i, j, term in spec.pairwise:
-        out.append(("pairwise", (i, j), fourier_transform(term, spec.n), term.coeff,
-                    np.asarray(term.shift, float) if term.shift else None))
-    if spec.additive is not None:
-        out.append(("additive", None, fourier_transform(spec.additive, spec.dim),
-                    spec.additive.coeff,
-                    np.asarray(spec.additive.shift, float) if spec.additive.shift else None))
-    return out
+    return u.copy_with(OperatorPlan(spec, u.grid).h0_inverse(u.values, rho))
 
 
 def apply_multiply_V(u: FreqFunction, spec: PotentialSpec,
                      tail_profile: RadialProfile | None = None) -> FreqFunction:
-    """F(V u) on u's grid via the structured convolutions.
-
-    Radial grids (N = 1, dimension 3) take the high-order bipolar route;
-    ``tail_profile`` then supplies u's decay model for the truncation
-    correction.  Tensor grids use the lattice convolutions.
-    """
-    g = u.grid
-    if spec.is_zero():
-        return u.copy_with(np.zeros_like(np.asarray(u.values)))
-    if g.kind == "radial":
-        if spec.N != 1 or spec.n != 3 or g.dim != 3:
-            raise UnsupportedScaleError("radial multiplication implemented for N=1, n=3")
-        total = np.zeros(len(g.nodes))
-        for structure, _, prof, coeff, shift in _term_kernels(spec):
-            if shift is not None:
-                raise UnsupportedScaleError("shifted terms need a tensor grid")
-            kernel = RadialKernel3D(prof, coeff=coeff)
-            total = total + radial_convolve_3d(kernel, u, tail_profile=tail_profile)
-        return u.copy_with(total)
-    if g.dim != spec.dim:
-        raise DimensionMismatchError(f"grid dim {g.dim} != n*N = {spec.dim}")
-    if g.dim > 3:
-        raise UnsupportedScaleError("tensor multiplication capped at n*N <= 3")
-    kernels = _term_kernels(spec)
-    out = np.zeros(g.shape, dtype=complex)
-    for structure, particle, prof, coeff, shift in kernels:
-        conv = convolve(prof, u, structure, particle=particle, n=spec.n, shift=shift)
-        out = out + coeff * np.asarray(conv.values)
-    if not np.iscomplexobj(u.values) and all(s is None for *_, s in kernels):
-        out = out.real
-    return u.copy_with(out)
+    """F(V u) on u's grid; see ``OperatorPlan.multiply_V``."""
+    # V reads no mass; unit masses complete the Hamiltonian a plan is built for
+    plan = OperatorPlan(HamiltonianSpec(spec, (1.0,) * spec.N), u.grid)
+    return u.copy_with(plan.multiply_V(u.values, tail_profile))
 
 
 def apply_T_lambda(u: FreqFunction, lam: float, spec: HamiltonianSpec,
                    tail_profile: RadialProfile | None = None) -> FreqFunction:
     """T_lambda u = (lambda+1)(H0+I)^{-1} u - (H0+I)^{-1}(V u)."""
-    vu = apply_multiply_V(u, spec.potential, tail_profile=tail_profile)
-    first = apply_h0_inverse(u, spec, 1.0)
-    second = apply_h0_inverse(vu, spec, 1.0)
-    return u.copy_with((lam + 1.0) * np.asarray(first.values) - np.asarray(second.values))
+    return u.copy_with(OperatorPlan(spec, u.grid).T_lambda(u.values, lam, tail_profile))
 
 
 def apply_R(u: FreqFunction, rho: float, spec: HamiltonianSpec,
             tail_profile: RadialProfile | None = None) -> FreqFunction:
     """R u = (H0 + rho)^{-1} (V u)."""
-    vu = apply_multiply_V(u, spec.potential, tail_profile=tail_profile)
-    return apply_h0_inverse(vu, spec, rho)
+    return u.copy_with(OperatorPlan(spec, u.grid).R(u.values, rho, tail_profile))
 
 
 def project_high(u: FreqFunction, K: float) -> FreqFunction:
@@ -227,25 +258,26 @@ def random_band_limited(grid: FreqGrid, seed: int, index: int,
     return FreqFunction(grid, vals)
 
 
-def make_operator(op_id: str, spec: HamiltonianSpec, params: dict):
-    """Operator closure by id; params carries rho / lambda / K as needed."""
+def make_operator(op_id: str, plan: OperatorPlan, params: dict):
+    """Operator closure by id on the plan's grid; params carries rho / lambda / K as needed."""
     rho = params.get("rho", 1.0)
     lam = params.get("lam", 0.0)
     K = params.get("K", 0.0)
+    lift = lambda apply: (lambda u: u.copy_with(apply(u.values)))
     if op_id == "identity":
         return lambda u: u
     if op_id == "h0_inv":
-        return lambda u: apply_h0_inverse(u, spec, rho)
+        return lift(lambda v: plan.h0_inverse(v, rho))
     if op_id == "multiply_v":
-        return lambda u: apply_multiply_V(u, spec.potential)
+        return lift(plan.multiply_V)
     if op_id == "t_lambda":
-        return lambda u: apply_T_lambda(u, lam, spec)
+        return lift(lambda v: plan.T_lambda(v, lam))
     if op_id == "r":
-        return lambda u: apply_R(u, rho, spec)
+        return lift(lambda v: plan.R(v, rho))
     if op_id == "pk_t_lambda":
-        return lambda u: project_high(apply_T_lambda(u, lam, spec), K)
+        return lambda u: project_high(u.copy_with(plan.T_lambda(u.values, lam)), K)
     if op_id == "pk_r":
-        return lambda u: project_high(apply_R(u, rho, spec), K)
+        return lambda u: project_high(u.copy_with(plan.R(u.values, rho)), K)
     if op_id == "project":
         return lambda u: project_high(u, K)
     raise InvalidArgumentError(f"unknown operator id {op_id!r}")
@@ -263,7 +295,7 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src: SpaceIndex,
         grid = params.get("grid")
     if grid is None:
         raise InvalidArgumentError("a tensor grid is required for probing")
-    op = make_operator(op_id, spec, params)
+    op = make_operator(op_id, OperatorPlan(spec, grid), params)
     worst = -1.0
     worst_idx = -1
     for k in range(probes):
@@ -288,7 +320,7 @@ def replay_probe(report_dict: dict, spec: HamiltonianSpec, grid: FreqGrid) -> fl
     src = SpaceIndex(report_dict["src"]["s"], report_dict["src"]["p"])
     dst = SpaceIndex(report_dict["dst"]["s"], report_dict["dst"]["p"])
     params = dict(report_dict.get("params", {}))
-    op = make_operator(report_dict["operator"], spec, params)
+    op = make_operator(report_dict["operator"], OperatorPlan(spec, grid), params)
     u = random_band_limited(grid, report_dict["seed"], report_dict["worst_probe"],
                             real_space_real=params.get("real", False))
     return fl_norm(op(u), dst) / fl_norm(u, src)

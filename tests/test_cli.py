@@ -74,26 +74,37 @@ class TestSolve:
 
 
 class TestDeterminism:
-    def test_solve_byte_identical(self, gaussian_spec_file, tmp_path):
+    @staticmethod
+    def run_twice(argv, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            code = run(["--out", str(out), "--seed", "0", "solve",
-                        "--spec", gaussian_spec_file,
-                        "--grid", "kind:tensor,extent:6,count:65"])
-            assert code == 0
+            assert run(["--out", str(out), "--seed", "0"] + argv) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        return outs
+
+    def test_solve_byte_identical(self, gaussian_spec_file, tmp_path):
+        a, b = self.run_twice(["solve", "--spec", gaussian_spec_file,
+                               "--grid", "kind:tensor,extent:6,count:65"], tmp_path)
+        assert a == b
 
     def test_verify_eigen_byte_identical(self, tmp_path):
-        outs = []
-        for name in ("e1.json", "e2.json"):
-            out = tmp_path / name
-            code = run(["--out", str(out), "--seed", "0", "verify-eigen",
-                        "--delta", "1", "--n", "3", "--cells", "90"])
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        a, b = self.run_twice(["verify-eigen", "--delta", "1", "--n", "3", "--cells", "90"],
+                              tmp_path)
+        assert a == b
+
+    @pytest.mark.parametrize("op", ["h0_inv", "multiply_v", "t_lambda", "r",
+                                    "pk_t_lambda", "pk_r"])
+    def test_probe_byte_identical(self, gaussian_spec_file, tmp_path, op):
+        a, b = self.run_twice(["probe", "--spec", gaussian_spec_file,
+                               "--grid", "kind:tensor,extent:6,count:33", "--op", op,
+                               "--alpha", "inf", "--beta", "0.4", "--probes", "5"], tmp_path)
+        assert a == b
+
+    def test_constants_byte_identical(self, coulomb_spec_file, tmp_path):
+        a, b = self.run_twice(["constants", "--spec", coulomb_spec_file,
+                               "--alpha", "2.4", "--gamma", "0.5"], tmp_path)
+        assert a == b
 
 
 class TestExitCodes:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flbarron.errors import InvalidArgumentError
+from flbarron.errors import DimensionMismatchError, InvalidArgumentError
 from flbarron.grid import (
     FreqFunction,
+    FreqGrid,
     RadialProfile,
     convolve,
+    lattice_kernel,
     make_radial_grid,
     make_tensor_grid,
     omega_d,
@@ -49,6 +51,20 @@ class TestMakeRadialGrid:
             make_radial_grid(3, 1.0, 4)
         with pytest.raises(InvalidArgumentError):
             make_radial_grid(0, 1.0, 100)
+
+
+class TestMakeTensorGrid:
+    @pytest.mark.parametrize("extent", [-1.0, 0.0])
+    def test_non_positive_extent_rejected(self, extent):
+        with pytest.raises(InvalidArgumentError):
+            make_tensor_grid(1, extent, 9)
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf])
+    def test_non_finite_extent_rejected(self, extent):
+        with pytest.raises(InvalidArgumentError):
+            make_tensor_grid(1, extent, 9)
+        with pytest.raises(InvalidArgumentError):
+            FreqGrid(dim=1, kind="tensor", extent=extent, count=9)
 
 
 class TestRadialIntegral:
@@ -150,6 +166,13 @@ class TestConvolve:
         expected = (2.0 ** -0.5 * np.exp(-math.pi * xi ** 2 / 2.0))[:, None] \
             * np.exp(-math.pi * xi ** 2)[None, :]
         assert np.max(np.abs(out.values - expected)) < 1e-9
+
+    def test_kernel_from_another_grid_rejected(self):
+        prof = RadialProfile("gaussian", (1.0, 1.0))
+        kernel = lattice_kernel(prof, make_tensor_grid(1, 4.0, 33), "additive")
+        u = FreqFunction(make_tensor_grid(1, 5.0, 33), np.ones(33))
+        with pytest.raises(DimensionMismatchError):
+            convolve(kernel, u)
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     @settings(max_examples=20, deadline=None)

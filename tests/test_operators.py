@@ -2,14 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbarron import bounds as B
 from flbarron import operators as O
+from flbarron.errors import DimensionMismatchError, InvalidArgumentError
 from flbarron.grid import FreqFunction
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
 from flbarron.spaces import SpaceIndex, fl_norm
 
-from conftest import random_complex
+from conftest import (
+    PLAN_CASES,
+    plan_case,
+    random_complex,
+    reference_symbol,
+    reference_V,
+)
 
 
 class TestH0Inverse:
@@ -42,10 +51,17 @@ class TestH0Inverse:
             assert np.all(np.abs(out.values) <= np.abs(u.values) / max(1.0, rho) + 1e-15)
 
     def test_rho_must_be_positive(self, free_ham_1d, grid_1d):
-        from flbarron.errors import InvalidArgumentError
-
         with pytest.raises(InvalidArgumentError):
             O.apply_h0_inverse(random_complex(grid_1d, 0), free_ham_1d, 0.0)
+
+    def test_nan_rho_rejected(self, gaussian_ham_1d, grid_1d):
+        u = random_complex(grid_1d, 0)
+        plan = O.OperatorPlan(gaussian_ham_1d, grid_1d)
+        for apply in (lambda: O.apply_h0_inverse(u, gaussian_ham_1d, math.nan),
+                      lambda: plan.h0_inverse(u.values, math.nan),
+                      lambda: plan.R(u.values, math.nan)):
+            with pytest.raises(InvalidArgumentError):
+                apply()
 
 
 class TestMultiplyV:
@@ -110,6 +126,37 @@ class TestTLambdaAndR:
             worst = max(worst, fl_norm(ru, SpaceIndex(2.0, 1.0))
                         / fl_norm(u, SpaceIndex(0.0, 1.0)))
         assert worst <= B.mu_tilde((1.0,), 1.0) * kappa * (1 + 1e-6)
+
+
+class TestOperatorPlan:
+    COUNTS = {"gauss1d_additive": 33, "invpow1d": 33, "pair2d": 11, "shifted1d": 33,
+              "coulomb3d": 7}
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    @given(coeff=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), rho=st.floats(0.05, 10.0),
+           lam=st.floats(-0.9, 3.0), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=4, deadline=None)
+    def test_matches_per_term_convolve(self, case, complex_input, coeff, mass, rho, lam, seed):
+        spec, grid = plan_case(case, coeff, mass, self.COUNTS[case])
+        u = random_complex(grid, seed)
+        if not complex_input:
+            u = u.copy_with(u.values.real)
+        v_ref = reference_V(spec.potential, u)
+        h = reference_symbol(spec, grid)
+        r_ref = v_ref / (h - 1.0 + rho)
+        t_ref = (lam + 1.0) * (u.values / (h - 1.0 + 1.0)) - v_ref / (h - 1.0 + 1.0)
+        plan = O.OperatorPlan(spec, grid)
+        for got, ref in ((plan.multiply_V(u.values), v_ref), (plan.R(u.values, rho), r_ref),
+                         (plan.T_lambda(u.values, lam), t_ref),
+                         (O.apply_R(u, rho, spec).values, r_ref)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_rejects_values_of_another_shape(self, gaussian_ham_1d, grid_1d):
+        plan = O.OperatorPlan(gaussian_ham_1d, grid_1d)
+        with pytest.raises(DimensionMismatchError):
+            plan.R(np.ones(grid_1d.size - 2), 1.0)
 
 
 class TestProjection:

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flbarron import grid as G
 from flbarron import solver as SV
 from flbarron.bounds import big_C_V, mu_tilde
 from flbarron.errors import (
+    InvalidArgumentError,
     NoContractionError,
     SingularSystemError,
 )
@@ -18,6 +22,8 @@ from flbarron.potentials import (
     sharp_example_potential,
 )
 from flbarron.spaces import SpaceIndex, fl_norm
+
+from conftest import PLAN_CASES, plan_case, reference_R
 
 
 class TestSolveNeumann:
@@ -72,6 +78,55 @@ class TestSolveNeumann:
         true_err = fl_norm(u.copy_with(np.asarray(u.values) - np.asarray(ud.values)),
                            SpaceIndex(0, 1))
         assert true_err <= rep.aposteriori * (1 + 1e-6)
+
+    def test_nan_rho_rejected_before_iterating(self, gaussian_ham_1d, gauss_rhs):
+        with pytest.raises(InvalidArgumentError):
+            SV.solve_neumann(gaussian_ham_1d, math.nan, gauss_rhs)
+
+
+class TestKernelReuse:
+    """One (spec, grid) plan samples each potential term's kernel once."""
+
+    def test_one_kernel_sample_per_term(self, monkeypatch):
+        calls = []
+        sample = G.sample_kernel_on_lattice
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].kind)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(G, "sample_kernel_on_lattice", counting)
+        pot = PotentialSpec(
+            1, 2, one_particle=[(1, PotentialTerm("gaussian", {"kappa": 0.1}))],
+            pairwise=[(1, 2, PotentialTerm("inverse_power", {"t": 0.5}, coeff=0.05))])
+        ham = HamiltonianSpec(pot, (1.0, 2.0))
+        grid = make_tensor_grid(2, 6.0, 15)
+        r = grid.radius_mesh()
+        u, rep = SV.solve_neumann(ham, 1.0, FreqFunction(grid, np.exp(-math.pi * r * r)),
+                                  alpha=1.5, beta=0.5)
+        assert rep.iterations > 2
+        assert sorted(calls) == ["gaussian", "power"]
+        calls.clear()
+        SV.assemble_dense(ham, 1.0, grid)
+        assert sorted(calls) == ["gaussian", "power"]
+
+    COUNTS = {"gauss1d_additive": 17, "invpow1d": 17, "pair2d": 7, "shifted1d": 17,
+              "coulomb3d": 3}
+
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    @given(coeff=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), rho=st.floats(0.05, 10.0))
+    @settings(max_examples=3, deadline=None)
+    def test_assemble_dense_matches_reference_columns(self, case, coeff, mass, rho):
+        spec, grid = plan_case(case, coeff, mass, self.COUNTS[case])
+        A = SV.assemble_dense(spec, rho, grid)
+        M = grid.size
+        ref = np.eye(M, dtype=A.dtype)
+        for m in range(M):
+            e = np.zeros(M, dtype=A.dtype)
+            e[m] = 1.0
+            col = reference_R(spec, FreqFunction(grid, e.reshape(grid.shape)), rho).ravel()
+            ref[:, m] += col if np.iscomplexobj(ref) else col.real
+        assert np.array_equal(A, ref)
 
 
 class TestSolveDirect:
