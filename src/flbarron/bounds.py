@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InadmissibleTermError, InvalidArgumentError
-from .grid import FreqGrid, omega_d
+from .grid import FreqGrid
 from .potentials import HamiltonianSpec, PotentialSpec, admissible_region, fourier_transform
 from .spaces import SpaceIndex, SplitIndex, profile_norm_report, split_norm
 from .special import (  # noqa: F401  (public surface of this module)
@@ -22,6 +22,7 @@ from .special import (  # noqa: F401  (public surface of this module)
     gamma_ratio,
     gamma_ratio_monotone,
     nu_t_n,
+    omega_d,
 )
 
 

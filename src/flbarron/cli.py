@@ -26,7 +26,7 @@ from . import bounds as B
 from . import solver as SV
 from .errors import ToolkitError
 from .grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
-from .operators import certified_bound, empirical_operator_norm
+from .operators import certified_bound, empirical_operator_norm, natural_spaces
 from .potentials import HamiltonianSpec, fourier_transform, decompose_low_high
 from .spaces import (
     SpaceIndex,
@@ -194,7 +194,7 @@ def cmd_solve(args):
     r = grid.radius_mesh()
     f = FreqFunction(grid, np.exp(-math.pi * r * r))
     u, report = SV.solve_neumann(ham, args.rho, f, s=args.s, tol=args.tol)
-    if grid.size <= 4096:
+    if grid.size <= SV.MAX_DENSE_SAMPLES:
         u_direct = SV.solve_direct(ham, args.rho, f)
         report.oracle_error = SV.oracle_error(u, u_direct, s=args.s)
     payload = {"meta": _meta(args), "report": report.to_json_dict()}
@@ -208,18 +208,7 @@ def cmd_verify_eigen(args):
     rep = SV.sharpness_experiment(args.delta, n=args.n, gammas=gammas,
                                   residual_cells=args.cells)
     payload = {"meta": _meta(args), "report": rep.to_json_dict()}
-    rows = [(g,) for g in gammas]
-    if args.delta == 1.0 or True:
-        # gamma-norm table for the blow-up fit
-        from .solver import high_band_barron_norm, tabulate_sharp_transform
-        from .potentials import sharp_example_potential
-
-        ex = sharp_example_potential(args.delta, args.n)
-        if args.delta == 1.0:
-            prof = ex.psi_profile
-        else:
-            prof = tabulate_sharp_transform(np.geomspace(1e-4, 400.0, 1200), args.delta, args.n)
-        rows = [(g, high_band_barron_norm(prof, g, args.n)) for g in gammas]
+    rows = list(zip(rep.blowup_gammas, rep.blowup_norms))
     _emit(payload, args.out, csv_rows=rows, csv_header=["gamma", "high_band_barron_norm"])
     return 0
 
@@ -231,19 +220,9 @@ def cmd_probe(args):
     C = B.big_C_V(ham.potential, args.s, args.alpha, beta)
     params = {"rho": args.rho, "lam": args.lam, "K": args.K, "grid": grid}
     cert = certified_bound(args.op, ham, args.s, args.alpha, beta, C, params)
-    sigma = B.sigma_exponent(args.alpha, args.p)
-    src = SpaceIndex(abs(args.s) + 2 * sigma * beta, args.p)
-    if args.op in ("pk_t_lambda", "pk_r"):
-        dst = src
-    elif args.op == "h0_inv":
-        src = SpaceIndex(args.s, args.p)
-        dst = SpaceIndex(args.s + 2.0, args.p)
-    elif args.op == "multiply_v":
-        dst = SpaceIndex(args.s - 2 * (1 - sigma) * beta, args.p)
-    else:
-        dst = SpaceIndex(args.s - 2 * (1 - sigma) * beta + 2.0, args.p)
+    src, dst = natural_spaces(args.op, args.s, args.alpha, beta, args.p)
     rep = empirical_operator_norm(args.op, ham, src, dst, args.probes, args.seed,
-                                  certified=cert, params=params, grid=grid)
+                                  certified=cert, params=params)
     payload = {"meta": _meta(args), "report": rep.to_json_dict(),
                "satisfied": rep.satisfied}
     _emit(payload, args.out)
@@ -330,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
            "--rho": dict(type=float, default=1.0),
            "--lam": dict(type=float, default=0.0),
            "--K": dict(type=float, default=0.0)})
-    add("demo-embeddings", cmd_demo_embeddings, **{"--n": dict(type=int, default=1)})
+    add("demo-embeddings", cmd_demo_embeddings)
     return p
 
 

@@ -32,16 +32,12 @@ from .errors import (
     UnsupportedKindError,
     UnsupportedScaleError,
 )
+from .special import omega_d
 
 EULER_GAMMA = 0.5772156649015329
 
 _GX3, _GW3 = leggauss(3)
 _GX7, _GW7 = leggauss(7)
-
-
-def omega_d(d: int) -> float:
-    """Surface area of the unit sphere in R^d, 2 pi^(d/2) / Gamma(d/2)."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +75,8 @@ class FreqGrid:
             if np.any(self.weights <= 0):
                 raise InvalidArgumentError("radial weights must be positive")
         else:
+            if self.dim > 3:
+                raise UnsupportedScaleError("tensor grids are capped at total dimension 3")
             if self.extent is None or self.count is None:
                 raise InvalidArgumentError("tensor grid needs extent and count")
             if self.count % 2 == 0 or self.count < 3:
@@ -182,8 +180,6 @@ def make_tensor_grid(d: int, extent: float, count: int) -> FreqGrid:
     """Uniform symmetric lattice on [-extent, extent]^d, odd count per axis."""
     if count % 2 == 0:
         count += 1
-    if d > 3:
-        raise UnsupportedScaleError("tensor grids are capped at total dimension 3")
     return FreqGrid(dim=d, kind="tensor", extent=float(extent), count=int(count))
 
 
@@ -270,9 +266,7 @@ class RadialProfile:
         if self.decay is not None:
             return self.decay
         k, p = self.kind, self.params
-        if k == "power":
-            return p[1]
-        if k == "bracket_power":
+        if k in ("power", "bracket_power"):
             return p[1]
         if k == "rational_bracket":
             return -2.0 * p[2]
@@ -286,9 +280,7 @@ class RadialProfile:
         if self.window is not None and self.window[1] is not None:
             return 0.0  # compactly supported: no tail
         k, p = self.kind, self.params
-        if k == "power":
-            return abs(p[0])
-        if k == "bracket_power":
+        if k in ("power", "bracket_power"):
             return abs(p[0])
         if k == "rational_bracket":
             A, c, m = p
@@ -319,7 +311,6 @@ class FreqFunction:
 
     grid: FreqGrid
     values: np.ndarray
-    radial_flag: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -329,11 +320,9 @@ class FreqFunction:
             else:
                 raise DimensionMismatchError(
                     f"values shape {self.values.shape} does not match grid {self.grid.shape}")
-        if self.grid.kind == "radial":
-            self.radial_flag = True
 
     def copy_with(self, values) -> "FreqFunction":
-        return FreqFunction(self.grid, np.asarray(values), self.radial_flag)
+        return FreqFunction(self.grid, np.asarray(values))
 
     # -- serialization (bit-exact round trip through JSON) -----------------
 
@@ -343,7 +332,6 @@ class FreqFunction:
         d = {
             "dim": g.dim,
             "kind": g.kind,
-            "radial_flag": bool(self.radial_flag),
             "values": [[z.real, z.imag] for z in vals],
         }
         if g.kind == "radial":
@@ -359,6 +347,7 @@ class FreqFunction:
 
     @staticmethod
     def from_json_dict(d: dict) -> "FreqFunction":
+        """Inverse of ``to_json_dict``; a ``radial_flag`` key (older files) is ignored."""
         if d["kind"] == "radial":
             cb = d.get("cell_bounds")
             grid = FreqGrid(dim=d["dim"], kind="radial",
@@ -368,7 +357,7 @@ class FreqFunction:
             grid = FreqGrid(dim=d["dim"], kind="tensor",
                             extent=d["axes"]["extent"], count=d["axes"]["count"])
         vals = np.array([complex(re, im) for re, im in d["values"]])
-        return FreqFunction(grid, vals.reshape(grid.shape), d.get("radial_flag", False))
+        return FreqFunction(grid, vals.reshape(grid.shape))
 
     @staticmethod
     def from_json(s: str) -> "FreqFunction":
@@ -379,7 +368,7 @@ def sample_profile(profile: RadialProfile, grid: FreqGrid) -> FreqFunction:
     """Sample a radial profile on a radial grid."""
     if grid.kind != "radial":
         raise DimensionMismatchError("sample_profile expects a radial grid")
-    return FreqFunction(grid, profile(grid.nodes), radial_flag=True)
+    return FreqFunction(grid, profile(grid.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +377,7 @@ def sample_profile(profile: RadialProfile, grid: FreqGrid) -> FreqFunction:
 
 def radial_integral(f: FreqFunction) -> float:
     """integral over R^d of a radial function: omega_d * sum_j w_j f(r_j) r_j^(d-1)."""
-    if not f.radial_flag or f.grid.kind != "radial":
+    if f.grid.kind != "radial":
         raise DimensionMismatchError("radial_integral needs a radial FreqFunction")
     g = f.grid
     vals = np.real_if_close(f.values)
@@ -436,16 +425,8 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
             vals[tuple(idx)] = float(np.mean(profile(pts)))
     else:
         vals = np.asarray(profile(radius), dtype=float)
-    # trapezoid weights along each kernel axis
-    w1 = np.full(grid.count, h)
-    w1[0] *= 0.5
-    w1[-1] *= 0.5
-    w = np.ones_like(vals)
-    for k in range(n):
-        shape = [1] * n
-        shape[k] = grid.count
-        w = w * w1.reshape(shape)
-    kernel = vals * w
+    # trapezoid weights of the kernel's own n-dim lattice
+    kernel = vals * FreqGrid(n, "tensor", extent=grid.extent, count=grid.count).trapezoid_weights()
     if shift is not None and np.any(np.asarray(shift) != 0):
         phase = np.exp(-2j * np.pi * (mesh @ np.asarray(shift, dtype=float)))
         kernel = kernel * phase
@@ -483,8 +464,6 @@ def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
 
     if grid.kind != "tensor":
         raise DimensionMismatchError("convolve operates on tensor grids")
-    if grid.dim > 3:
-        raise UnsupportedScaleError("tensor convolution capped at total dimension 3")
     d = grid.dim
     M = grid.count
     if structure == "additive":

@@ -4,7 +4,8 @@ The free resolvent is a pointwise division by the kinetic symbol; potential
 multiplication is the structured convolution; the fixed-point operator and
 the solver operator are compositions of the two.  An ``OperatorPlan`` builds
 the symbol and the potential's kernels once per (spec, grid), so loops that
-apply an operator many times reuse them.  ``empirical_operator_norm``
+apply an operator many times reuse them.  ``OPERATORS`` holds each op id's
+application, certificate and natural spaces; ``empirical_operator_norm``
 probes any of them with random band-limited inputs and compares the measured
 ratio against the certified bound.
 """
@@ -13,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .bounds import mu_tilde
+from .bounds import mu_tilde, sigma_exponent
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
@@ -226,12 +227,7 @@ class OperatorProbeReport:
         return self.empirical <= self.certified * (1.0 + 1e-9)
 
     def to_json_dict(self) -> dict:
-        return {
-            "operator": self.operator, "src": self.src, "dst": self.dst,
-            "empirical": self.empirical, "certified": self.certified,
-            "probes": self.probes, "seed": self.seed,
-            "worst_probe": self.worst_probe, "params": self.params,
-        }
+        return asdict(self)
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -258,41 +254,90 @@ def random_band_limited(grid: FreqGrid, seed: int, index: int,
     return FreqFunction(grid, vals)
 
 
+# ---------------------------------------------------------------------------
+# operator registry: op id -> (apply(plan, u, par), certificate(spec, s, beta,
+# C, par), spaces(s, sigma, beta) -> (src s, dst s)), par holding rho / lam / K.
+# Each row is one mapping statement, e.g. (H0+rho)^-1 : B^s -> B^(s+2); rows
+# name project_high and the plan methods when called, not when built.
+# ---------------------------------------------------------------------------
+
+def _lifted_spaces(s, sigma, beta):
+    return abs(s) + 2 * sigma * beta, s - 2 * (1 - sigma) * beta + 2.0
+
+
+def _projected(base: str) -> tuple:
+    """P_K after ``base``: the base certificate times (1+K^2)^(e/2), hi -> hi."""
+    apply, certificate, spaces = OPERATORS[base]
+
+    def projected_certificate(spec, s, beta, C, par):
+        e = abs(s) - s - 2.0 + 2.0 * beta
+        return certificate(spec, s, beta, C, par) * (1.0 + par["K"] * par["K"]) ** (e / 2.0)
+
+    return (lambda plan, u, par: project_high(apply(plan, u, par), par["K"]),
+            projected_certificate,
+            lambda s, sigma, beta: (spaces(s, sigma, beta)[0],) * 2)
+
+
+OPERATORS = {
+    "identity": (lambda plan, u, par: u, None, None),
+    "project": (lambda plan, u, par: project_high(u, par["K"]), None, None),
+    "h0_inv": (
+        lambda plan, u, par: u.copy_with(plan.h0_inverse(u.values, par["rho"])),
+        lambda spec, s, beta, C, par: mu_tilde(spec.masses, par["rho"]),
+        lambda s, sigma, beta: (s, s + 2.0)),
+    "multiply_v": (
+        lambda plan, u, par: u.copy_with(plan.multiply_V(u.values)),
+        lambda spec, s, beta, C, par: C,
+        lambda s, sigma, beta: (abs(s) + 2 * sigma * beta, s - 2 * (1 - sigma) * beta)),
+    "t_lambda": (
+        lambda plan, u, par: u.copy_with(plan.T_lambda(u.values, par["lam"])),
+        lambda spec, s, beta, C, par: mu_tilde(spec.masses, 1.0) * (abs(par["lam"] + 1.0) + C),
+        _lifted_spaces),
+    "r": (
+        lambda plan, u, par: u.copy_with(plan.R(u.values, par["rho"])),
+        lambda spec, s, beta, C, par: mu_tilde(spec.masses, par["rho"]) * C,
+        _lifted_spaces),
+}
+OPERATORS["pk_t_lambda"] = _projected("t_lambda")
+OPERATORS["pk_r"] = _projected("r")
+
+
+def _registry(op_id: str, column: int, what: str):
+    if op_id not in OPERATORS:
+        raise InvalidArgumentError(f"unknown operator id {op_id!r}")
+    entry = OPERATORS[op_id][column]
+    if entry is None:
+        raise InvalidArgumentError(f"no {what} for operator id {op_id!r}")
+    return entry
+
+
+def _op_params(params: dict | None) -> dict:
+    return {"rho": 1.0, "lam": 0.0, "K": 0.0, **(params or {})}
+
+
 def make_operator(op_id: str, plan: OperatorPlan, params: dict):
     """Operator closure by id on the plan's grid; params carries rho / lambda / K as needed."""
-    rho = params.get("rho", 1.0)
-    lam = params.get("lam", 0.0)
-    K = params.get("K", 0.0)
-    lift = lambda apply: (lambda u: u.copy_with(apply(u.values)))
-    if op_id == "identity":
-        return lambda u: u
-    if op_id == "h0_inv":
-        return lift(lambda v: plan.h0_inverse(v, rho))
-    if op_id == "multiply_v":
-        return lift(plan.multiply_V)
-    if op_id == "t_lambda":
-        return lift(lambda v: plan.T_lambda(v, lam))
-    if op_id == "r":
-        return lift(lambda v: plan.R(v, rho))
-    if op_id == "pk_t_lambda":
-        return lambda u: project_high(u.copy_with(plan.T_lambda(u.values, lam)), K)
-    if op_id == "pk_r":
-        return lambda u: project_high(u.copy_with(plan.R(u.values, rho)), K)
-    if op_id == "project":
-        return lambda u: project_high(u, K)
-    raise InvalidArgumentError(f"unknown operator id {op_id!r}")
+    apply = _registry(op_id, 0, "application")
+    par = _op_params(params)
+    return lambda u: apply(plan, u, par)
+
+
+def natural_spaces(op_id: str, s: float, alpha: float, beta: float,
+                   p: float) -> tuple[SpaceIndex, SpaceIndex]:
+    """(src, dst) of the operator's mapping statement at (s, alpha, beta) in FL^p."""
+    src_s, dst_s = _registry(op_id, 2, "natural spaces")(s, sigma_exponent(alpha, p), beta)
+    return SpaceIndex(src_s, p), SpaceIndex(dst_s, p)
 
 
 def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src: SpaceIndex,
                             dst: SpaceIndex, probes: int, seed: int,
-                            certified: float = math.inf, params: dict | None = None,
-                            grid: FreqGrid | None = None) -> OperatorProbeReport:
+                            certified: float = math.inf,
+                            params: dict | None = None) -> OperatorProbeReport:
     """Max over random band-limited probes of ||op u||_dst / ||u||_src."""
     if probes < 1:
         raise InvalidArgumentError("probes must be >= 1")
     params = dict(params or {})
-    if grid is None:
-        grid = params.get("grid")
+    grid = params.get("grid")
     if grid is None:
         raise InvalidArgumentError("a tensor grid is required for probing")
     op = make_operator(op_id, OperatorPlan(spec, grid), params)
@@ -329,21 +374,4 @@ def replay_probe(report_dict: dict, spec: HamiltonianSpec, grid: FreqGrid) -> fl
 def certified_bound(op_id: str, spec: HamiltonianSpec, s: float, alpha: float,
                     beta: float, C: float, params: dict | None = None) -> float:
     """The paper-side certificate matching each operator id at (s, alpha, beta)."""
-    params = dict(params or {})
-    rho = params.get("rho", 1.0)
-    lam = params.get("lam", 0.0)
-    K = params.get("K", 0.0)
-    e = abs(s) - s - 2.0 + 2.0 * beta
-    if op_id == "h0_inv":
-        return mu_tilde(spec.masses, rho)
-    if op_id == "multiply_v":
-        return C
-    if op_id == "t_lambda":
-        return mu_tilde(spec.masses, 1.0) * (abs(lam + 1.0) + C)
-    if op_id == "r":
-        return mu_tilde(spec.masses, rho) * C
-    if op_id == "pk_t_lambda":
-        return mu_tilde(spec.masses, 1.0) * (abs(lam + 1.0) + C) * (1.0 + K * K) ** (e / 2.0)
-    if op_id == "pk_r":
-        return mu_tilde(spec.masses, rho) * C * (1.0 + K * K) ** (e / 2.0)
-    raise InvalidArgumentError(f"no certificate for operator id {op_id!r}")
+    return _registry(op_id, 1, "certificate")(spec, s, beta, C, _op_params(params))

@@ -8,6 +8,7 @@ profile and aggregated with |coefficient| weights.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +18,9 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedKindError,
 )
-from .grid import RadialProfile, omega_d, sample_profile
+from .grid import RadialProfile, sample_profile
 from .spaces import Split, SpaceIndex, default_norm_grid, fl_norm
-from .special import c_t_n
+from .special import c_t_n, omega_d
 
 _KINDS = ("inverse_power", "coulomb", "yukawa", "log_1d", "gaussian", "sharp_example", "custom")
 
@@ -36,6 +37,10 @@ class PotentialTerm:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidArgumentError(f"unknown potential kind {self.kind!r}")
+        numeric = [v for v in (*self.params.values(), self.coeff, *self.shift)
+                   if isinstance(v, numbers.Real)]
+        if not all(math.isfinite(v) for v in numeric):
+            raise InvalidArgumentError(f"{self.kind} term has a non-finite param, coeff or shift")
         if self.kind == "yukawa" and not self.params.get("mu", 0) > 0:
             raise InvalidArgumentError("yukawa needs mu > 0")
         if self.kind == "gaussian" and self.params.get("width", 1.0) <= 0:
@@ -282,8 +287,8 @@ class HamiltonianSpec:
         self.masses = tuple(float(m) for m in self.masses)
         if len(self.masses) != self.potential.N:
             raise InvalidArgumentError("need one mass per particle")
-        if any(m <= 0 for m in self.masses):
-            raise InvalidArgumentError("masses must be strictly positive")
+        if not all(0 < m < math.inf for m in self.masses):
+            raise InvalidArgumentError("masses must be finite and strictly positive")
 
     @property
     def n(self) -> int:

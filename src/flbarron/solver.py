@@ -31,7 +31,6 @@ from .grid import (
     FreqGrid,
     RadialProfile,
     make_radial_grid,
-    omega_d,
     sample_profile,
     tabulated_profile,
 )
@@ -45,6 +44,9 @@ from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R 
 )
 from .potentials import HamiltonianSpec, sharp_example_potential
 from .spaces import SpaceIndex, fl_norm
+from .special import omega_d
+
+MAX_DENSE_SAMPLES = 4096  # dense oracle cap: I + R is assembled as an M x M matrix
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +93,11 @@ class EigenReport:
     blowup_gammas: tuple = ()
     transform_check: float | None = None
     fit_window: tuple = ()
+    blowup_norms: tuple = ()  # high-band Barron norm per blowup_gammas entry
 
     def to_json_dict(self) -> dict:
         d = dict(self.__dict__)
+        del d["blowup_norms"]
         d["blowup_gammas"] = list(self.blowup_gammas)
         d["fit_window"] = list(self.fit_window)
         return d
@@ -158,8 +162,8 @@ def assemble_dense(spec: HamiltonianSpec, rho: float, grid) -> np.ndarray:
     """Dense matrix of I + R on the flattened grid, one column per basis
     vector through the same operator application as the iteration."""
     M = grid.size
-    if M > 4096:
-        raise UnsupportedScaleError(f"dense assembly capped at 4096 samples (got {M})")
+    if M > MAX_DENSE_SAMPLES:
+        raise UnsupportedScaleError(f"dense assembly capped at {MAX_DENSE_SAMPLES} samples (got {M})")
     has_shift = any(t.shift and any(x != 0 for x in t.shift)
                     for t in ([t for _, t in spec.potential.one_particle]
                               + [t for *_, t in spec.potential.pairwise]
@@ -248,9 +252,7 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
         rho = energy
         mt = mu_tilde(spec.masses, rho)
         K = contraction_radius(mt, 0.0, C, s, beta)
-        u_star = solve_direct(spec, rho, data) if data.grid.size <= 4096 else None
-        if u_star is None:
-            raise UnsupportedScaleError("solve-mode bootstrap needs a dense-solvable grid")
+        u_star = solve_direct(spec, rho, data)
         low = project_low(u_star, K)
         target = project_high(u_star, K)
         g0 = project_high(data.copy_with(plan.h0_inverse(data.values, rho)), K)
@@ -517,6 +519,7 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
         tail_amplitude=float(Ac), tail_amplitude_ref=abs(c1), tail_sign=tail_sign,
         blowup_slope=blow, blowup_ci=blow_ci, blowup_gammas=tuple(gammas),
         transform_check=check, fit_window=(float(xi_lo), float(10 * xi_lo)),
+        blowup_norms=tuple(norms),
     )
 
 

@@ -21,8 +21,8 @@ from .errors import (
     NoEmbeddingError,
     NotInSpaceError,
 )
-from .grid import FreqFunction, FreqGrid, RadialProfile, make_radial_grid, omega_d, sample_profile
-from .special import bracket_lp_norm, c_alpha_beta
+from .grid import FreqFunction, FreqGrid, RadialProfile, make_radial_grid, sample_profile
+from .special import bracket_lp_norm, c_alpha_beta, omega_d
 
 
 def conjugate(alpha: float) -> float:

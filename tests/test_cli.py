@@ -129,6 +129,12 @@ class TestExitCodes:
                     "--grid", "kind:tensor,extent:6,count:65"])
         assert code == 3
 
+    def test_probe_without_certificate_is_exit_three(self, gaussian_spec_file):
+        code = run(["probe", "--spec", gaussian_spec_file, "--op", "identity",
+                    "--grid", "kind:tensor,extent:6,count:9", "--alpha", "inf",
+                    "--beta", "0.4", "--probes", "2"])
+        assert code == 3
+
 
 class TestOtherSubcommands:
     def test_norm_and_decompose(self, coulomb_spec_file, tmp_path):

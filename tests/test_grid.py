@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flbarron.errors import DimensionMismatchError, InvalidArgumentError
+from flbarron.errors import DimensionMismatchError, InvalidArgumentError, UnsupportedScaleError
 from flbarron.grid import (
     FreqFunction,
     FreqGrid,
@@ -65,6 +65,15 @@ class TestMakeTensorGrid:
             make_tensor_grid(1, extent, 9)
         with pytest.raises(InvalidArgumentError):
             FreqGrid(dim=1, kind="tensor", extent=extent, count=9)
+
+    def test_dimension_capped_at_three(self):
+        with pytest.raises(UnsupportedScaleError):
+            make_tensor_grid(4, 1.0, 3)
+        with pytest.raises(UnsupportedScaleError):
+            FreqGrid(dim=4, kind="tensor", extent=1.0, count=3)
+        d = FreqFunction(make_tensor_grid(1, 1.0, 3), np.zeros(3)).to_json_dict()
+        with pytest.raises(UnsupportedScaleError):
+            FreqFunction.from_json_dict({**d, "dim": 4})
 
 
 class TestRadialIntegral:
@@ -197,6 +206,15 @@ class TestSerialization:
         assert np.array_equal(np.asarray(f2.values), np.asarray(f.values))
         assert np.array_equal(f2.grid.nodes, g.nodes)
         assert np.array_equal(f2.grid.weights, g.weights)
+
+    def test_old_format_radial_flag_ignored(self):
+        g = make_radial_grid(3, 5.0, 60, "log-uniform")
+        f = FreqFunction(g, np.exp(-g.nodes))
+        d = f.to_json_dict()
+        assert "radial_flag" not in d
+        f2 = FreqFunction.from_json_dict({**d, "radial_flag": True})
+        assert np.array_equal(np.asarray(f2.values), np.asarray(f.values))
+        assert radial_integral(f2) == radial_integral(f)
 
     def test_tensor_round_trip(self, grid_1d):
         rng = np.random.default_rng(0)

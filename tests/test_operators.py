@@ -260,3 +260,59 @@ class TestProbing:
         parsed = json.loads(rep.to_json_line())
         assert parsed["operator"] == "identity"
         assert "grid" not in parsed["params"]
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("s, alpha, beta, p", [
+        (0.0, math.inf, 0.4, 1.0),
+        (0.0, 1.5, 0.5, 2.0),
+        (-0.3, 2.4, 0.9, 2.0),
+        (0.7, 2.0, 0.75, 1.0),
+        (0.2, 3.0, 0.6, 4.0),
+    ])
+    def test_matches_explicit_formulas(self, s, alpha, beta, p):
+        # criterion 4's spaces and the lemma certificates, written out by hand
+        ham = HamiltonianSpec(PotentialSpec(1, 2), (1.0, 30.0))
+        C, rho, lam, K = 0.37, 1.3, -0.4, 2.0
+        params = {"rho": rho, "lam": lam, "K": K}
+        sigma = B.sigma_exponent(alpha, p)
+        src_hi = SpaceIndex(abs(s) + 2 * sigma * beta, p)
+        dst_lo = SpaceIndex(s - 2 * (1 - sigma) * beta, p)
+        dst_lift = SpaceIndex(s - 2 * (1 - sigma) * beta + 2.0, p)
+        mt_rho, mt_1 = B.mu_tilde(ham.masses, rho), B.mu_tilde(ham.masses, 1.0)
+        factor = (1.0 + K * K) ** ((abs(s) - s - 2.0 + 2.0 * beta) / 2.0)
+        expected = {
+            "multiply_v": (C, src_hi, dst_lo),
+            "t_lambda": (mt_1 * (abs(lam + 1.0) + C), src_hi, dst_lift),
+            "h0_inv": (mt_rho, SpaceIndex(s, p), SpaceIndex(s + 2.0, p)),
+            "r": (mt_rho * C, src_hi, dst_lift),
+            "pk_t_lambda": (mt_1 * (abs(lam + 1.0) + C) * factor, src_hi, src_hi),
+            "pk_r": (mt_rho * C * factor, src_hi, src_hi),
+        }
+        for op, (cert, src, dst) in expected.items():
+            assert O.certified_bound(op, ham, s, alpha, beta, C, params) == cert, op
+            assert O.natural_spaces(op, s, alpha, beta, p) == (src, dst), op
+
+    def test_projected_ops_project_the_base_op(self, gaussian_ham_1d, grid_1d):
+        plan = O.OperatorPlan(gaussian_ham_1d, grid_1d)
+        params = {"rho": 1.3, "lam": -0.4, "K": 2.0}
+        u = random_complex(grid_1d, 5)
+        for base in ("t_lambda", "r"):
+            expected = O.project_high(O.make_operator(base, plan, params)(u), 2.0)
+            got = O.make_operator("pk_" + base, plan, params)(u)
+            assert np.array_equal(got.values, expected.values)
+
+    def test_unknown_id_rejected(self, free_ham_1d, grid_1d):
+        with pytest.raises(InvalidArgumentError):
+            O.make_operator("nope", O.OperatorPlan(free_ham_1d, grid_1d), {})
+        with pytest.raises(InvalidArgumentError):
+            O.certified_bound("nope", free_ham_1d, 0.0, 2.0, 0.5, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            O.natural_spaces("nope", 0.0, 2.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("op", ["identity", "project"])
+    def test_no_certificate_or_spaces(self, op, free_ham_1d):
+        with pytest.raises(InvalidArgumentError):
+            O.certified_bound(op, free_ham_1d, 0.0, 2.0, 0.5, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            O.natural_spaces(op, 0.0, 2.0, 0.5, 1.0)

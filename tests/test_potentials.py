@@ -199,3 +199,15 @@ class TestSpecAssembly:
     def test_positive_masses(self):
         with pytest.raises(InvalidArgumentError):
             HamiltonianSpec(PotentialSpec(1, 1), (0.0,))
+
+    @pytest.mark.parametrize("build", [
+        lambda: PotentialTerm("gaussian", {"kappa": math.nan}),
+        lambda: PotentialTerm("yukawa", {"mu": math.inf}),
+        lambda: PotentialTerm("coulomb", coeff=math.nan),
+        lambda: PotentialTerm("gaussian", shift=(0.0, -math.inf)),
+        lambda: HamiltonianSpec(PotentialSpec(1, 1), (math.inf,)),
+        lambda: HamiltonianSpec(PotentialSpec(1, 1), (math.nan,)),
+    ], ids=["param", "param_inf", "coeff", "shift", "mass_inf", "mass_nan"])
+    def test_non_finite_input_rejected(self, build):
+        with pytest.raises(InvalidArgumentError):
+            build()

@@ -12,6 +12,7 @@ from flbarron.errors import (
     InvalidArgumentError,
     NoContractionError,
     SingularSystemError,
+    UnsupportedScaleError,
 )
 from flbarron.grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
 from flbarron.operators import apply_R, project_high
@@ -189,6 +190,13 @@ class TestBootstrap:
         high = fl_norm(project_high(u_star, rep.certificate["K"]), SpaceIndex(0, 1))
         assert rep.final_norms["reconstruction_error"] <= 1e-6 * max(high, 1e-12)
 
+    def test_solve_mode_above_dense_cap_rejected(self, gaussian_ham_1d):
+        grid = make_tensor_grid(1, 8.0, SV.MAX_DENSE_SAMPLES + 1)
+        f = FreqFunction(grid, np.exp(-math.pi * grid.radius_mesh() ** 2))
+        with pytest.raises(UnsupportedScaleError):
+            SV.bootstrap_series(gaussian_ham_1d, "solve", f, s=0.0, alpha=math.inf,
+                                beta=0.0, energy=1.0)
+
     def test_error_ratios_geometric(self, gauss_rhs):
         pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 30.0}))
         ham = HamiltonianSpec(pot, (1.0,))
@@ -279,6 +287,13 @@ class TestSharpnessExperiment:
         assert rep.tail_amplitude == pytest.approx(1 / (2 * math.pi ** 3), rel=0.02)
         assert rep.blowup_slope == pytest.approx(1.0, abs=0.05)
         assert rep.residual < 1e-4
+
+    def test_blowup_norms_kept_out_of_json(self):
+        gammas = (0.9, 0.95)
+        rep = SV.sharpness_experiment(1.0, 3, gammas=gammas, compute_residual=False)
+        psi = sharp_example_potential(1.0, 3).psi_profile
+        assert rep.blowup_norms == tuple(SV.high_band_barron_norm(psi, g, 3) for g in gammas)
+        assert "blowup_norms" not in rep.to_json_dict()
 
     def test_small_delta_smoke(self):
         rep = SV.sharpness_experiment(0.75, 3, gammas=(0.6, 0.7), residual_cells=90)
