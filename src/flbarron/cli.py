@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import bounds as B
 from . import solver as SV
-from .errors import ToolkitError
+from .errors import InvalidArgumentError, ToolkitError
 from .grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
 from .operators import certified_bound, empirical_operator_norm, natural_spaces
 from .potentials import HamiltonianSpec, fourier_transform, decompose_low_high
@@ -217,7 +217,15 @@ def cmd_probe(args):
     ham = _load_spec(args.spec)
     grid = _build_grid(args.grid, ham.dim)
     beta = args.beta if args.beta is not None else 1.0 + (args.s - args.gamma) / 2.0
-    C = B.big_C_V(ham.potential, args.s, args.alpha, beta)
+    try:
+        C = B.big_C_V(ham.potential, args.s, args.alpha, beta)
+    except InvalidArgumentError as exc:
+        if not (args.alpha >= 1 and beta <= ham.n / (2.0 * args.alpha)):
+            raise
+        # beta = 1 + (s - gamma)/2 exceeds n/(2 alpha) iff gamma < s + 2 - n/alpha
+        raise InvalidArgumentError(
+            f"{exc}: pass --beta above {ham.n / (2.0 * args.alpha):g}, "
+            f"or --gamma below {args.s + 2.0 - ham.n / args.alpha:g}") from exc
     params = {"rho": args.rho, "lam": args.lam, "K": args.K, "grid": grid}
     cert = certified_bound(args.op, ham, args.s, args.alpha, beta, C, params)
     src, dst = natural_spaces(args.op, args.s, args.alpha, beta, args.p)

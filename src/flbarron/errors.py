@@ -73,5 +73,9 @@ class ContractionViolationError(ToolkitError):
     """A measured operator norm exceeded its certified bound."""
 
 
+class NonFiniteError(ToolkitError):
+    """A layer produced a NaN or infinite value; the message names the layer."""
+
+
 class FitDegenerateError(ToolkitError):
     """The grid cannot resolve the window needed for a tail fit."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from math import comb
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -384,14 +383,6 @@ def radial_integral(f: FreqFunction) -> float:
     return float(omega_d(g.dim) * np.sum(g.weights * vals * g.nodes ** (g.dim - 1)))
 
 
-def tensor_integral(f: FreqFunction) -> complex:
-    g = f.grid
-    if g.kind != "tensor":
-        raise DimensionMismatchError("tensor_integral needs a tensor-grid function")
-    val = np.sum(g.trapezoid_weights() * f.values)
-    return complex(val)
-
-
 # ---------------------------------------------------------------------------
 # tensor-grid convolution
 # ---------------------------------------------------------------------------
@@ -556,25 +547,9 @@ def _prim_int(i: int, lo, hi, q=None, log=False):
 
 def _exact_moments(m_shift, sign, lo, hi, q, log):
     """int (m_shift + sign*u)^j Q(u) du for j = 0, 1, 2 over [lo, hi]."""
-    out = []
-    for j in range(3):
-        tot = 0.0
-        for k in range(j + 1):
-            tot = tot + comb(j, k) * m_shift ** (j - k) * sign ** k * _prim_int(k, lo, hi, q=q, log=log)
-        out.append(tot)
-    return np.stack(out, axis=-1)
-
-
-def _gauss7_moments(Qfun, c, lo_s, hi_s):
-    mid = 0.5 * (lo_s + hi_s)
-    half = 0.5 * (hi_s - lo_s)
-    s = mid[..., None] + half[..., None] * _GX7
-    K = Qfun(s)
-    dd = s - c[..., None]
-    m0 = (K * _GW7).sum(-1) * half
-    m1 = (K * dd * _GW7).sum(-1) * half
-    m2 = (K * dd * dd * _GW7).sum(-1) * half
-    return np.stack([m0, m1, m2], axis=-1)
+    p0, p1, p2 = (_prim_int(k, lo, hi, q=q, log=log) for k in range(3))
+    return np.stack([p0, m_shift * p0 + sign * p1,
+                     m_shift ** 2 * p0 + 2 * m_shift * sign * p1 + sign ** 2 * p2], axis=-1)
 
 
 class RadialKernel3D:
@@ -634,6 +609,12 @@ class RadialKernel3D:
         return coefs
 
 
+# Evaluation radii go through ``radial_convolve_3d`` in blocks of at most
+# this many (radius, cell, Gauss-7 point) triples, which bounds the size of
+# one block's temporaries.
+_BLOCK_ELEMS = 1 << 14
+
+
 def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
                        r_eval: np.ndarray | None = None,
                        tail_profile: RadialProfile | None = None) -> np.ndarray:
@@ -650,96 +631,84 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
     a, b = bounds[:-1], bounds[1:]
     c = 0.5 * (a + b)
     h = b - a
-    ncells = len(a)
-    nodes3 = g.nodes.reshape(ncells, 3)
-    gvals = (g.nodes * np.real_if_close(u_hat.values)).reshape(ncells, 3)
-    d = nodes3 - c[:, None]
+    gvals = (g.nodes * np.real_if_close(u_hat.values)).reshape(-1, 3)
+    d = g.nodes.reshape(-1, 3) - c[:, None]
     V = np.stack([np.ones_like(d), d, d * d], axis=2)
-    VinvT = np.transpose(np.linalg.inv(V), (0, 2, 1))
-    if r_eval is None:
-        r_eval = g.nodes
-
-    if kernel.smoothQ is not None:
-        Qm = lambda r: (lambda s: kernel.smoothQ(np.abs(r - s)))
-        Qp = lambda r: (lambda s: kernel.smoothQ(r + s))
-        exactable = False
+    # per cell, the quadratic through its samples in powers of (s - c)
+    coef = np.linalg.solve(V, gvals[..., None])[..., 0]
+    s7 = c[:, None] + 0.5 * h[:, None] * _GX7
+    d7 = s7 - c[:, None]
+    # that quadratic times the Gauss-7 weight at each of the cell's points
+    gq = (0.5 * h[:, None] * _GW7 * (coef[:, :1] + coef[:, 1:2] * d7 + coef[:, 2:] * d7 * d7)).ravel()
+    exact = kernel.smoothQ is None
+    if not exact:
+        Q = kernel.smoothQ
+    elif kernel.log:  # in place: a block holds two (rows, cells, 7) arrays at a time
+        Q = lambda u: np.multiply(np.log(u, out=u), kernel.scale, out=u)
     else:
-        q, log = kernel.q, kernel.log
-        scale = kernel.scale
-        Qm = lambda r: (lambda s: scale * (np.log(np.abs(r - s)) if log else np.abs(r - s) ** q))
-        Qp = lambda r: (lambda s: scale * (np.log(r + s) if log else (r + s) ** q))
-        exactable = True
+        Q = lambda u: np.multiply(np.power(u, kernel.q, out=u), kernel.scale, out=u)
 
-    out = np.empty(len(r_eval))
-    for idx, r in enumerate(np.asarray(r_eval, dtype=float)):
-        # ---- moments of Q(|r-s|) over each cell
-        m_abs = np.zeros((ncells, 3))
-        if exactable:
-            near = np.abs(r - c) <= 3.0 * h
-            far = ~near
-        else:
-            near = np.zeros(ncells, dtype=bool)
-            far = ~near
-        if far.any():
-            m_abs[far] = _gauss7_moments(Qm(r), c[far], a[far], b[far])
-        if near.any():
-            an, bn, cn = a[near], b[near], c[near]
-            acc = np.zeros((near.sum(), 3))
-            hi_s = np.minimum(bn, r)
-            valid = hi_s > an
-            if valid.any():
-                acc[valid] += kernel.scale * _exact_moments(
-                    r - cn[valid], -1.0, r - hi_s[valid], r - an[valid],
-                    kernel.q, kernel.log)
-            lo_s = np.maximum(an, r)
-            valid = bn > lo_s
-            if valid.any():
-                acc[valid] += kernel.scale * _exact_moments(
-                    r - cn[valid], 1.0, lo_s[valid] - r, bn[valid] - r,
-                    kernel.q, kernel.log)
-            m_abs[near] = acc
-        # ---- moments of Q(r+s): singular point sits at s = -r, distance r+c
-        m_plus = np.zeros((ncells, 3))
-        if exactable:
-            nearp = (r + c) <= 3.0 * h
-            farp = ~nearp
-        else:
-            nearp = np.zeros(ncells, dtype=bool)
-            farp = ~nearp
-        if farp.any():
-            m_plus[farp] = _gauss7_moments(Qp(r), c[farp], a[farp], b[farp])
-        if nearp.any():
-            m_plus[nearp] = kernel.scale * _exact_moments(
-                -(r + c[nearp]), 1.0, r + a[nearp], r + b[nearp], kernel.q, kernel.log)
-        m = m_plus - m_abs
-        wcell = np.einsum("cij,cj->ci", VinvT, m)
-        out[idx] = np.einsum("ci,ci->", wcell, gvals)
+    r_all = g.nodes if r_eval is None else np.asarray(r_eval, dtype=float)
+    out = np.empty(len(r_all))
+    rows = max(1, _BLOCK_ELEMS // s7.size)
+    for start in range(0, len(r_all), rows):
+        r = r_all[start:start + rows, None]
+        plus = r[..., None] + s7
+        minus = r[..., None] - s7
+        np.abs(minus, out=minus)
+        if exact:
+            # cells within 3h of the singular point s = -r (of Q(r+s)) or
+            # s = r (of Q(|r-s|)) take exact moments; Q never sees them
+            near_p = r + c <= 3.0 * h
+            near_m = np.abs(r - c) <= 3.0 * h
+            plus[near_p] = 1.0
+            minus[near_m] = 1.0
+        plus, minus = Q(plus), Q(minus)
+        if exact:
+            plus[near_p] = 0.0
+            minus[near_m] = 0.0
+        plus -= minus
+        acc = plus.reshape(len(r), -1) @ gq
+        if exact:
+            ip, jp = np.nonzero(near_p)
+            im, jm = np.nonzero(near_m)
+            rp, rm = r[ip, 0], r[im, 0]
+            # Q(r+s) on [r+a, r+b]; Q(|r-s|) split at s = r into s < r and s > r
+            row = np.concatenate([ip, im, im])
+            cell = np.concatenate([jp, jm, jm])
+            lo = np.concatenate([rp + a[jp], rm - np.minimum(b[jm], rm), np.maximum(a[jm], rm) - rm])
+            hi = np.concatenate([rp + b[jp], rm - a[jm], b[jm] - rm])
+            shift = np.concatenate([-(rp + c[jp]), rm - c[jm], rm - c[jm]])
+            counts = [len(ip), len(im), len(im)]
+            sign = np.repeat([1.0, -1.0, 1.0], counts)
+            weight = np.repeat([kernel.scale, -kernel.scale, -kernel.scale], counts)
+            k = hi > lo
+            mom = _exact_moments(shift[k], sign[k], lo[k], hi[k], kernel.q, kernel.log)
+            acc += np.bincount(row[k], weight[k] * np.einsum("pj,pj->p", coef[cell[k]], mom), len(r))
+        out[start:start + len(r)] = acc
+    return 2.0 * np.pi / r_all * out + _tail_correction(kernel, tail_profile, bounds[-1], r_all)
 
-    out = 2.0 * np.pi / np.asarray(r_eval) * out
 
-    # analytic correction for the truncated s > r_max part of the integral
+def _tail_correction(kernel: RadialKernel3D, tail_profile: RadialProfile | None,
+                     R: float, r: np.ndarray):
+    """(2 pi / r) times the analytic s > R part of the integral; 0 without a
+    power-law series for the kernel or a tail model for u."""
     series = kernel.tail_series()
-    if series is not None and tail_profile is not None:
-        texp = tail_profile.tail_exponent()
-        if texp is not None:
-            R = bounds[-1]
-            terms = []
-            if tail_profile.kind == "tabulated" and tail_profile.tail_model is not None:
-                A, p1, B, p2 = tail_profile.tail_model
-                terms = [(A, p1), (B, p2)]
-            else:
-                Ct = tail_profile.tail_coefficient()
-                sgn = np.sign(tail_profile(np.array([R]))[0]) or 1.0
-                if Ct is not None:
-                    terms = [(sgn * Ct, texp)]
-            r_arr = np.asarray(r_eval, dtype=float)
-            corr = np.zeros_like(out)
-            # integrand beyond R: (s * u(s)) * ck r^(2k+1) s^pk with u ~ Au s^pu
-            for kk, (ck, pk) in enumerate(series):
-                rpow = r_arr ** (2 * kk + 1)
-                for (Au, pu) in terms:
-                    expo = 1.0 + pu + pk
-                    if expo < -1.0:
-                        corr += ck * Au * rpow * (-R ** (expo + 1.0) / (expo + 1.0))
-            out = out + 2.0 * np.pi / r_arr * corr
-    return out
+    texp = None if tail_profile is None else tail_profile.tail_exponent()
+    if series is None or texp is None:
+        return 0.0
+    if tail_profile.kind == "tabulated" and tail_profile.tail_model is not None:
+        A, p1, B, p2 = tail_profile.tail_model
+        terms = [(A, p1), (B, p2)]
+    else:
+        Ct = tail_profile.tail_coefficient()
+        sgn = np.sign(tail_profile(np.array([R]))[0]) or 1.0
+        terms = [] if Ct is None else [(sgn * Ct, texp)]
+    corr = np.zeros_like(r)
+    # integrand beyond R: (s * u(s)) * ck r^(2k+1) s^pk with u ~ Au s^pu
+    for kk, (ck, pk) in enumerate(series):
+        for (Au, pu) in terms:
+            expo = 1.0 + pu + pk
+            if expo < -1.0:
+                corr += ck * Au * r ** (2 * kk + 1) * (-R ** (expo + 1.0) / (expo + 1.0))
+    return 2.0 * np.pi / r * corr

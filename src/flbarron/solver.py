@@ -22,6 +22,7 @@ from .errors import (
     FitDegenerateError,
     InvalidArgumentError,
     NonConvergenceError,
+    NonFiniteError,
     NoContractionError,
     SingularSystemError,
     UnsupportedScaleError,
@@ -138,7 +139,10 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     for k in range(1, max_iter + 1):
         u_next = b.copy_with(np.asarray(b.values) - plan.R(u.values, rho))
         diff = u_next.copy_with(np.asarray(u_next.values) - np.asarray(u.values))
-        resid = fl_norm(diff, idx)
+        try:
+            resid = fl_norm(diff, idx)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"solver.solve_neumann: update {k} is not finite ({exc})") from exc
         history.append(resid)
         u = u_next
         if resid <= tol:

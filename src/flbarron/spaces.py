@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     InvalidArgumentError,
     NoEmbeddingError,
+    NonFiniteError,
     NotInSpaceError,
 )
 from .grid import FreqFunction, FreqGrid, RadialProfile, make_radial_grid, sample_profile
@@ -131,8 +132,12 @@ def fl_norm(f: FreqFunction, idx: SpaceIndex) -> float:
     """||<.>^s f_hat||_{L^p} by grid quadrature (grid max when p = inf)."""
     weighted, w = _weighted_samples(f, idx.s)
     if math.isinf(idx.p):
-        return float(np.max(weighted))
-    return float(np.sum(w * weighted ** idx.p) ** (1.0 / idx.p))
+        value = float(np.max(weighted))
+    else:
+        value = float(np.sum(w * weighted ** idx.p) ** (1.0 / idx.p))
+    if not math.isfinite(value):
+        raise NonFiniteError(f"spaces.fl_norm: FL^{idx.p:g}_{idx.s:g} norm is {value}")
+    return value
 
 
 def barron_norm(f: FreqFunction, s: float = 0.0) -> float:

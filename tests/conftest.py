@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from flbarron.grid import FreqFunction, convolve, make_tensor_grid
+from flbarron.grid import FreqFunction, _exact_moments, _tail_correction, convolve, make_tensor_grid
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm, fourier_transform
 
 
@@ -101,3 +102,89 @@ def plan_case(name: str, coeff: float, mass: float, count: int):
         raise ValueError(name)
     masses = (mass, 1.5)[:pot.N]
     return HamiltonianSpec(pot, masses), make_tensor_grid(pot.dim, extent, count)
+
+
+# ---------------------------------------------------------------------------
+# reference radial bipolar convolution: one radius at a time
+# ---------------------------------------------------------------------------
+
+_GX7, _GW7 = leggauss(7)
+
+
+def _gauss7_moments(Qfun, c, lo_s, hi_s):
+    mid = 0.5 * (lo_s + hi_s)
+    half = 0.5 * (hi_s - lo_s)
+    s = mid[..., None] + half[..., None] * _GX7
+    K = Qfun(s)
+    dd = s - c[..., None]
+    m0 = (K * _GW7).sum(-1) * half
+    m1 = (K * dd * _GW7).sum(-1) * half
+    m2 = (K * dd * dd * _GW7).sum(-1) * half
+    return np.stack([m0, m1, m2], axis=-1)
+
+
+def reference_radial_convolve_3d(kernel, u_hat, r_eval=None, tail_profile=None):
+    """grid.radial_convolve_3d evaluated per radius: the cell moments of
+    Q(r+s) - Q(|r-s|) for each r, then the quadratic fit's weights."""
+    g = u_hat.grid
+    bounds = g.cell_bounds
+    a, b = bounds[:-1], bounds[1:]
+    c = 0.5 * (a + b)
+    h = b - a
+    ncells = len(a)
+    nodes3 = g.nodes.reshape(ncells, 3)
+    gvals = (g.nodes * np.real_if_close(u_hat.values)).reshape(ncells, 3)
+    d = nodes3 - c[:, None]
+    V = np.stack([np.ones_like(d), d, d * d], axis=2)
+    VinvT = np.transpose(np.linalg.inv(V), (0, 2, 1))
+    if r_eval is None:
+        r_eval = g.nodes
+
+    if kernel.smoothQ is not None:
+        Qm = lambda r: (lambda s: kernel.smoothQ(np.abs(r - s)))
+        Qp = lambda r: (lambda s: kernel.smoothQ(r + s))
+        exactable = False
+    else:
+        q, log = kernel.q, kernel.log
+        scale = kernel.scale
+        Qm = lambda r: (lambda s: scale * (np.log(np.abs(r - s)) if log else np.abs(r - s) ** q))
+        Qp = lambda r: (lambda s: scale * (np.log(r + s) if log else (r + s) ** q))
+        exactable = True
+
+    out = np.empty(len(r_eval))
+    for idx, r in enumerate(np.asarray(r_eval, dtype=float)):
+        m_abs = np.zeros((ncells, 3))
+        near = np.abs(r - c) <= 3.0 * h if exactable else np.zeros(ncells, dtype=bool)
+        far = ~near
+        if far.any():
+            m_abs[far] = _gauss7_moments(Qm(r), c[far], a[far], b[far])
+        if near.any():
+            an, bn, cn = a[near], b[near], c[near]
+            acc = np.zeros((near.sum(), 3))
+            hi_s = np.minimum(bn, r)
+            valid = hi_s > an
+            if valid.any():
+                acc[valid] += kernel.scale * _exact_moments(
+                    r - cn[valid], -1.0, r - hi_s[valid], r - an[valid],
+                    kernel.q, kernel.log)
+            lo_s = np.maximum(an, r)
+            valid = bn > lo_s
+            if valid.any():
+                acc[valid] += kernel.scale * _exact_moments(
+                    r - cn[valid], 1.0, lo_s[valid] - r, bn[valid] - r,
+                    kernel.q, kernel.log)
+            m_abs[near] = acc
+        m_plus = np.zeros((ncells, 3))
+        nearp = (r + c) <= 3.0 * h if exactable else np.zeros(ncells, dtype=bool)
+        farp = ~nearp
+        if farp.any():
+            m_plus[farp] = _gauss7_moments(Qp(r), c[farp], a[farp], b[farp])
+        if nearp.any():
+            m_plus[nearp] = kernel.scale * _exact_moments(
+                -(r + c[nearp]), 1.0, r + a[nearp], r + b[nearp], kernel.q, kernel.log)
+        m = m_plus - m_abs
+        wcell = np.einsum("cij,cj->ci", VinvT, m)
+        out[idx] = np.einsum("ci,ci->", wcell, gvals)
+
+    r_arr = np.asarray(r_eval, dtype=float)
+    return 2.0 * np.pi / r_arr * out + _tail_correction(kernel, tail_profile, bounds[-1], r_arr)

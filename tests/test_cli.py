@@ -136,6 +136,25 @@ class TestExitCodes:
         assert code == 3
 
 
+    def test_non_finite_norm_is_exit_three(self, gaussian_spec_file, capsys):
+        code = run(["probe", "--spec", gaussian_spec_file, "--s", "nan",
+                    "--grid", "kind:tensor,extent:6,count:9", "--alpha", "inf",
+                    "--beta", "0.4", "--probes", "2"])
+        assert code == 3
+        assert "[NonFiniteError]" in capsys.readouterr().err
+
+    def test_probe_default_beta_names_the_fix(self, tmp_path, capsys):
+        # n = 3 with the defaults alpha = 2, gamma = 0.5 gives beta = 0.75 = n/(2 alpha)
+        spec = {"n": 3, "N": 1, "masses": [1.0], "pairwise": [], "additive": None,
+                "one_particle": [{"i": 1, "kind": "gaussian", "params": {"kappa": 0.5},
+                                  "shift": [], "coeff": 1.0}]}
+        p = tmp_path / "gauss3.json"
+        p.write_text(json.dumps(spec))
+        code = run(["probe", "--spec", str(p), "--grid", "kind:tensor,extent:4,count:9"])
+        assert code == 3
+        assert "pass --beta above 0.75, or --gamma below 0.5" in capsys.readouterr().err
+
+
 class TestOtherSubcommands:
     def test_norm_and_decompose(self, coulomb_spec_file, tmp_path):
         out = tmp_path / "n.json"

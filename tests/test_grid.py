@@ -1,23 +1,30 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import dawsn
 
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError, UnsupportedScaleError
 from flbarron.grid import (
     FreqFunction,
     FreqGrid,
+    RadialKernel3D,
     RadialProfile,
     convolve,
     lattice_kernel,
     make_radial_grid,
     make_tensor_grid,
     omega_d,
+    radial_convolve_3d,
     radial_integral,
     sample_profile,
+    tabulated_profile,
 )
+
+from conftest import reference_radial_convolve_3d
 
 
 class TestMakeRadialGrid:
@@ -196,6 +203,67 @@ class TestConvolve:
             + b * np.asarray(convolve(prof, v, "additive").values)
         scale = max(np.max(np.abs(rhs)), 1e-30)
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-12 * scale
+
+
+class TestRadialConvolve3D:
+    def test_gaussian_closed_form(self):
+        # exp(-a|.|^2) * exp(-b|.|^2) in R^3 = (pi/(a+b))^(3/2) exp(-ab/(a+b) r^2)
+        a, b = 1.0, 2.0
+        g = make_radial_grid(3, 8.0, 300)
+        u = sample_profile(RadialProfile("gaussian", (1.0, b)), g)
+        out = radial_convolve_3d(RadialKernel3D(RadialProfile("gaussian", (1.0, a))), u)
+        expected = (math.pi / (a + b)) ** 1.5 * np.exp(-a * b / (a + b) * g.nodes ** 2)
+        assert np.max(np.abs(out - expected)) <= 2e-9 * np.max(expected)
+
+    def test_inverse_square_closed_form(self):
+        # |.|^-2 * exp(-b|.|^2) in R^3 = 2 pi^(3/2) D(sqrt(b) r) / (b r), D = Dawson's
+        # integral; the kernel's log primitive takes exact moments near s = r
+        b = 2.0
+        g = make_radial_grid(3, 8.0, 300, "log-uniform", r_min=1e-3)
+        u = sample_profile(RadialProfile("gaussian", (1.0, b)), g)
+        out = radial_convolve_3d(RadialKernel3D(RadialProfile("power", (1.0, -2.0))), u)
+        r = g.nodes
+        expected = 2.0 * math.pi ** 1.5 * dawsn(math.sqrt(b) * r) / (b * r)
+        assert np.max(np.abs(out - expected)) <= 1e-6 * np.max(expected)
+
+    @staticmethod
+    def case(name):
+        """(kernel, u, r_eval, tail_profile) on a log-uniform 3-D grid."""
+        g = make_radial_grid(3, 300.0, 450, "log-uniform", r_min=1e-4)
+        prof = RadialProfile("rational_bracket", (1.7, 1.0, 2.0))
+        u = sample_profile(prof, g)
+        power = RadialKernel3D(RadialProfile("power", (0.8, -1.5)), coeff=1.3)
+        if name == "power":
+            return power, u, None, prof
+        if name == "log":
+            return RadialKernel3D(RadialProfile("power", (-0.6, -2.0))), u, None, prof
+        if name == "rational_bracket":
+            return RadialKernel3D(RadialProfile("rational_bracket", (0.9, 2.0, 1.5))), u, None, prof
+        if name == "tabulated_tail":
+            tab = tabulated_profile(g.nodes, u.values, tail_model=(1.7, -4.0, -3.4, -6.0))
+            return power, u, None, tab
+        if name == "r_eval_subset":
+            cells = g.cell_bounds
+            r_eval = np.concatenate([g.nodes[5::37], 0.5 * (cells[1:] + cells[:-1])[::11],
+                                     [1e-5, 0.3, 299.0, 400.0]])
+            return power, u, r_eval, prof
+        raise ValueError(name)
+
+    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket", "tabulated_tail",
+                                      "r_eval_subset"])
+    def test_matches_per_radius_reference(self, name):
+        kernel, u, r_eval, tail = self.case(name)
+        ref = reference_radial_convolve_3d(kernel, u, r_eval=r_eval, tail_profile=tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = radial_convolve_3d(kernel, u, r_eval=r_eval, tail_profile=tail)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_needs_3d_radial_grid(self, grid_1d):
+        kernel = RadialKernel3D(RadialProfile("gaussian", (1.0, 1.0)))
+        with pytest.raises(DimensionMismatchError):
+            radial_convolve_3d(kernel, FreqFunction(grid_1d, np.ones(grid_1d.shape)))
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ from flbarron.bounds import big_C_V, mu_tilde
 from flbarron.errors import (
     InvalidArgumentError,
     NoContractionError,
+    NonFiniteError,
     SingularSystemError,
     UnsupportedScaleError,
 )
@@ -83,6 +84,22 @@ class TestSolveNeumann:
     def test_nan_rho_rejected_before_iterating(self, gaussian_ham_1d, gauss_rhs):
         with pytest.raises(InvalidArgumentError):
             SV.solve_neumann(gaussian_ham_1d, math.nan, gauss_rhs)
+
+
+    def test_nan_rhs_raises_at_first_update(self, gaussian_ham_1d, gauss_rhs, monkeypatch):
+        calls = []
+        plain_R = SV.OperatorPlan.R
+
+        def counted_R(self, *args):
+            calls.append(1)
+            return plain_R(self, *args)
+
+        monkeypatch.setattr(SV.OperatorPlan, "R", counted_R)
+        vals = np.array(gauss_rhs.values)
+        vals[10] = math.nan
+        with pytest.raises(NonFiniteError, match="solver.solve_neumann: update 1 "):
+            SV.solve_neumann(gaussian_ham_1d, 1.0, gauss_rhs.copy_with(vals))
+        assert len(calls) == 1
 
 
 class TestKernelReuse:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flbarron.errors import InvalidArgumentError, NoEmbeddingError, NotInSpaceError
-from flbarron.grid import FreqFunction, RadialProfile, make_radial_grid, sample_profile
+from flbarron.errors import InvalidArgumentError, NoEmbeddingError, NonFiniteError, NotInSpaceError
+from flbarron.grid import FreqFunction, RadialProfile, make_radial_grid, make_tensor_grid, sample_profile
 from flbarron.potentials import PotentialTerm, fourier_transform
 from flbarron.spaces import (
     SpaceIndex,
@@ -37,6 +37,19 @@ class TestFlNorm:
         prof = RadialProfile("bracket_power", (1.0, -2.0))
         rep = profile_norm_report(prof, SpaceIndex(1.0, 2.0), 1)
         assert rep.value == pytest.approx(math.sqrt(math.pi), rel=1e-4)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_nan_sample_raises(self, p):
+        g = make_tensor_grid(1, 4.0, 9)
+        vals = np.ones(g.shape)
+        vals[3] = math.nan
+        with pytest.raises(NonFiniteError, match="spaces.fl_norm"):
+            fl_norm(FreqFunction(g, vals), SpaceIndex(0.0, p))
+
+    def test_nan_index_raises(self):
+        g = make_tensor_grid(1, 4.0, 9)
+        with pytest.raises(NonFiniteError, match="spaces.fl_norm"):
+            fl_norm(FreqFunction(g, np.ones(g.shape)), SpaceIndex(math.nan, 1.0))
 
     def test_sup_norm_is_grid_max(self):
         g = make_radial_grid(1, 10.0, 120, "uniform")
