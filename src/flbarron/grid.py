@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,6 +35,8 @@ from .errors import (
 from .special import omega_d
 
 EULER_GAMMA = 0.5772156649015329
+
+MAX_TENSOR_SAMPLES = 1 << 22  # sample budget of a tensor grid; admits 129^3
 
 _GX3, _GW3 = leggauss(3)
 _GX7, _GW7 = leggauss(7)
@@ -82,16 +85,19 @@ class FreqGrid:
                 raise InvalidArgumentError("tensor axis count must be odd and >= 3 (origin on grid)")
             if not (math.isfinite(self.extent) and self.extent > 0):
                 raise InvalidArgumentError("tensor extent must be finite and positive")
+            if int(self.count) ** self.dim > MAX_TENSOR_SAMPLES:
+                raise UnsupportedScaleError(
+                    f"tensor grid {self.count}^{self.dim} exceeds {MAX_TENSOR_SAMPLES} samples")
 
-    # -- tensor helpers ----------------------------------------------------
+    # -- geometry: computed once per grid, read-only ----------------------
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.extent / (self.count - 1)
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.extent, self.extent, self.count)
+        return _read_only(np.linspace(-self.extent, self.extent, self.count))
 
     @property
     def shape(self) -> tuple:
@@ -110,31 +116,37 @@ class FreqGrid:
                 else float(self.nodes[-1])
         return float(self.extent)
 
-    def radius_mesh(self) -> np.ndarray:
-        """|xi| at every node (tensor: full lattice, radial: the node radii)."""
+    @cached_property
+    def _radii(self) -> np.ndarray:
         if self.kind == "radial":
-            return self.nodes
-        ax = self.axis
-        sq = np.zeros(self.shape)
-        for k in range(self.dim):
-            shape = [1] * self.dim
-            shape[k] = self.count
-            sq = sq + (ax ** 2).reshape(shape)
-        return np.sqrt(sq)
+            return _read_only(self.nodes.view())
+        return _read_only(np.sqrt(sum(np.ix_(*[self.axis ** 2] * self.dim))))
 
-    def trapezoid_weights(self) -> np.ndarray:
-        """Quadrature weights per node (tensor: composite trapezoid)."""
+    @cached_property
+    def _rd_weights(self) -> np.ndarray:
         if self.kind == "radial":
-            return self.weights
+            return _read_only(omega_d(self.dim) * self.weights * self.nodes ** (self.dim - 1))
         w1 = np.full(self.count, self.spacing)
         w1[0] *= 0.5
         w1[-1] *= 0.5
-        w = np.ones(self.shape)
-        for k in range(self.dim):
-            shape = [1] * self.dim
-            shape[k] = self.count
-            w = w * w1.reshape(shape)
-        return w
+        return _read_only(math.prod(np.ix_(*[w1] * self.dim)))
+
+    def radius_mesh(self) -> np.ndarray:
+        """|xi| at every node (tensor: full lattice, radial: the node radii)."""
+        return self._radii
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Node weights of the integral over R^d: sum(w * f) ~ int f(xi) d xi.
+
+        Tensor grids: the composite trapezoid weights.  Radial grids: the
+        1-D weights times the sphere's surface, omega_d * w_j * r_j^(d-1).
+        """
+        return self._rd_weights
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _gauss3_cells(bounds: np.ndarray):
@@ -375,12 +387,10 @@ def sample_profile(profile: RadialProfile, grid: FreqGrid) -> FreqFunction:
 # ---------------------------------------------------------------------------
 
 def radial_integral(f: FreqFunction) -> float:
-    """integral over R^d of a radial function: omega_d * sum_j w_j f(r_j) r_j^(d-1)."""
+    """integral over R^d of a radial function against the grid's R^d weights."""
     if f.grid.kind != "radial":
         raise DimensionMismatchError("radial_integral needs a radial FreqFunction")
-    g = f.grid
-    vals = np.real_if_close(f.values)
-    return float(omega_d(g.dim) * np.sum(g.weights * vals * g.nodes ** (g.dim - 1)))
+    return float(np.sum(f.grid.trapezoid_weights() * np.real_if_close(f.values)))
 
 
 # ---------------------------------------------------------------------------

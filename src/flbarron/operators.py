@@ -64,14 +64,9 @@ class OperatorPlan:
             return 2.0 * math.pi ** 2 * grid.nodes ** 2 / spec.masses[0] + 1.0
         if grid.dim != n * N:
             raise DimensionMismatchError(f"grid dim {grid.dim} != n*N = {n * N}")
-        ax = grid.axis
-        h = np.ones(grid.shape)
-        for i in range(N):
-            for k in range(n):
-                shape = [1] * grid.dim
-                shape[i * n + k] = grid.count
-                h = h + (2.0 * math.pi ** 2 / spec.masses[i]) * (ax ** 2).reshape(shape)
-        return h
+        ax2 = grid.axis ** 2
+        return sum(np.ix_(*[(2.0 * math.pi ** 2 / spec.masses[i]) * ax2
+                            for i in range(N) for _ in range(n)]), np.ones(grid.shape))
 
     @cached_property
     def _kernels(self) -> list:
@@ -93,6 +88,12 @@ class OperatorPlan:
         return [(t.coeff, lattice_kernel(fourier_transform(t, dim), g, structure, particle,
                                          pot.n, np.asarray(t.shift, float) if t.shift else None))
                 for structure, particle, t, dim in terms]
+
+    @cached_property
+    def complex_kernel(self) -> bool:
+        """Whether F(V u) of a real u can be complex: some term is shifted
+        (shifted terms need a tensor grid, so radial plans answer False)."""
+        return self.grid.kind == "tensor" and any(k.complex_kernel for _, k in self._kernels)
 
     def _samples(self, values) -> np.ndarray:
         values = np.asarray(values)
@@ -125,7 +126,7 @@ class OperatorPlan:
         out = np.zeros(self.grid.shape, dtype=complex)
         for coeff, kernel in self._kernels:
             out = out + coeff * np.asarray(convolve(kernel, u).values)
-        if not (np.iscomplexobj(u.values) or any(k.complex_kernel for _, k in self._kernels)):
+        if not (np.iscomplexobj(u.values) or self.complex_kernel):
             out = out.real
         return out
 
@@ -167,17 +168,18 @@ def apply_R(u: FreqFunction, rho: float, spec: HamiltonianSpec,
 
 def project_high(u: FreqFunction, K: float) -> FreqFunction:
     """Zero all samples with |xi| <= K (high-frequency projection)."""
-    if K < 0:
-        raise InvalidArgumentError("K must be >= 0")
-    r = u.grid.radius_mesh()
-    vals = np.asarray(u.values)
-    return u.copy_with(np.where(r > K, vals, 0.0))
+    return u.copy_with(np.where(u.grid.radius_mesh() > _cutoff(K), u.values, 0.0))
 
 
 def project_low(u: FreqFunction, K: float) -> FreqFunction:
-    r = u.grid.radius_mesh()
-    vals = np.asarray(u.values)
-    return u.copy_with(np.where(r <= K, vals, 0.0))
+    """Zero all samples with |xi| > K (low-frequency projection)."""
+    return u.copy_with(np.where(u.grid.radius_mesh() <= _cutoff(K), u.values, 0.0))
+
+
+def _cutoff(K: float) -> float:
+    if not (math.isfinite(K) and K >= 0):
+        raise InvalidArgumentError(f"projection radius K must be finite and >= 0 (got {K!r})")
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,6 @@ class AdmissibleRegion:
         inv = 0.0 if math.isinf(alpha) else 1.0 / alpha
         return s < self.n * inv - self.t_effective
 
-    def describe(self) -> str:
-        base = ("s >= 0 and alpha > n/2, or -1 < s < 0 and alpha > n/(2(1+s))")
-        if self.t_effective is None:
-            return base
-        return f"s < n/alpha - {self.t_effective} intersected with: {base}"
-
 
 def admissible_region(term: PotentialTerm, n: int) -> AdmissibleRegion:
     term.validate_for_dim(n)

@@ -168,15 +168,11 @@ def assemble_dense(spec: HamiltonianSpec, rho: float, grid) -> np.ndarray:
     M = grid.size
     if M > MAX_DENSE_SAMPLES:
         raise UnsupportedScaleError(f"dense assembly capped at {MAX_DENSE_SAMPLES} samples (got {M})")
-    has_shift = any(t.shift and any(x != 0 for x in t.shift)
-                    for t in ([t for _, t in spec.potential.one_particle]
-                              + [t for *_, t in spec.potential.pairwise]
-                              + ([spec.potential.additive] if spec.potential.additive else [])))
-    dtype = complex if has_shift else float
-    A = np.eye(M, dtype=dtype)
     if spec.potential.is_zero():
-        return A
+        return np.eye(M)
     plan = OperatorPlan(spec, grid)
+    dtype = complex if plan.complex_kernel else float
+    A = np.eye(M, dtype=dtype)
     for m in range(M):
         e = np.zeros(M, dtype=dtype)
         e[m] = 1.0
@@ -311,12 +307,8 @@ def _diff_norm(a: FreqFunction, b: FreqFunction, idx: SpaceIndex) -> float:
 def _ball_weight_l2(grid: FreqGrid, s: float, K: float) -> float:
     """L^2 norm of <xi>^s restricted to |xi| <= K, by the grid quadrature."""
     r = grid.radius_mesh()
-    if grid.kind == "radial":
-        w = omega_d(grid.dim) * grid.weights * r ** (grid.dim - 1)
-    else:
-        w = grid.trapezoid_weights()
-    inside = r <= K
-    return float(np.sqrt(np.sum(np.where(inside, w * (1 + r * r) ** s, 0.0))))
+    w = grid.trapezoid_weights()
+    return float(np.sqrt(np.sum(np.where(r <= K, w * (1 + r * r) ** s, 0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +437,7 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float, n: int,
     constant that would mask the blow-up rate.
     """
     grid = make_radial_grid(n, r_max, count, "log-uniform", r_min=1e-6)
-    r = grid.nodes
-    mask = r > cutoff
-    vals = np.abs(profile(r))
-    base = omega_d(n) * float(np.sum((grid.weights * (1 + r * r) ** (gamma / 2.0)
-                                      * vals * r ** (n - 1))[mask]))
+    base = fl_norm(project_high(sample_profile(profile, grid), cutoff), SpaceIndex(gamma, 1.0))
     tail = 0.0
     for (A, p) in zip(*[iter(_profile_tail_terms(profile))] * 2):
         # int_R^inf <r>^gamma A r^p r^(n-1) dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2))
@@ -474,6 +462,9 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
         raise InvalidArgumentError("delta must lie in (0, 1] for the experiment")
     if n < 2:
         raise InvalidArgumentError("the radial example needs n >= 2")
+    if not all(0 < g < delta for g in gammas):
+        raise InvalidArgumentError(
+            f"blow-up gammas must lie in (0, delta) = (0, {delta:g}) (got {list(gammas)})")
     example = sharp_example_potential(delta, n)
     c1 = c1_constant(n, delta)
 

@@ -84,11 +84,6 @@ class Split:
     radius: float | None = None
     part_norms: tuple = (0.0, 0.0)   # (FL^1_s of f1, FL^alpha'_s of f2)
 
-    def recombines(self, f: FreqFunction, tol: float = 1e-12) -> bool:
-        total = self.f1.values + self.f2.values
-        scale = np.max(np.abs(f.values)) or 1.0
-        return bool(np.max(np.abs(total - f.values)) <= tol * scale)
-
 
 @dataclass
 class NormReport:
@@ -115,17 +110,11 @@ class NormReport:
 # ---------------------------------------------------------------------------
 
 def _weighted_samples(f: FreqFunction, s: float):
-    """(|<xi>^s f(xi)|, quadrature weight including the r^(d-1) surface factor)."""
+    """(|<xi>^s f(xi)|, the grid's R^d weights), both flattened."""
     g = f.grid
-    if g.kind == "radial":
-        r = g.nodes
-        w = omega_d(g.dim) * g.weights * r ** (g.dim - 1)
-    else:
-        r = g.radius_mesh().ravel()
-        w = g.trapezoid_weights().ravel()
+    r = g.radius_mesh().ravel()
     vals = np.abs(np.asarray(f.values).ravel())
-    weighted = (1.0 + r * r) ** (s / 2.0) * vals
-    return weighted, w
+    return (1.0 + r * r) ** (s / 2.0) * vals, g.trapezoid_weights().ravel()
 
 
 def fl_norm(f: FreqFunction, idx: SpaceIndex) -> float:
@@ -138,14 +127,6 @@ def fl_norm(f: FreqFunction, idx: SpaceIndex) -> float:
     if not math.isfinite(value):
         raise NonFiniteError(f"spaces.fl_norm: FL^{idx.p:g}_{idx.s:g} norm is {value}")
     return value
-
-
-def barron_norm(f: FreqFunction, s: float = 0.0) -> float:
-    return fl_norm(f, SpaceIndex(s, 1.0))
-
-
-def sobolev_norm(f: FreqFunction, s: float = 0.0) -> float:
-    return fl_norm(f, SpaceIndex(s, 2.0))
 
 
 def _power_tail(C: float, expo: float, p: float, s: float, n: int, R: float):
@@ -246,15 +227,13 @@ def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
             if texp is not None and (s + texp) + n >= 0:
                 raise NotInSpaceError(
                     f"Barron integral diverges: tail exponent {texp} at s = {s}")
-            rep = profile_norm_report(profile, SpaceIndex(s, 1.0), n, grid=g if g.kind == "radial" else None)
+            rep = profile_norm_report(profile, SpaceIndex(s, 1.0), n, grid=g)
             value = rep.value
         return value, Split(func, zero, "trivial", part_norms=(value, 0.0))
 
     cab_root = c_alpha_beta(alpha, idx.beta, n) ** (1.0 / alpha)
     weighted, w = _weighted_samples(func, s)
-    R_all = g.nodes if g.kind == "radial" else None
-    radii = g.nodes if g.kind == "radial" else np.unique(g.radius_mesh().ravel())
-    rmesh = g.nodes if g.kind == "radial" else g.radius_mesh().ravel()
+    rmesh = g.radius_mesh().ravel()
 
     # cumulative partial norms over |xi| <= R and |xi| > R for all radii
     order = np.argsort(rmesh)
@@ -338,9 +317,9 @@ def embedding_constant(src: tuple, dst: tuple, n: int) -> float:
 
 def epsilon_ball_integral(k: float, n: int) -> float:
     """int_{|xi|<=k} <xi>^(-n) d xi by radial quadrature."""
-    grid = make_radial_grid(n, float(k), max(3000, 8), "log-uniform", r_min=min(1e-8 * k, 1e-8))
+    grid = make_radial_grid(n, float(k), 3000, "log-uniform", r_min=min(1e-8 * k, 1e-8))
     r = grid.nodes
-    return float(omega_d(n) * np.sum(grid.weights * (1 + r * r) ** (-n / 2.0) * r ** (n - 1)))
+    return float(np.sum(grid.trapezoid_weights() * (1 + r * r) ** (-n / 2.0)))
 
 
 def counterexample_norm(k: float, s1: float, alpha1: float, s2: float, alpha2: float, n: int):

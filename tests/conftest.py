@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 
 from flbarron.grid import FreqFunction, _exact_moments, _tail_correction, convolve, make_tensor_grid
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm, fourier_transform
+from flbarron.special import omega_d
 
 
 @pytest.fixture
@@ -40,6 +41,30 @@ def random_complex(grid, seed):
     vals = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     r = grid.radius_mesh()
     return FreqFunction(grid, np.where(r <= 0.8 * grid.extent, vals, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# reference grid geometry: rebuilt from the grid's fields on every call
+# ---------------------------------------------------------------------------
+
+def reference_geometry(grid):
+    """(axis or None, |xi| at every node, R^d quadrature weights), one
+    reshape per axis for tensor grids, omega_d w r^(d-1) for radial ones."""
+    if grid.kind == "radial":
+        r = grid.nodes
+        return None, r, omega_d(grid.dim) * grid.weights * r ** (grid.dim - 1)
+    ax = np.linspace(-grid.extent, grid.extent, grid.count)
+    w1 = np.full(grid.count, 2.0 * grid.extent / (grid.count - 1))
+    w1[0] *= 0.5
+    w1[-1] *= 0.5
+    sq = np.zeros(grid.shape)
+    w = np.ones(grid.shape)
+    for k in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[k] = grid.count
+        sq = sq + (ax ** 2).reshape(shape)
+        w = w * w1.reshape(shape)
+    return ax, np.sqrt(sq), w
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ class TestExitCodes:
         assert code == 3
         assert "pass --beta above 0.75, or --gamma below 0.5" in capsys.readouterr().err
 
+    def test_verify_eigen_gamma_above_delta_is_exit_three(self, capsys):
+        # the default --gammas 0.90,0.95,0.99 lie above delta = 0.75
+        code = run(["verify-eigen", "--delta", "0.75"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "[InvalidArgumentError]" in err and "(0, delta) = (0, 0.75)" in err
+
 
 class TestOtherSubcommands:
     def test_norm_and_decompose(self, coulomb_spec_file, tmp_path):

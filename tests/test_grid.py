@@ -9,6 +9,7 @@ from scipy.special import dawsn
 
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError, UnsupportedScaleError
 from flbarron.grid import (
+    MAX_TENSOR_SAMPLES,
     FreqFunction,
     FreqGrid,
     RadialKernel3D,
@@ -24,7 +25,7 @@ from flbarron.grid import (
     tabulated_profile,
 )
 
-from conftest import reference_radial_convolve_3d
+from conftest import reference_geometry, reference_radial_convolve_3d
 
 
 class TestMakeRadialGrid:
@@ -81,6 +82,46 @@ class TestMakeTensorGrid:
         d = FreqFunction(make_tensor_grid(1, 1.0, 3), np.zeros(3)).to_json_dict()
         with pytest.raises(UnsupportedScaleError):
             FreqFunction.from_json_dict({**d, "dim": 4})
+
+
+class TestGeometry:
+    @given(dim=st.integers(1, 3), half=st.integers(1, 20),
+           extent=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=40, deadline=None)
+    def test_tensor_matches_reference(self, dim, half, extent):
+        g = make_tensor_grid(dim, extent, 2 * half + 1)
+        ax, r, w = reference_geometry(g)
+        assert np.array_equal(g.axis, ax)
+        assert np.array_equal(g.radius_mesh(), r)
+        assert np.array_equal(g.trapezoid_weights(), w)
+
+    @given(dim=st.integers(1, 3), r_max=st.floats(0.1, 1e3), count=st.integers(9, 300),
+           scheme=st.sampled_from(["uniform", "log-uniform"]))
+    @settings(max_examples=40, deadline=None)
+    def test_radial_matches_reference(self, dim, r_max, count, scheme):
+        g = make_radial_grid(dim, r_max, count, scheme)
+        _, r, w = reference_geometry(g)
+        assert np.array_equal(g.radius_mesh(), r)
+        assert np.array_equal(g.trapezoid_weights(), w)
+
+    @pytest.mark.parametrize("kind", ["tensor", "radial"])
+    def test_computed_once_and_read_only(self, kind):
+        g = make_tensor_grid(2, 3.0, 9) if kind == "tensor" else make_radial_grid(3, 5.0, 30)
+        arrays = [g.radius_mesh(), g.trapezoid_weights()] + ([g.axis] if kind == "tensor" else [])
+        assert g.radius_mesh() is arrays[0] and g.trapezoid_weights() is arrays[1]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.ravel()[0] = 1.0
+
+    def test_radial_weights_integrate_over_r_d(self):
+        # int_{|xi| <= 1} d xi = 4 pi / 3 in three dimensions
+        g = make_radial_grid(3, 1.0, 60, "uniform")
+        assert float(np.sum(g.trapezoid_weights())) == pytest.approx(4 * math.pi / 3, rel=1e-13)
+
+    def test_sample_budget(self):
+        with pytest.raises(UnsupportedScaleError, match="exceeds"):
+            FreqGrid(dim=3, kind="tensor", extent=1.0, count=10 ** 6 + 1)
+        assert make_tensor_grid(3, 8.0, 129).size <= MAX_TENSOR_SAMPLES
 
 
 class TestRadialIntegral:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from flbarron import bounds as B
 from flbarron import operators as O
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError
-from flbarron.grid import FreqFunction
+from flbarron import solver as SV
+from flbarron.grid import FreqFunction, make_radial_grid
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
 from flbarron.spaces import SpaceIndex, fl_norm
 
@@ -153,6 +154,18 @@ class TestOperatorPlan:
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    def test_complex_kernel_only_for_shifted_terms(self, case):
+        spec, grid = plan_case(case, 0.1, 1.0, 5)
+        plan = O.OperatorPlan(spec, grid)
+        assert plan.complex_kernel == (case == "shifted1d")
+        assert SV.assemble_dense(spec, 1.0, grid).dtype == (complex if plan.complex_kernel else float)
+
+    def test_radial_plan_has_real_kernels(self):
+        pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
+        grid = make_radial_grid(3, 6.0, 30)
+        assert O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid).complex_kernel is False
+
     def test_rejects_values_of_another_shape(self, gaussian_ham_1d, grid_1d):
         plan = O.OperatorPlan(gaussian_ham_1d, grid_1d)
         with pytest.raises(DimensionMismatchError):
@@ -176,6 +189,12 @@ class TestProjection:
         mid = (grid_1d.count - 1) // 2
         assert out.values[mid] == 0
         assert np.count_nonzero(out.values) >= np.count_nonzero(u.values) - 1
+
+    @pytest.mark.parametrize("project", [O.project_high, O.project_low])
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -1.0])
+    def test_invalid_radius_rejected(self, grid_1d, project, K):
+        with pytest.raises(InvalidArgumentError, match="projection radius"):
+            project(random_complex(grid_1d, 1), K)
 
     def test_contraction_between_weighted_norms(self, grid_1d):
         # ||P_K||_{FL^p_t -> FL^p_r} <= <K>^{-(t-r)} for r < t
@@ -215,6 +234,17 @@ class TestQuadraticForm:
             for eps in (1.0, 0.1, 0.01):
                 rhs = frak * (eps ** (1 - t) * grad2 + (eps ** (1 - t) + eps ** -t) * l2)
                 assert lhs <= rhs * (1 + 1e-9)
+
+    def test_radial_closed_forms(self):
+        # u_hat = exp(-pi r^2) is its own transform and V = exp(-pi |x|^2), so
+        # <Vu, u> = int exp(-3 pi |x|^2) dx, ||u||^2 = 2^(-3/2), ||grad u||^2 = 3 pi 2^(-3/2)
+        g = make_radial_grid(3, 6.0, 600, "log-uniform", r_min=1e-4)
+        u = FreqFunction(g, np.exp(-math.pi * g.nodes ** 2))
+        pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
+        assert O.quad_form_V(u, u, pot) == pytest.approx(3 ** -1.5, rel=1e-9)
+        l2, grad2 = O.sobolev_products(u)
+        assert l2 == pytest.approx(2 ** -1.5, rel=1e-9)
+        assert grad2 == pytest.approx(3 * math.pi * 2 ** -1.5, rel=1e-9)
 
 
 class TestProbing:

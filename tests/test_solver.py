@@ -305,6 +305,11 @@ class TestSharpnessExperiment:
         assert rep.blowup_slope == pytest.approx(1.0, abs=0.05)
         assert rep.residual < 1e-4
 
+    @pytest.mark.parametrize("gammas", [(0.9, 0.95, 0.99), (0.0, 0.5), (0.5, 0.75)])
+    def test_gamma_outside_zero_delta_rejected(self, gammas):
+        with pytest.raises(InvalidArgumentError, match=r"\(0, delta\) = \(0, 0.75\)"):
+            SV.sharpness_experiment(0.75, 3, gammas=gammas)
+
     def test_blowup_norms_kept_out_of_json(self):
         gammas = (0.9, 0.95)
         rep = SV.sharpness_experiment(1.0, 3, gammas=gammas, compute_residual=False)
