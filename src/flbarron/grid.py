@@ -406,10 +406,10 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
     |theta|^(t-n) are integrated rather than evaluated at the node.
     A nonzero real-space shift contributes the exact phase factor.
     """
-    ax = grid.axis
-    h = grid.spacing
-    mesh = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)  # (...,n)
-    radius = np.linalg.norm(mesh, axis=-1)
+    lattice = grid if grid.dim == n else FreqGrid(n, "tensor", extent=grid.extent, count=grid.count)
+    ax = lattice.axis
+    h = lattice.spacing
+    radius = lattice.radius_mesh()
     vals = np.asarray(profile(np.where(radius > 0, radius, h)), dtype=float).copy()
     sing = profile.kind in ("power", "log_kernel") or (
         profile.kind == "tabulated" and profile.valid_min > 0)
@@ -421,14 +421,14 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
         sub = ((np.arange(16) + 0.5) / 16.0 - 0.5) * h
         offs = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n)
         for idx in idxs:
-            center = mesh[tuple(idx)]
+            center = ax[idx]
             pts = np.linalg.norm(center[None, :] + offs, axis=1)
             vals[tuple(idx)] = float(np.mean(profile(pts)))
     else:
         vals = np.asarray(profile(radius), dtype=float)
-    # trapezoid weights of the kernel's own n-dim lattice
-    kernel = vals * FreqGrid(n, "tensor", extent=grid.extent, count=grid.count).trapezoid_weights()
+    kernel = vals * lattice.trapezoid_weights()
     if shift is not None and np.any(np.asarray(shift) != 0):
+        mesh = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)  # (..., n)
         phase = np.exp(-2j * np.pi * (mesh @ np.asarray(shift, dtype=float)))
         kernel = kernel * phase
     return kernel

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from flbarron.grid import FreqFunction, _exact_moments, _tail_correction, convolve, make_tensor_grid
+from flbarron.grid import (
+    FreqFunction,
+    FreqGrid,
+    _exact_moments,
+    _tail_correction,
+    convolve,
+    make_tensor_grid,
+)
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm, fourier_transform
 from flbarron.special import omega_d
 
@@ -65,6 +72,32 @@ def reference_geometry(grid):
         sq = sq + (ax ** 2).reshape(shape)
         w = w * w1.reshape(shape)
     return ax, np.sqrt(sq), w
+
+
+def reference_sample_kernel_on_lattice(profile, n: int, grid, shift=None) -> np.ndarray:
+    """V_hat times the trapezoid weights on the n-dim lattice of ``grid``
+    from a coordinate mesh built on the spot: radii by np.linalg.norm,
+    16^n midpoint sub-cells within 3 spacings of the origin for singular
+    profiles, and the phase of a nonzero shift."""
+    ax = np.linspace(-grid.extent, grid.extent, grid.count)
+    h = 2.0 * grid.extent / (grid.count - 1)
+    mesh = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
+    radius = np.linalg.norm(mesh, axis=-1)
+    if profile.kind in ("power", "log_kernel") or (
+            profile.kind == "tabulated" and profile.valid_min > 0):
+        vals = np.asarray(profile(np.where(radius > 0, radius, h)), dtype=float).copy()
+        sub = ((np.arange(16) + 0.5) / 16.0 - 0.5) * h
+        offs = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        for idx in np.argwhere(radius <= 3.0 * h + 1e-12 * h):
+            pts = np.linalg.norm(mesh[tuple(idx)][None, :] + offs, axis=1)
+            vals[tuple(idx)] = float(np.mean(profile(pts)))
+    else:
+        vals = np.asarray(profile(radius), dtype=float)
+    kernel = vals * reference_geometry(FreqGrid(n, "tensor", extent=grid.extent,
+                                                count=grid.count))[2]
+    if shift is not None and np.any(np.asarray(shift) != 0):
+        kernel = kernel * np.exp(-2j * np.pi * (mesh @ np.asarray(shift, dtype=float)))
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +246,24 @@ def reference_radial_convolve_3d(kernel, u_hat, r_eval=None, tail_profile=None):
 
     r_arr = np.asarray(r_eval, dtype=float)
     return 2.0 * np.pi / r_arr * out + _tail_correction(kernel, tail_profile, bounds[-1], r_arr)
+
+
+# ---------------------------------------------------------------------------
+# reference tabulation of the sharp transform: one quadrature per radius
+# ---------------------------------------------------------------------------
+
+def reference_tabulate_sharp_transform(nodes, delta: float, n: int = 3, seam: float = 160.0):
+    """(table values, tail model) of the sharp-example profile with one
+    scalar ``stretched_exp_transform`` call per node below the seam and per
+    seam-fit point."""
+    from flbarron.solver import stretched_exp_transform
+
+    nodes = np.asarray(nodes, float)
+    vals = np.empty_like(nodes)
+    low = nodes <= seam
+    vals[low] = [stretched_exp_transform(r, delta, n) for r in nodes[low]]
+    xs = np.geomspace(seam / 3.0, seam, 16)
+    ys = np.array([stretched_exp_transform(x, delta, n) for x in xs])
+    Bc, Ac = np.polyfit(xs ** -delta, ys * xs ** (delta + n), 1)
+    vals[~low] = Ac * nodes[~low] ** -(delta + n) + Bc * nodes[~low] ** -(2 * delta + n)
+    return vals, (Ac, -(delta + n), Bc, -(2 * delta + n))

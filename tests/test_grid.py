@@ -21,11 +21,18 @@ from flbarron.grid import (
     omega_d,
     radial_convolve_3d,
     radial_integral,
+    sample_kernel_on_lattice,
     sample_profile,
     tabulated_profile,
 )
 
-from conftest import reference_geometry, reference_radial_convolve_3d
+from flbarron.potentials import PotentialTerm, fourier_transform
+
+from conftest import (
+    reference_geometry,
+    reference_radial_convolve_3d,
+    reference_sample_kernel_on_lattice,
+)
 
 
 class TestMakeRadialGrid:
@@ -122,6 +129,27 @@ class TestGeometry:
         with pytest.raises(UnsupportedScaleError, match="exceeds"):
             FreqGrid(dim=3, kind="tensor", extent=1.0, count=10 ** 6 + 1)
         assert make_tensor_grid(3, 8.0, 129).size <= MAX_TENSOR_SAMPLES
+
+
+class TestSampleKernelOnLattice:
+    # (n, grid dim, kind, params): smooth and singular profiles, the kernel's
+    # own lattice and a sub-lattice of a larger grid
+    CASES = [(1, 1, "gaussian", {}), (1, 2, "inverse_power", {"t": 0.5}),
+             (2, 2, "gaussian", {}), (2, 2, "inverse_power", {"t": 1.5}),
+             (3, 3, "coulomb", {}), (3, 3, "yukawa", {"mu": 1.0})]
+
+    @pytest.mark.parametrize("n, dim, kind, params", CASES)
+    @given(half=st.integers(2, 5), extent=st.floats(1.0, 8.0), shifted=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=4, deadline=None)
+    def test_matches_reference(self, n, dim, kind, params, half, extent, shifted, seed):
+        grid = make_tensor_grid(dim, extent, 2 * half + 1)
+        profile = fourier_transform(PotentialTerm(kind, params), n)
+        shift = np.random.default_rng(seed).normal(size=n) if shifted else None
+        got = sample_kernel_on_lattice(profile, n, grid, shift)
+        ref = reference_sample_kernel_on_lattice(profile, n, grid, shift)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
 
 
 class TestRadialIntegral:

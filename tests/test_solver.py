@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from flbarron.potentials import (
 )
 from flbarron.spaces import SpaceIndex, fl_norm
 
-from conftest import PLAN_CASES, plan_case, reference_R
+from conftest import PLAN_CASES, plan_case, reference_R, reference_tabulate_sharp_transform
 
 
 class TestSolveNeumann:
@@ -84,6 +85,15 @@ class TestSolveNeumann:
     def test_nan_rho_rejected_before_iterating(self, gaussian_ham_1d, gauss_rhs):
         with pytest.raises(InvalidArgumentError):
             SV.solve_neumann(gaussian_ham_1d, math.nan, gauss_rhs)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+    def test_invalid_tol_rejected_before_iterating(self, gaussian_ham_1d, gauss_rhs, tol):
+        with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+            SV.solve_neumann(gaussian_ham_1d, 1.0, gauss_rhs, tol=tol)
+
+    def test_max_iter_zero_rejected(self, gaussian_ham_1d, gauss_rhs):
+        with pytest.raises(InvalidArgumentError, match="max_iter must be >= 1"):
+            SV.solve_neumann(gaussian_ham_1d, 1.0, gauss_rhs, max_iter=0)
 
 
     def test_nan_rhs_raises_at_first_update(self, gaussian_ham_1d, gauss_rhs, monkeypatch):
@@ -214,6 +224,14 @@ class TestBootstrap:
             SV.bootstrap_series(gaussian_ham_1d, "solve", f, s=0.0, alpha=math.inf,
                                 beta=0.0, energy=1.0)
 
+    @pytest.mark.parametrize("mode", ["eigen", "solve"])
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, gauss_rhs, mode, energy):
+        pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 30.0}))
+        with pytest.raises(InvalidArgumentError, match="energy must be finite"):
+            SV.bootstrap_series(HamiltonianSpec(pot, (1.0,)), mode, gauss_rhs, s=0.0,
+                                alpha=math.inf, beta=0.0, energy=energy)
+
     def test_error_ratios_geometric(self, gauss_rhs):
         pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 30.0}))
         ham = HamiltonianSpec(pot, (1.0,))
@@ -263,6 +281,27 @@ class TestTransformMachinery:
         assert abs(SV.c1_constant(3, 1.0)) == pytest.approx(1 / (2 * math.pi ** 3),
                                                             rel=1e-14)
 
+    @pytest.mark.parametrize("delta", [0.5, 0.75, 0.9, 1.0])
+    def test_c1_is_the_positive_k1_series_coefficient(self, delta):
+        # k = 1 term of sum_k (-1)^k / k! F[|x|^(k delta)]
+        k1 = -math.pi ** (-delta - 1.5) * math.gamma((delta + 3) / 2) / math.gamma(-delta / 2)
+        assert k1 > 0
+        assert SV.c1_constant(3, delta) == pytest.approx(k1, rel=1e-14)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.75, 1.0])
+    def test_c1_sign_matches_tail_sign(self, delta):
+        rep = SV.sharpness_experiment(delta, 3, gammas=(delta - 0.1, delta - 0.05),
+                                      compute_residual=False)
+        assert np.sign(SV.c1_constant(3, delta)) == rep.tail_sign == 1
+
+    @pytest.mark.parametrize("rho, delta", [(math.nan, 0.5), (math.inf, 0.5), (-1.0, 0.5),
+                                            (1.0, math.nan), (1.0, 2.0)])
+    def test_invalid_input_rejected(self, rho, delta):
+        with pytest.raises(InvalidArgumentError):
+            SV.stretched_exp_transform(rho, delta)
+        with pytest.raises(InvalidArgumentError):
+            SV.sharp_transform_radii([0.5, rho], delta)
+
     def test_tabulated_profile_consistency(self):
         nodes = np.geomspace(0.01, 300.0, 200)
         prof = SV.tabulate_sharp_transform(nodes, 0.75, 3)
@@ -273,6 +312,94 @@ class TestTransformMachinery:
         # model region: within the fitted two-term model's own accuracy
         direct_far = SV.stretched_exp_transform(float(nodes[-1]), 0.75, 3)
         assert prof(nodes[-1:])[0] == pytest.approx(direct_far, rel=1e-2)
+
+
+def mp_sharp_transform(rho: float, delta: float, digits: int = 50) -> float:
+    """The n = 3 transform of exp(-|x|^delta) by its series
+    sum_{k>=1} (-1)^k / k! pi^(-k delta - 3/2) Gamma((k delta + 3)/2)
+    / Gamma(-k delta/2) rho^(-k delta - 3), summed in mpmath with ``digits``
+    digits beyond the size of its largest term."""
+    def log10_envelope(k, d, r):  # |1/Gamma(-x)| <= Gamma(1+x)/pi
+        return (mp.loggamma((k * d + 3) / 2) + mp.loggamma(1 + k * d / 2) - mp.loggamma(k + 1)
+                - (k * d + mp.mpf(5) / 2) * mp.log(mp.pi) - (k * d + 3) * mp.log(r)) / mp.log(10)
+
+    with mp.workdps(20):
+        logs = [float(log10_envelope(1, mp.mpf(delta), mp.mpf(rho)))]
+        while not (len(logs) > 3 and logs[-1] < logs[-2]
+                   and logs[-1] < min(logs[0], 0.0) - 2 * digits):
+            logs.append(float(log10_envelope(len(logs) + 1, mp.mpf(delta), mp.mpf(rho))))
+    with mp.workdps(digits + max(0, int(max(logs))) + 10):
+        d, r = mp.mpf(delta), mp.mpf(rho)
+        return float(mp.fsum(
+            (-1) ** k * mp.rgamma(k + 1) * mp.pi ** (-k * d - mp.mpf(3) / 2)
+            * mp.gamma((k * d + 3) / 2) * mp.rgamma(-k * d / 2) * r ** (-k * d - 3)
+            for k in range(1, len(logs) + 1)))
+
+
+class TestSharpTransformRadii:
+    # radii on both sides of where the fixed rule hands over to the series
+    # (near 0.07, 0.18 and 0.26 for the three deltas) and up to the end of
+    # the decay-fit window at 320
+    RADII = (0.08, 0.12, 0.2, 0.3, 1.0, 2.5, 10.0, 50.0, 150.0, 320.0)
+
+    @pytest.mark.parametrize("delta, radii", [(0.5, (0.03, 0.05) + RADII),
+                                              (0.75, (0.03, 0.05) + RADII), (0.9, RADII)])
+    def test_matches_mpmath_at_least_as_closely_as_quadrature(self, delta, radii):
+        new = SV.sharp_transform_radii(np.array(radii), delta)
+        for rho, value in zip(radii, new):
+            ref = mp_sharp_transform(rho, delta)
+            err_new = abs(value - ref) / abs(ref)
+            err_quad = abs(SV.stretched_exp_transform(rho, delta) - ref) / abs(ref)
+            # where both are at rounding level the new path may trail by an ulp
+            # or two: 1e-15 is about four and a half
+            assert err_new <= err_quad + 1e-15, (rho, err_new, err_quad)
+            assert err_new <= 1e-14, (rho, err_new)
+
+    @given(radii=st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 400.0)), min_size=1,
+                          max_size=30),
+           delta=st.sampled_from([0.5, 0.75, 0.9]), cut=st.integers(0, 30),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=25, deadline=None)
+    def test_blocks_and_order_do_not_change_values(self, radii, delta, cut, seed):
+        radii = np.array(radii)
+        whole = SV.sharp_transform_radii(radii, delta)
+        split = np.concatenate([SV.sharp_transform_radii(radii[:cut], delta),
+                                SV.sharp_transform_radii(radii[cut:], delta)])
+        perm = np.random.default_rng(seed).permutation(radii.size)
+        assert np.array_equal(split, whole)
+        assert np.array_equal(SV.sharp_transform_radii(radii[perm], delta), whole[perm])
+
+    def test_delta_one_table_equals_per_radius_quadrature(self):
+        nodes = np.geomspace(1e-4, 400.0, 120)
+        prof = SV.tabulate_sharp_transform(nodes, 1.0, 3)
+        vals, model = reference_tabulate_sharp_transform(nodes, 1.0, 3)
+        assert np.array_equal(prof.table_values, vals)
+        assert prof.tail_model == model
+
+    def test_quadrature_only_where_neither_method_counts(self, monkeypatch):
+        calls = []
+        scalar = SV.stretched_exp_transform
+
+        def counted(rho, delta, n=3):
+            calls.append(rho)
+            return scalar(rho, delta, n)
+
+        monkeypatch.setattr(SV, "stretched_exp_transform", counted)
+        for delta in (0.5, 0.75, 0.9):
+            SV.sharp_transform_radii(np.geomspace(1e-4, 400.0, 200), delta)
+        assert calls == []
+        SV.sharp_transform_radii(np.array([0.5, 2.0]), 1.0)
+        assert calls == [0.5, 2.0]
+        # delta = 0.3 at rho = 1e-3: the series cancels too much and the rule
+        # would span too many oscillations per panel
+        assert SV.sharp_transform_radii(np.array([1e-3]), 0.3)[0] == scalar(1e-3, 0.3)
+        assert calls == [0.5, 2.0, 1e-3]
+
+    @pytest.mark.parametrize("delta", [0.5, 0.75, 0.9])
+    def test_zero_radius_is_the_integral(self, delta):
+        # F(0) = 4 pi int exp(-r^delta) r^2 dr = 4 pi Gamma(3/delta) / delta
+        value = SV.sharp_transform_radii(np.array([0.0]), delta)[0]
+        assert value == pytest.approx(4 * math.pi * math.gamma(3 / delta) / delta, rel=1e-14)
 
 
 class TestEigenCertificateOnHydrogen:
