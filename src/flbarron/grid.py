@@ -436,9 +436,9 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
 
 @dataclass(frozen=True, eq=False)
 class LatticeKernel:
-    """A potential term's kernel laid out on a tensor grid, kept as its FFT.
+    """A potential term's kernel laid out on a tensor grid, with its FFT.
 
-    The kernel spans ``axes`` of ``grid`` (odd length M each, center index
+    ``samples`` spans ``axes`` of ``grid`` (odd length M each, center index
     (M-1)/2) and is singleton elsewhere; ``fft`` is its FFT zero-padded to
     ``sizes`` along those axes, long enough that the circular product is
     the linear convolution.
@@ -447,6 +447,7 @@ class LatticeKernel:
     grid: FreqGrid
     axes: tuple
     sizes: tuple
+    samples: np.ndarray = field(repr=False)
     fft: np.ndarray = field(repr=False)
     complex_kernel: bool
 
@@ -481,26 +482,19 @@ def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
         i = int(particle)
         axes = tuple(range((i - 1) * n, i * n))
         kernel = sample_kernel_on_lattice(v_hat, n, grid, shift)
-        shape = [1] * d
-        for ax in axes:
-            shape[ax] = M
-        kernel = kernel.reshape(shape)
     elif structure == "pairwise":
         i, j = particle
         if n != 1:
             raise UnsupportedScaleError("pairwise convolution implemented for n = 1 lattices")
         axes = ((i - 1) * n, (j - 1) * n)
         k1 = sample_kernel_on_lattice(v_hat, 1, grid, shift)
-        k2 = np.zeros((M, M), dtype=k1.dtype)
-        k2[np.arange(M), M - 1 - np.arange(M)] = k1  # support on theta_j = -theta_i
-        shape = [1] * d
-        for ax in axes:
-            shape[ax] = M
-        kernel = k2.reshape(shape)
+        kernel = np.zeros((M, M), dtype=k1.dtype)
+        kernel[np.arange(M), M - 1 - np.arange(M)] = k1  # support on theta_j = -theta_i
     else:
         raise InvalidArgumentError(f"unknown convolution structure {structure!r}")
+    kernel = kernel.reshape([M if ax in axes else 1 for ax in range(d)])
     sizes = tuple(next_fast_len(2 * M - 1) for _ in axes)
-    return LatticeKernel(grid, axes, sizes, np.fft.fftn(kernel, s=sizes, axes=axes),
+    return LatticeKernel(grid, axes, sizes, kernel, np.fft.fftn(kernel, s=sizes, axes=axes),
                          np.iscomplexobj(kernel))
 
 
@@ -520,13 +514,12 @@ def convolve(v_hat, u_hat: FreqFunction, structure: str | None = None, particle=
     if g.kind != "tensor" or (g.dim, g.extent, g.count) != (kg.dim, kg.extent, kg.count):
         raise DimensionMismatchError("kernel was laid out on another grid")
     u = np.asarray(u_hat.values)
-    Uf = np.fft.fftn(u, s=kernel.sizes, axes=kernel.axes)
-    full = np.fft.ifftn(Uf * kernel.fft, s=kernel.sizes, axes=kernel.axes)
+    out = np.fft.fftn(u, s=kernel.sizes, axes=kernel.axes) * kernel.fft
+    # ifftn's axis order, keeping only the central part after each axis, so
+    # later axes transform fewer rows; every kept row sees the same data
     m = (g.count - 1) // 2
-    sl = [slice(None)] * u.ndim
-    for ax in kernel.axes:
-        sl[ax] = slice(m, m + g.count)
-    out = full[tuple(sl)]
+    for ax in reversed(kernel.axes):
+        out = np.fft.ifft(out, axis=ax)[(slice(None),) * ax + (slice(m, m + g.count),)]
     if not (np.iscomplexobj(u) or kernel.complex_kernel):
         out = out.real
     return u_hat.copy_with(out)

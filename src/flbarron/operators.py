@@ -102,11 +102,14 @@ class OperatorPlan:
                 f"values shape {values.shape} does not match grid {self.grid.shape}")
         return values
 
-    def h0_inverse(self, values, rho: float) -> np.ndarray:
-        """(H0 + rho I)^(-1): divide samples by h(xi) - 1 + rho."""
+    def _resolvent_symbol(self, rho: float) -> np.ndarray:
         if not rho > 0:
             raise InvalidArgumentError(f"rho must be positive (got {rho!r})")
-        return self._samples(values) / (self.symbol - 1.0 + rho)
+        return self.symbol - 1.0 + rho
+
+    def h0_inverse(self, values, rho: float) -> np.ndarray:
+        """(H0 + rho I)^(-1): divide samples by h(xi) - 1 + rho."""
+        return self._samples(values) / self._resolvent_symbol(rho)
 
     def multiply_V(self, values, tail_profile: RadialProfile | None = None) -> np.ndarray:
         """F(V u) via the structured convolutions.
@@ -133,6 +136,37 @@ class OperatorPlan:
     def R(self, values, rho: float, tail_profile: RadialProfile | None = None) -> np.ndarray:
         """R u = (H0 + rho)^{-1} (V u)."""
         return self.h0_inverse(self.multiply_V(values, tail_profile), rho)
+
+    def matrix(self, rho: float) -> np.ndarray:
+        """Dense matrix of R on the flattened tensor grid, built with no FFT.
+
+        Convolution is block-Toeplitz: the terms' samples, zero-padded to
+        2M-1 per axis (a delta at M-1 off a kernel's axes) and summed with
+        their coefficients, are gathered as K[a_i - b_i + M - 1] through one
+        (M, M) offset matrix per axis; row a is divided by h(xi_a) - 1 + rho.
+        """
+        g = self.grid
+        if g.kind != "tensor":
+            raise DimensionMismatchError("dense oracle needs a tensor grid")
+        denom = self._resolvent_symbol(rho).reshape(-1, 1)
+        M, d, m = g.count, g.dim, (g.count - 1) // 2
+        total = np.zeros((2 * M - 1,) * d, dtype=complex if self.complex_kernel else float)
+        for coeff, kernel in self._kernels:
+            padded = np.zeros(total.shape, dtype=kernel.samples.dtype)
+            padded[tuple(slice(m, m + M) if ax in kernel.axes else slice(M - 1, M)
+                         for ax in range(d))] = kernel.samples
+            total = total + coeff * padded
+        offsets = np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)
+        A = total[tuple(offsets.reshape((1,) * ax + (M,) + (1,) * (d - 1) + (M,) + (1,) * (d - 1 - ax))
+                        for ax in range(d))].reshape(g.size, g.size)
+        A /= denom
+        return A
+
+    def quad_form(self, u, v) -> float:
+        """integral of V u v for real-valued u, v, evaluated in frequency
+        space: sum of F(Vu) * conj(v_hat) against the grid weights."""
+        return float(np.real(np.sum(self.grid.trapezoid_weights() * self.multiply_V(u)
+                                    * np.conj(self._samples(v)))))
 
     def T_lambda(self, values, lam: float,
                  tail_profile: RadialProfile | None = None) -> np.ndarray:
@@ -187,12 +221,8 @@ def _cutoff(K: float) -> float:
 # ---------------------------------------------------------------------------
 
 def quad_form_V(u: FreqFunction, v: FreqFunction, spec: PotentialSpec) -> float:
-    """integral of V u v for real-valued u, v, evaluated in frequency space:
-    sum of F(Vu) * conj(v_hat) against the grid weights."""
-    vu = apply_multiply_V(u, spec)
-    w = u.grid.trapezoid_weights()
-    val = np.sum(w * np.asarray(vu.values) * np.conj(np.asarray(v.values)))
-    return float(np.real(val))
+    """integral of V u v for real-valued u, v; see ``OperatorPlan.quad_form``."""
+    return OperatorPlan(HamiltonianSpec(spec, (1.0,) * spec.N), u.grid).quad_form(u.values, v.values)
 
 
 def sobolev_products(u: FreqFunction):

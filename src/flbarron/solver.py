@@ -13,11 +13,12 @@ blow-up rate of its diverging high-frequency mass.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln
 
 from .bounds import big_C_V, contraction_radius, low_frequency_l2_bound, mu_tilde
@@ -171,21 +172,15 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
 
 
 def assemble_dense(spec: HamiltonianSpec, rho: float, grid) -> np.ndarray:
-    """Dense matrix of I + R on the flattened grid, one column per basis
-    vector through the same operator application as the iteration."""
+    """Dense matrix of I + R on the flattened tensor grid; R's part is
+    ``OperatorPlan.matrix``, which the iteration applies by FFT."""
     M = grid.size
     if M > MAX_DENSE_SAMPLES:
         raise UnsupportedScaleError(f"dense assembly capped at {MAX_DENSE_SAMPLES} samples (got {M})")
     if spec.potential.is_zero():
         return np.eye(M)
-    plan = OperatorPlan(spec, grid)
-    dtype = complex if plan.complex_kernel else float
-    A = np.eye(M, dtype=dtype)
-    for m in range(M):
-        e = np.zeros(M, dtype=dtype)
-        e[m] = 1.0
-        col = plan.R(e.reshape(grid.shape), rho).ravel()
-        A[:, m] += col.real if dtype is float else col
+    A = OperatorPlan(spec, grid).matrix(rho)
+    A[np.diag_indices(M)] += 1.0
     return A
 
 
@@ -379,10 +374,21 @@ def _check_delta(delta: float) -> None:
 
 def stretched_exp_transform(rho: float, delta: float, n: int = 3, tol: float = 1e-13) -> float:
     """Transform of exp(-|x|^delta) at radius rho (n = 3 via the sine kernel,
-    n = 2 via a Bessel-segment sum)."""
+    n = 2 via a Bessel-segment sum).  Raises NonConvergenceError when
+    QUADPACK warns, rather than returning its value."""
     _check_delta(delta)
     if not 0 <= rho < math.inf:
         raise InvalidArgumentError(f"rho must be finite and >= 0 (got {rho})")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            return _quad_transform(rho, delta, n, tol)
+        except IntegrationWarning as exc:
+            raise NonConvergenceError(f"transform of exp(-|x|^delta) at rho = {rho}, "
+                                      f"delta = {delta}, n = {n}: {exc}") from exc
+
+
+def _quad_transform(rho: float, delta: float, n: int, tol: float) -> float:
     r_cut = _T_CUT ** (1.0 / delta)
     if rho == 0.0:
         val, _ = quad(lambda r: math.exp(-r ** delta) * r ** (n - 1), 0, r_cut,

@@ -119,6 +119,37 @@ def reference_V(pot: PotentialSpec, u: FreqFunction) -> np.ndarray:
     return out if np.iscomplexobj(u.values) or shifted else out.real
 
 
+def reference_direct_V(pot: PotentialSpec, u: FreqFunction) -> np.ndarray:
+    """F(V u) with no FFT: per term, the direct "same" convolution
+    out[a] = sum_j kernel[j] u[a - j + m] (m = (M-1)/2 on each kernel axis,
+    zero outside the grid) of the kernel laid out here from
+    reference_sample_kernel_on_lattice, summed as reference_V sums."""
+    g = u.grid
+    M, m = g.count, (g.count - 1) // 2
+    terms = ([(tuple(range((i - 1) * pot.n, i * pot.n)), t, pot.n) for i, t in pot.one_particle]
+             + [(((i - 1) * pot.n, (j - 1) * pot.n), t, pot.n) for i, j, t in pot.pairwise]
+             + ([(tuple(range(g.dim)), pot.additive, pot.dim)] if pot.additive else []))
+    uv = np.asarray(u.values)
+    out = np.zeros(g.shape, dtype=complex)
+    for axes, term, n in terms:
+        shift = np.asarray(term.shift, float) if term.shift else None
+        kernel = reference_sample_kernel_on_lattice(fourier_transform(term, n), n, g, shift)
+        if len(axes) != n:  # pairwise: support on theta_j = -theta_i
+            k1, kernel = kernel, np.zeros((M, M), dtype=kernel.dtype)
+            kernel[np.arange(M), M - 1 - np.arange(M)] = k1
+        conv = np.zeros(g.shape, dtype=np.result_type(kernel, uv))
+        for j in np.ndindex(kernel.shape):
+            dst, src = [slice(None)] * g.dim, [slice(None)] * g.dim
+            for ax, jk in zip(axes, j):
+                o = jk - m  # out[a] reads u[a - o]
+                dst[ax] = slice(max(o, 0), M + min(o, 0))
+                src[ax] = slice(max(-o, 0), M - max(o, 0))
+            conv[tuple(dst)] += kernel[j] * uv[tuple(src)]
+        out = out + term.coeff * conv
+    shifted = any(np.any(np.asarray(t.shift) != 0) for _, t, _ in terms)
+    return out if np.iscomplexobj(uv) or shifted else out.real
+
+
 def reference_symbol(spec: HamiltonianSpec, grid) -> np.ndarray:
     """h(xi) = 2 pi^2 sum_i |xi_i|^2 / mu_i + 1 from the full coordinate mesh."""
     mesh = np.meshgrid(*([grid.axis] * grid.dim), indexing="ij")
@@ -132,7 +163,7 @@ def reference_R(spec: HamiltonianSpec, u: FreqFunction, rho: float) -> np.ndarra
     return reference_V(spec.potential, u) / (reference_symbol(spec, u.grid) - 1.0 + rho)
 
 
-PLAN_CASES = ("gauss1d_additive", "invpow1d", "pair2d", "shifted1d", "coulomb3d")
+PLAN_CASES = ("gauss1d_additive", "invpow1d", "pair2d", "mixed2d", "shifted1d", "coulomb3d")
 
 
 def plan_case(name: str, coeff: float, mass: float, count: int):
@@ -148,6 +179,11 @@ def plan_case(name: str, coeff: float, mass: float, count: int):
     elif name == "pair2d":
         pot = PotentialSpec(1, 2, pairwise=[
             (1, 2, PotentialTerm("inverse_power", {"t": 0.5}, coeff=coeff))])
+        extent = 6.0
+    elif name == "mixed2d":  # a one-particle kernel is a delta along the other axis
+        pot = PotentialSpec(1, 2, one_particle=[
+            (2, PotentialTerm("gaussian", {"kappa": 1.0}, coeff=coeff))], pairwise=[
+            (1, 2, PotentialTerm("inverse_power", {"t": 0.5}, coeff=0.5 * coeff))])
         extent = 6.0
     elif name == "shifted1d":
         pot = PotentialSpec(1, 1, one_particle=[

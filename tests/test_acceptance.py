@@ -232,16 +232,17 @@ def test_criterion_6_quadratic_form():
     checked = 0
     for name, pot, s, alpha, t, grid in _form_configurations():
         frak = B.form_bound_constant(pot, s, alpha, t)
+        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,) * pot.N), grid)
         for k in range(100):
             u = O.random_band_limited(grid, 31, 2 * k, real_space_real=True)
             v = O.random_band_limited(grid, 31, 2 * k + 1, real_space_real=True)
-            lhs = abs(O.quad_form_V(u, v, pot))
+            lhs = abs(plan.quad_form(u.values, v.values))
             rhs = frak * fl_norm(u, SpaceIndex(t, 2.0)) * fl_norm(v, SpaceIndex(t, 2.0))
             checked += 1
             if lhs > rhs * (1 + 1e-9):
                 violations += 1
             l2, grad2 = O.sobolev_products(u)
-            self_lhs = abs(O.quad_form_V(u, u, pot))
+            self_lhs = abs(plan.quad_form(u.values, u.values))
             for eps in (1.0, 0.1, 0.01):
                 bound = frak * (eps ** (1 - t) * grad2
                                 + (eps ** (1 - t) + eps ** -t) * l2)

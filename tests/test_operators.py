@@ -130,8 +130,8 @@ class TestTLambdaAndR:
 
 
 class TestOperatorPlan:
-    COUNTS = {"gauss1d_additive": 33, "invpow1d": 33, "pair2d": 11, "shifted1d": 33,
-              "coulomb3d": 7}
+    COUNTS = {"gauss1d_additive": 33, "invpow1d": 33, "pair2d": 11, "mixed2d": 11,
+              "shifted1d": 33, "coulomb3d": 7}
 
     @pytest.mark.parametrize("complex_input", [False, True])
     @pytest.mark.parametrize("case", PLAN_CASES)
@@ -234,6 +234,25 @@ class TestQuadraticForm:
             for eps in (1.0, 0.1, 0.01):
                 rhs = frak * (eps ** (1 - t) * grad2 + (eps ** (1 - t) + eps ** -t) * l2)
                 assert lhs <= rhs * (1 + 1e-9)
+
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    def test_plan_quad_form_equals_quad_form_V(self, case):
+        spec, grid = plan_case(case, 0.3, 1.0, 9)
+        plan = O.OperatorPlan(spec, grid)
+        for k in range(3):
+            u = O.random_band_limited(grid, 14, 2 * k, real_space_real=True)
+            v = O.random_band_limited(grid, 14, 2 * k + 1, real_space_real=True)
+            assert plan.quad_form(u.values, v.values) == O.quad_form_V(u, v, spec.potential)
+
+    def test_shifted_gaussian_closed_form(self, grid_1d):
+        # u(x) = exp(-pi (x - a)^2) is real but u_hat is not, so the pairing
+        # needs conj(u_hat): int exp(-pi x^2) u(x)^2 dx = exp(-2 pi a^2/3)/sqrt(3)
+        a = 0.5
+        u = np.exp(-2j * math.pi * a * grid_1d.axis) * np.exp(-math.pi * grid_1d.axis ** 2)
+        pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian"))
+        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid_1d)
+        assert plan.quad_form(u, u) == pytest.approx(math.exp(-2 * math.pi * a * a / 3)
+                                                     / math.sqrt(3), rel=1e-12)
 
     def test_radial_closed_forms(self):
         # u_hat = exp(-pi r^2) is its own transform and V = exp(-pi |x|^2), so

@@ -10,14 +10,16 @@ from flbarron import grid as G
 from flbarron import solver as SV
 from flbarron.bounds import big_C_V, mu_tilde
 from flbarron.errors import (
+    DimensionMismatchError,
     InvalidArgumentError,
     NoContractionError,
+    NonConvergenceError,
     NonFiniteError,
     SingularSystemError,
     UnsupportedScaleError,
 )
 from flbarron.grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
-from flbarron.operators import apply_R, project_high
+from flbarron.operators import OperatorPlan, apply_R, project_high
 from flbarron.potentials import (
     HamiltonianSpec,
     PotentialSpec,
@@ -26,7 +28,15 @@ from flbarron.potentials import (
 )
 from flbarron.spaces import SpaceIndex, fl_norm
 
-from conftest import PLAN_CASES, plan_case, reference_R, reference_tabulate_sharp_transform
+from conftest import (
+    PLAN_CASES,
+    plan_case,
+    random_complex,
+    reference_direct_V,
+    reference_R,
+    reference_symbol,
+    reference_tabulate_sharp_transform,
+)
 
 
 class TestSolveNeumann:
@@ -138,23 +148,66 @@ class TestKernelReuse:
         SV.assemble_dense(ham, 1.0, grid)
         assert sorted(calls) == ["gaussian", "power"]
 
-    COUNTS = {"gauss1d_additive": 17, "invpow1d": 17, "pair2d": 7, "shifted1d": 17,
-              "coulomb3d": 3}
+    COUNTS = {"gauss1d_additive": 17, "invpow1d": 17, "pair2d": 7, "mixed2d": 7,
+              "shifted1d": 17, "coulomb3d": 3}
+
+    @staticmethod
+    def columns(spec, grid, rho, dtype, apply):
+        """I + R built column by column, R applied to each unit vector."""
+        M = grid.size
+        ref = np.eye(M, dtype=dtype)
+        for m in range(M):
+            e = np.zeros(M, dtype=dtype)
+            e[m] = 1.0
+            col = apply(spec, FreqFunction(grid, e.reshape(grid.shape)), rho).ravel()
+            ref[:, m] += col if np.iscomplexobj(ref) else col.real
+        return ref
 
     @pytest.mark.parametrize("case", PLAN_CASES)
     @given(coeff=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), rho=st.floats(0.05, 10.0))
     @settings(max_examples=3, deadline=None)
     def test_assemble_dense_matches_reference_columns(self, case, coeff, mass, rho):
+        # the FFT convolution rounds where the gathered kernel samples do not
         spec, grid = plan_case(case, coeff, mass, self.COUNTS[case])
         A = SV.assemble_dense(spec, rho, grid)
-        M = grid.size
-        ref = np.eye(M, dtype=A.dtype)
-        for m in range(M):
-            e = np.zeros(M, dtype=A.dtype)
-            e[m] = 1.0
-            col = reference_R(spec, FreqFunction(grid, e.reshape(grid.shape)), rho).ravel()
-            ref[:, m] += col if np.iscomplexobj(ref) else col.real
+        ref = self.columns(spec, grid, rho, A.dtype, reference_R)
+        I = np.eye(grid.size)
+        assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref - I))
+
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    @given(coeff=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), rho=st.floats(0.05, 10.0))
+    @settings(max_examples=3, deadline=None)
+    def test_assemble_dense_equals_direct_sum_columns(self, case, coeff, mass, rho):
+        # a unit vector makes every product of the direct sum exact
+        spec, grid = plan_case(case, coeff, mass, self.COUNTS[case])
+        A = SV.assemble_dense(spec, rho, grid)
+        direct_R = lambda spec, u, rho: (reference_direct_V(spec.potential, u)
+                                         / (reference_symbol(spec, u.grid) - 1.0 + rho))
+        ref = self.columns(spec, grid, rho, A.dtype, direct_R)
+        assert A.dtype == ref.dtype
         assert np.array_equal(A, ref)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("case", PLAN_CASES)
+    @given(coeff=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), rho=st.floats(0.05, 10.0),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=3, deadline=None)
+    def test_dense_matrix_applies_I_plus_R(self, case, complex_input, coeff, mass, rho, seed):
+        spec, grid = plan_case(case, coeff, mass, self.COUNTS[case])
+        u = random_complex(grid, seed).values
+        if not complex_input:
+            u = u.real
+        A = SV.assemble_dense(spec, rho, grid)
+        got = A @ u.ravel()
+        ref = (u + OperatorPlan(spec, grid).R(u, rho)).ravel()
+        # |(R u)_a| <= max|R| * sum|u|
+        bound = np.max(np.abs(A - np.eye(grid.size))) * np.sum(np.abs(u))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * bound
+
+    def test_dense_oracle_needs_a_tensor_grid(self):
+        pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
+        with pytest.raises(DimensionMismatchError, match="tensor grid"):
+            SV.assemble_dense(HamiltonianSpec(pot, (1.0,)), 1.0, make_radial_grid(3, 6.0, 30))
 
 
 class TestSolveDirect:
@@ -301,6 +354,11 @@ class TestTransformMachinery:
             SV.stretched_exp_transform(rho, delta)
         with pytest.raises(InvalidArgumentError):
             SV.sharp_transform_radii([0.5, rho], delta)
+
+    def test_quadrature_warning_raises(self):
+        # QUADPACK reports round-off here and returns 3.8e-10; the series gives 5.66e-3
+        with pytest.raises(NonConvergenceError, match=r"rho = 1.0, delta = 0.2, n = 3"):
+            SV.stretched_exp_transform(1.0, 0.2)
 
     def test_tabulated_profile_consistency(self):
         nodes = np.geomspace(0.01, 300.0, 200)
