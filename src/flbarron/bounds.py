@@ -61,24 +61,19 @@ def big_C_V(spec: PotentialSpec, s: float, alpha: float, beta: float,
 
     Shifted terms enter with |coeff| times the centered-profile norm.
     """
-    n = spec.n
     total = 0.0
-    for i, term in spec.one_particle:
-        if not admissible_region(term, n).contains(s, alpha):
-            raise InadmissibleTermError(
-                f"one-particle term {term.kind} at i={i} inadmissible at (s={s}, alpha={alpha})",
-                term=(i, None, term.kind))
-        total += 2.0 ** (abs(s) / 2.0) * abs(term.coeff) * term_sum_norm(term, n, s, alpha, beta, grid)
-    for i, j, term in spec.pairwise:
-        if not admissible_region(term, n).contains(s, alpha):
-            raise InadmissibleTermError(
-                f"pairwise term {term.kind} at (i,j)=({i},{j}) inadmissible at (s={s}, alpha={alpha})",
-                term=(i, j, term.kind))
-        total += 2.0 ** abs(s) * abs(term.coeff) * term_sum_norm(term, n, s, alpha, beta, grid)
-    if spec.additive is not None:
-        prof = fourier_transform(spec.additive, spec.dim)
-        rep = profile_norm_report(prof, SpaceIndex(s, 1.0), spec.dim)
-        total += 2.0 ** (abs(s) / 2.0) * abs(spec.additive.coeff) * rep.value
+    for role, i, j, term, dim in spec.terms():
+        if role == "additive":
+            norm = profile_norm_report(fourier_transform(term, dim), SpaceIndex(s, 1.0), dim).value
+        else:
+            if not admissible_region(term, dim).contains(s, alpha):
+                where = f"i={i}" if j is None else f"(i,j)=({i},{j})"
+                raise InadmissibleTermError(
+                    f"{role.replace('_', '-')} term {term.kind} at {where} "
+                    f"inadmissible at (s={s}, alpha={alpha})", term=(i, j, term.kind))
+            norm = term_sum_norm(term, dim, s, alpha, beta, grid)
+        weight = 2.0 ** abs(s) if role == "pairwise" else 2.0 ** (abs(s) / 2.0)
+        total += weight * abs(term.coeff) * norm
     return total
 
 
@@ -97,8 +92,7 @@ def form_bound_constant(spec: PotentialSpec, s: float, alpha: float, t: float,
 
 def aggregate_M(spec: PotentialSpec) -> float:
     """sum of |coefficients| over one-particle terms plus over pairs."""
-    return (sum(abs(t.coeff) for _, t in spec.one_particle)
-            + sum(abs(t.coeff) for _, _, t in spec.pairwise))
+    return sum(abs(t.coeff) for role, _, _, t, _ in spec.terms() if role != "additive")
 
 
 def inverse_power_C_bound(t: float, n: int, gamma: float, M: float) -> float:

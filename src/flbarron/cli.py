@@ -107,14 +107,9 @@ def _meta(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_norm(args):
-    ham = _load_spec(args.spec)
-    pot = ham.potential
+    pot = _load_spec(args.spec).potential
     reports = []
-    terms = ([("one_particle", i, None, t) for i, t in pot.one_particle]
-             + [("pairwise", i, j, t) for i, j, t in pot.pairwise]
-             + ([("additive", None, None, pot.additive)] if pot.additive else []))
-    for role, i, j, term in terms:
-        dim = pot.dim if role == "additive" else pot.n
+    for role, i, j, term, dim in pot.terms():
         prof = fourier_transform(term, dim)
         if args.alpha is not None and role != "additive":
             idx = SplitIndex(args.s, args.alpha, args.beta)
@@ -136,19 +131,16 @@ def cmd_norm(args):
 
 
 def cmd_decompose(args):
-    ham = _load_spec(args.spec)
-    pot = ham.potential
+    pot = _load_spec(args.spec).potential
     entries = []
-    for i, term in pot.one_particle:
-        sp = decompose_low_high(term, pot.n, args.radius, args.alpha_prime, s=args.s)
-        entries.append({"role": "one_particle", "i": i, "kind": term.kind,
+    for role, i, j, term, dim in pot.terms():
+        if role == "additive":
+            continue
+        sp = decompose_low_high(term, dim, args.radius, args.alpha_prime, s=args.s)
+        entries.append({"role": role, "i": i, "kind": term.kind,
                         "radius": sp.radius, "method": sp.method,
-                        "low_fl1": sp.part_norms[0], "high_flap": sp.part_norms[1]})
-    for i, j, term in pot.pairwise:
-        sp = decompose_low_high(term, pot.n, args.radius, args.alpha_prime, s=args.s)
-        entries.append({"role": "pairwise", "i": i, "j": j, "kind": term.kind,
-                        "radius": sp.radius, "method": sp.method,
-                        "low_fl1": sp.part_norms[0], "high_flap": sp.part_norms[1]})
+                        "low_fl1": sp.part_norms[0], "high_flap": sp.part_norms[1],
+                        **({} if j is None else {"j": j})})
     _emit({"meta": _meta(args), "decompositions": entries}, args.out)
     return 0
 
@@ -166,12 +158,11 @@ def cmd_constants(args):
     if not math.isinf(alpha):
         out["c_alpha_beta"] = B.c_alpha_beta(alpha, beta, pot.n)
     nu_entries = []
-    for role, t in ([(f"one_particle:{i}", term) for i, term in pot.one_particle]
-                    + [(f"pairwise:{i},{j}", term) for i, j, term in pot.pairwise]):
-        texp = t.power_exponent(pot.n)
-        if texp is not None and texp != pot.n:
-            nu_entries.append({"term": role, "kind": t.kind, "t": texp,
-                               "nu_t_n": B.nu_t_n(texp, pot.n)})
+    for role, i, j, t, dim in pot.terms():
+        texp = None if role == "additive" else t.power_exponent(dim)
+        if texp is not None and texp != dim:
+            nu_entries.append({"term": f"{role}:{i}" if j is None else f"{role}:{i},{j}",
+                               "kind": t.kind, "t": texp, "nu_t_n": B.nu_t_n(texp, dim)})
     out["nu_constants"] = nu_entries
     C = B.big_C_V(pot, s, alpha, beta)
     out["big_C_V"] = C

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -211,33 +211,19 @@ class RadialProfile:
       tabulated        ()           interpolant + fitted power-law tail
 
     ``decay`` is the tail exponent p with |f(r)| ~ C_tail r^p (p < 0) when
-    known, used for truncation-tail estimates; ``window`` restricts support
-    to [lo, hi) (None = unbounded side).
+    known, used for truncation-tail estimates.
     """
 
     kind: str
     params: tuple = ()
     valid_min: float = 0.0
     decay: float | None = None
-    window: tuple | None = None
     table_nodes: np.ndarray | None = field(default=None, repr=False)
     table_values: np.ndarray | None = field(default=None, repr=False)
     tail_model: tuple | None = None  # (A, p1, B, p2): A r^p1 + B r^p2 beyond table
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        v = self._eval_raw(r)
-        if self.window is not None:
-            lo, hi = self.window
-            mask = np.ones_like(v, dtype=bool)
-            if lo is not None:
-                mask &= r >= lo
-            if hi is not None:
-                mask &= r < hi
-            v = np.where(mask, v, 0.0)
-        return v
-
-    def _eval_raw(self, r):
         k, p = self.kind, self.params
         if k == "power":
             C, a = p
@@ -288,8 +274,6 @@ class RadialProfile:
         return None
 
     def tail_coefficient(self) -> float | None:
-        if self.window is not None and self.window[1] is not None:
-            return 0.0  # compactly supported: no tail
         k, p = self.kind, self.params
         if k in ("power", "bracket_power"):
             return abs(p[0])
@@ -301,9 +285,6 @@ class RadialProfile:
         if k == "tabulated" and self.tail_model is not None:
             return abs(self.tail_model[0])
         return None
-
-    def windowed(self, lo=None, hi=None) -> "RadialProfile":
-        return replace(self, window=(lo, hi))
 
 
 def tabulated_profile(nodes, values, tail_model=None, decay=None) -> RadialProfile:

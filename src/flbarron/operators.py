@@ -73,21 +73,20 @@ class OperatorPlan:
         """Per potential term: (coeff, LatticeKernel) on tensor grids, the
         RadialKernel3D with the coefficient folded in on radial grids."""
         pot, g = self.spec.potential, self.grid
-        terms = ([("one_particle", i, t, pot.n) for i, t in pot.one_particle]
-                 + [("pairwise", (i, j), t, pot.n) for i, j, t in pot.pairwise]
-                 + ([("additive", None, pot.additive, pot.dim)] if pot.additive else []))
+        terms = pot.terms()
         if g.kind == "radial":
             if pot.N != 1 or pot.n != 3 or g.dim != 3:
                 raise UnsupportedScaleError("radial multiplication implemented for N=1, n=3")
-            if any(t.shift for _, _, t, _ in terms):
+            if any(t.shift for _, _, _, t, _ in terms):
                 raise UnsupportedScaleError("shifted terms need a tensor grid")
             return [RadialKernel3D(fourier_transform(t, dim), coeff=t.coeff)
-                    for _, _, t, dim in terms]
+                    for _, _, _, t, dim in terms]
         if g.dim != pot.dim:
             raise DimensionMismatchError(f"grid dim {g.dim} != n*N = {pot.dim}")
-        return [(t.coeff, lattice_kernel(fourier_transform(t, dim), g, structure, particle,
-                                         pot.n, np.asarray(t.shift, float) if t.shift else None))
-                for structure, particle, t, dim in terms]
+        return [(t.coeff, lattice_kernel(fourier_transform(t, dim), g, role,
+                                         i if j is None else (i, j), pot.n,
+                                         np.asarray(t.shift, float) if t.shift else None))
+                for role, i, j, t, dim in terms]
 
     @cached_property
     def complex_kernel(self) -> bool:

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .grid import RadialProfile, sample_profile
-from .spaces import Split, SpaceIndex, default_norm_grid, fl_norm
+from .spaces import Split, SpaceIndex, _power_tail, default_norm_grid, fl_norm
 from .special import c_t_n, omega_d
 
 _KINDS = ("inverse_power", "coulomb", "yukawa", "log_1d", "gaussian", "sharp_example", "custom")
@@ -135,6 +135,11 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
     if math.isinf(alpha_prime) and texp is not None and s + texp > 0:
         raise DivergentPartError("high part unbounded")
 
+    grid = default_norm_grid(n)
+    f = sample_profile(prof, grid)
+    mask = grid.nodes <= R
+    f1 = f.copy_with(np.where(mask, f.values, 0.0))
+    f2 = f.copy_with(np.where(mask, 0.0, f.values))
     t = term.power_exponent(n)
     if prof.kind == "power" and s == 0.0:
         c = abs(prof.params[0])
@@ -143,25 +148,14 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
         n2 = c * (omega_d(n) / (-expo)) ** (1.0 / alpha_prime) * R ** (expo / alpha_prime)
         method = "analytic"
     else:
-        grid = default_norm_grid(n)
-        low = sample_profile(prof.windowed(hi=R), grid)
-        high = sample_profile(prof.windowed(lo=R), grid)
-        n1 = fl_norm(low, SpaceIndex(s, 1.0))
-        n2 = fl_norm(high, SpaceIndex(s, alpha_prime))
+        n1 = fl_norm(f1, SpaceIndex(s, 1.0))
+        n2 = fl_norm(f2, SpaceIndex(s, alpha_prime))
         if texp is not None and not math.isinf(alpha_prime):
-            from .spaces import _power_tail
-
             tail = _power_tail(prof.tail_coefficient(), texp, alpha_prime, s, n,
                                grid.upper_edge())
             if tail is not None:
                 n2 = (n2 ** alpha_prime + tail) ** (1.0 / alpha_prime)
         method = "radius"
-
-    grid = default_norm_grid(n)
-    f = sample_profile(prof, grid)
-    mask = grid.nodes <= R
-    f1 = f.copy_with(np.where(mask, f.values, 0.0))
-    f2 = f.copy_with(np.where(mask, 0.0, f.values))
     return Split(f1, f2, method, radius=R, part_norms=(float(n1), float(n2)))
 
 
@@ -214,6 +208,14 @@ def admissible_region(term: PotentialTerm, n: int) -> AdmissibleRegion:
 # many-body assembly
 # ---------------------------------------------------------------------------
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int when it is a whole number (2 or 2.0), never truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value)):
+        raise InvalidArgumentError(f"{name} must be a whole number (got {value!r})")
+    return int(value)
+
+
 @dataclass
 class PotentialSpec:
     """V = sum_i V_i(x_i) + sum_{i<j} V_ij(x_i - x_j) + V_ad(x)."""
@@ -225,23 +227,30 @@ class PotentialSpec:
     additive: PotentialTerm | None = None
 
     def __post_init__(self):
-        for i, term in self.one_particle:
-            if not 1 <= i <= self.N:
+        self.n, self.N = _whole(self.n, "n"), _whole(self.N, "N")
+        if self.n < 1 or self.N < 1:
+            raise InvalidArgumentError(f"n and N must be >= 1 (got n = {self.n}, N = {self.N})")
+        for role, i, j, term, dim in self.terms():
+            if role == "one_particle" and not 1 <= i <= self.N:
                 raise InvalidArgumentError(f"one-particle index {i} outside 1..{self.N}")
-            term.validate_for_dim(self.n)
-        for i, j, term in self.pairwise:
-            if not (1 <= i <= self.N and 1 <= j <= self.N and i < j):
+            if role == "pairwise" and not 1 <= i < j <= self.N:
                 raise InvalidArgumentError(f"pairwise indices ({i},{j}) invalid")
-            term.validate_for_dim(self.n)
-        if self.additive is not None:
-            self.additive.validate_for_dim(self.n * self.N)
+            term.validate_for_dim(dim)
 
     @property
     def dim(self) -> int:
         return self.n * self.N
 
+    def terms(self) -> list:
+        """(role, i, j, term, dim) per term of V, in the operators' summation order:
+        one_particle (i, None) and pairwise (i, j) on n, then additive on n*N."""
+        return ([("one_particle", i, None, t, self.n) for i, t in self.one_particle]
+                + [("pairwise", i, j, t, self.n) for i, j, t in self.pairwise]
+                + ([("additive", None, None, self.additive, self.dim)]
+                   if self.additive is not None else []))
+
     def is_zero(self) -> bool:
-        return not self.one_particle and not self.pairwise and self.additive is None
+        return not self.terms()
 
     def to_json_dict(self) -> dict:
         def term_dict(t: PotentialTerm) -> dict:
@@ -263,9 +272,10 @@ class PotentialSpec:
                                  shift=tuple(e.get("shift", ())), coeff=float(e.get("coeff", 1.0)))
 
         return PotentialSpec(
-            n=int(d["n"]), N=int(d["N"]),
-            one_particle=[(int(e["i"]), term_of(e)) for e in d.get("one_particle", [])],
-            pairwise=[(int(e["i"]), int(e["j"]), term_of(e)) for e in d.get("pairwise", [])],
+            n=d["n"], N=d["N"],
+            one_particle=[(_whole(e["i"], "i"), term_of(e)) for e in d.get("one_particle", [])],
+            pairwise=[(_whole(e["i"], "i"), _whole(e["j"], "j"), term_of(e))
+                      for e in d.get("pairwise", [])],
             additive=term_of(d["additive"]) if d.get("additive") else None,
         )
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.special import gammaln
 
 from .bounds import big_C_V, contraction_radius, low_frequency_l2_bound, mu_tilde
@@ -157,6 +158,11 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
         if resid <= tol:
             converged = True
             break
+        if k > 1 and resid >= history[-2]:
+            # R contracts by q < 1 in this norm, so a non-shrinking update disproves q
+            raise ContractionViolationError(
+                f"solver.solve_neumann: update {k} did not shrink (ratio "
+                f"{resid / history[-2]:.6g} >= 1, certified q = {q:.15g})")
     if not converged:
         raise NonConvergenceError(f"no convergence after {max_iter} iterations "
                                   f"(last update {history[-1]:.3e})")
@@ -192,19 +198,18 @@ def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
     precomputed ``matrix`` from assemble_dense is reused when given.
     """
     g = f.grid
-    M = g.size
     A = assemble_dense(spec, rho, g) if matrix is None else matrix
     b = np.asarray(apply_h0_inverse(f, spec, rho).values).ravel()
     if np.iscomplexobj(b) and not np.iscomplexobj(A):
         A = A.astype(complex)
-    if M <= 1024:
-        cond = np.linalg.cond(A, 1)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularSystemError(f"I + R numerically singular (cond = {cond:.3e})")
-    try:
-        x = np.linalg.solve(A, b.astype(A.dtype))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
+    # one LU, of a copy (the residual check reads A), for the solve and gecon's estimate
+    lange, gecon = get_lapack_funcs(("lange", "gecon"), (A,))
+    lu, piv = lu_factor(A, check_finite=False)
+    rcond, _ = gecon(lu, lange("I", A.T))  # ||A||_1 = ||A.T||_inf, A.T needs no copy
+    cond = 1.0 / rcond if rcond > 0 else math.inf
+    if not cond <= 1e12:
+        raise SingularSystemError(f"I + R numerically singular (cond = {cond:.3e})")
+    x = lu_solve((lu, piv), b.astype(A.dtype), check_finite=False)
     resid = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
     if resid > 1e-10:
         raise SingularSystemError(f"direct solve residual {resid:.3e} > 1e-10")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,37 @@ class TestGammaConstants:
         assert B.nu_t_n(1.0, 2) == pytest.approx(2 * math.pi, rel=1e-14)
         with pytest.raises(PoleError):
             B.nu_t_n(3.0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3]), frac=st.floats(0.02, 0.98),
+           ab_excess=st.floats(0.01, 25.0), alpha=st.floats(1.0, 12.0))
+    def test_gamma_constants_match_mpmath(self, n, frac, ab_excess, alpha):
+        # independent 30-digit oracle for the closed forms of criterion 1
+        t, ab = frac * n, n / 2.0 + ab_excess
+        beta = ab / alpha
+        with mp.workdps(30):
+            h, pi = mp.mpf(n) / 2, mp.pi
+            ref = {"c_t_n": pi ** (t - h) * mp.gamma(h - t / 2) / mp.gamma(mp.mpf(t) / 2),
+                   "nu_t_n": 2 * pi ** t * abs(mp.gamma(h - t / 2))
+                   / (mp.gamma(mp.mpf(t) / 2) * mp.gamma(h)),
+                   "bracket_lp_norm": pi ** h * mp.gamma(ab - h) / mp.gamma(ab),
+                   "c_alpha_beta": pi ** h * mp.gamma(mp.mpf(alpha) * beta - h)
+                   / mp.gamma(mp.mpf(alpha) * beta)}
+        got = {"c_t_n": B.c_t_n(t, n), "nu_t_n": B.nu_t_n(t, n),
+               "bracket_lp_norm": B.bracket_lp_norm(ab, n),
+               "c_alpha_beta": B.c_alpha_beta(alpha, beta, n)}
+        for name, value in got.items():
+            assert abs(value - float(ref[name])) <= 1e-13 * abs(float(ref[name])), name
+
+    @pytest.mark.parametrize("t", [1.1, 1.5, 1.9])
+    def test_one_dimensional_t_above_n_matches_mpmath(self, t):
+        # (n - t)/2 < 0: the Gamma reflection branch
+        with mp.workdps(30):
+            g = mp.gamma((1 - mp.mpf(t)) / 2)
+            ref_c = mp.pi ** (t - 0.5) * g / mp.gamma(mp.mpf(t) / 2)
+            ref_nu = 2 * mp.pi ** t * abs(g) / (mp.gamma(mp.mpf(t) / 2) * mp.sqrt(mp.pi))
+        assert abs(B.c_t_n(t, 1) - float(ref_c)) <= 1e-13 * abs(float(ref_c))
+        assert abs(B.nu_t_n(t, 1) - float(ref_nu)) <= 1e-13 * abs(float(ref_nu))
 
     def test_gamma_ratio_monotone(self):
         assert B.gamma_ratio_monotone(1.0, [1.0, 2.0, 3.0])
@@ -105,6 +137,37 @@ class TestBigCV:
         with pytest.raises(InadmissibleTermError) as exc:
             B.big_C_V(pot, 0.0, 2.0, 1.0)
         assert exc.value.term == (1, None, "inverse_power")
+        assert str(exc.value) == ("one-particle term inverse_power at i=1 inadmissible "
+                                  "at (s=0.0, alpha=2.0)")
+
+    def test_inadmissible_pairwise_term_reported(self):
+        pot = PotentialSpec(1, 2, pairwise=[(1, 2, PotentialTerm("inverse_power", {"t": 0.9}))])
+        from flbarron.errors import InadmissibleTermError
+
+        with pytest.raises(InadmissibleTermError) as exc:
+            B.big_C_V(pot, 0.0, 2.4, 1.0)
+        assert exc.value.term == (1, 2, "inverse_power")
+        assert str(exc.value) == ("pairwise term inverse_power at (i,j)=(1,2) inadmissible "
+                                  "at (s=0.0, alpha=2.4)")
+
+    def test_role_weights_at_negative_s(self):
+        # 2^{|s|/2} on V_i and V_ad, 2^{|s|} on V_ij: s = -0.5 tells the weights apart
+        from flbarron.potentials import fourier_transform
+        from flbarron.spaces import SpaceIndex, profile_norm_report
+
+        s, alpha, beta = -0.5, 3.0, 0.9
+        one = [(1, PotentialTerm("gaussian", {"kappa": 0.1})),
+               (3, PotentialTerm("inverse_power", {"t": 0.3}, coeff=-0.05))]
+        pair = [(2, 3, PotentialTerm("gaussian", {"kappa": 0.05, "width": 0.7}))]
+        ad = PotentialTerm("gaussian", {"kappa": 0.02}, coeff=-1.5)
+        pot = PotentialSpec(1, 3, one_particle=one, pairwise=pair, additive=ad)
+        half, full = 2.0 ** 0.25, 2.0 ** 0.5
+        expected = (sum(half * abs(t.coeff) * B.term_sum_norm(t, 1, s, alpha, beta) for _, t in one)
+                    + sum(full * abs(t.coeff) * B.term_sum_norm(t, 1, s, alpha, beta)
+                          for _, _, t in pair)
+                    + half * 1.5 * profile_norm_report(fourier_transform(ad, 3),
+                                                       SpaceIndex(s, 1.0), 3).value)
+        assert B.big_C_V(pot, s, alpha, beta) == pytest.approx(expected, rel=1e-14)
 
 
 class TestFrakCV:

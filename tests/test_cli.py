@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flbarron.cli import run
 
@@ -101,6 +105,34 @@ class TestDeterminism:
                                "--alpha", "inf", "--beta", "0.4", "--probes", "5"], tmp_path)
         assert a == b
 
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_norm_and_decompose_byte_identical(self, data):
+        gauss = st.builds(lambda k, w, c: {"kind": "gaussian", "params": {"kappa": k, "width": w},
+                                           "shift": [], "coeff": c},
+                          st.floats(0.01, 1.0), st.floats(0.3, 2.0), st.floats(-2.0, 2.0))
+        power = st.builds(lambda t, c: {"kind": "inverse_power", "params": {"t": t},
+                                        "shift": [], "coeff": c},
+                          st.floats(0.1, 0.9), st.floats(-2.0, 2.0))
+        term = st.one_of(gauss, power)
+        spec = {"n": 1, "N": 2, "masses": [1.0, 1.0],
+                "one_particle": [{"i": i, **t} for i, t in data.draw(
+                    st.lists(st.tuples(st.sampled_from([1, 2]), term), max_size=2))],
+                "pairwise": [{"i": 1, "j": 2, **t} for t in data.draw(st.lists(term, max_size=1))],
+                "additive": data.draw(st.one_of(st.none(), gauss))}
+        argv = data.draw(st.sampled_from([
+            ["norm"], ["norm", "--p", "2", "--s", "0.5"], ["norm", "--alpha", "3", "--beta", "0.9"],
+            ["decompose"], ["decompose", "--radius", "0.5", "--alpha-prime", "inf", "--s", "-0.3"]]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(json.dumps(spec))
+            outs = []
+            for name in ("a.json", "b.json"):
+                out = Path(tmp) / name
+                code = run(["--out", str(out)] + argv + ["--spec", str(path)])
+                outs.append((code, out.read_bytes() if code == 0 else None))
+        assert outs[0] == outs[1]
+
     def test_constants_byte_identical(self, coulomb_spec_file, tmp_path):
         a, b = self.run_twice(["constants", "--spec", coulomb_spec_file,
                                "--alpha", "2.4", "--gamma", "0.5"], tmp_path)
@@ -161,6 +193,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "[InvalidArgumentError]" in err and "(0, delta) = (0, 0.75)" in err
 
+    @pytest.mark.parametrize("n, N", [(2.7, 1), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("command", ["constants", "norm", "probe"])
+    def test_bad_n_or_N_is_exit_three(self, tmp_path, capsys, n, N, command):
+        # 2.7 used to run as n = 2; n = 0 and N = 0 failed late or not at all
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"n": n, "N": N, "one_particle": [], "pairwise": [],
+                                 "additive": None}))
+        assert run([command, "--spec", str(p)]) == 3
+        assert "[InvalidArgumentError]" in capsys.readouterr().err
+
 
 class TestOtherSubcommands:
     def test_norm_and_decompose(self, coulomb_spec_file, tmp_path):
@@ -174,6 +216,28 @@ class TestOtherSubcommands:
                     "--radius", "1.0", "--alpha-prime", "3.0"]) == 0
         d = json.loads(out2.read_text())
         assert d["decompositions"][0]["low_fl1"] == pytest.approx(4.0, rel=1e-10)
+
+    def test_role_keys_of_every_term(self, tmp_path):
+        # one spec with all three roles: j only on pairwise entries, additive
+        # terms not decomposed, one nu entry per power term
+        term = {"params": {}, "shift": [], "coeff": 0.1}
+        spec = {"n": 3, "N": 2, "masses": [1.0, 1.0],
+                "one_particle": [{"i": 2, "kind": "coulomb", **term}],
+                "pairwise": [{"i": 1, "j": 2, "kind": "coulomb", **term}],
+                "additive": {"kind": "gaussian", **term}}
+        p = tmp_path / "roles.json"
+        p.write_text(json.dumps(spec))
+        out = tmp_path / "o.json"
+        assert run(["--out", str(out), "norm", "--spec", str(p)]) == 0
+        assert [(r["role"], r["i"], r["j"]) for r in json.loads(out.read_text())["reports"]] == [
+            ("one_particle", 2, None), ("pairwise", 1, 2), ("additive", None, None)]
+        assert run(["--out", str(out), "decompose", "--spec", str(p)]) == 0
+        d = json.loads(out.read_text())["decompositions"]
+        assert [(e["role"], e["i"], e.get("j", "absent")) for e in d] == [
+            ("one_particle", 2, "absent"), ("pairwise", 1, 2)]
+        assert run(["--out", str(out), "constants", "--spec", str(p), "--alpha", "2.4"]) == 0
+        assert [e["term"] for e in json.loads(out.read_text())["nu_constants"]] == [
+            "one_particle:2", "pairwise:1,2"]
 
     def test_probe_subcommand(self, gaussian_spec_file, tmp_path):
         out = tmp_path / "p.json"

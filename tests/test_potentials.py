@@ -19,6 +19,7 @@ from flbarron.potentials import (
     fourier_transform,
     sharp_example_potential,
 )
+from flbarron.spaces import SpaceIndex, default_norm_grid, fl_norm
 
 
 class TestFourierTransform:
@@ -98,6 +99,16 @@ class TestDecomposeLowHigh:
         grid = sp.f1.grid
         prof = fourier_transform(PotentialTerm("yukawa", {"mu": 1.0}), 3)
         assert np.allclose(total, prof(grid.nodes), rtol=0, atol=1e-14)
+
+    def test_part_norms_use_the_returned_split_at_a_node_radius(self):
+        # |xi| <= R on both sides even when R is itself a quadrature node
+        term = PotentialTerm("gaussian", {"width": 0.5})
+        grid = default_norm_grid(3)
+        R = float(grid.nodes[np.searchsorted(grid.nodes, 1.0)])
+        sp = decompose_low_high(term, 3, R, 3.0)
+        assert sp.f1.values[grid.nodes == R] != 0.0
+        assert sp.part_norms == (fl_norm(sp.f1, SpaceIndex(0.0, 1.0)),
+                                 fl_norm(sp.f2, SpaceIndex(0.0, 3.0)))
 
 
 class TestAdmissibleRegion:
@@ -195,6 +206,37 @@ class TestSpecAssembly:
             PotentialSpec(3, 2, one_particle=[(3, PotentialTerm("coulomb"))])
         with pytest.raises(InvalidArgumentError):
             PotentialSpec(3, 2, pairwise=[(2, 1, PotentialTerm("coulomb"))])
+
+    def test_terms_roles_dims_and_order(self):
+        g1, p1 = PotentialTerm("gaussian"), PotentialTerm("inverse_power", {"t": 0.3})
+        g12, g23 = PotentialTerm("gaussian", {"kappa": 0.5}), PotentialTerm("gaussian", coeff=2.0)
+        ad = PotentialTerm("gaussian", {"kappa": 0.1})
+        pot = PotentialSpec(1, 3, one_particle=[(3, g1), (1, p1)],
+                            pairwise=[(2, 3, g23), (1, 2, g12)], additive=ad)
+        assert pot.terms() == [("one_particle", 3, None, g1, 1), ("one_particle", 1, None, p1, 1),
+                               ("pairwise", 2, 3, g23, 1), ("pairwise", 1, 2, g12, 1),
+                               ("additive", None, None, ad, 3)]
+        assert not pot.is_zero()
+        assert PotentialSpec(2, 2).terms() == [] and PotentialSpec(2, 2).is_zero()
+
+    @pytest.mark.parametrize("n, N", [(2.7, 1), (0, 1), (1, 0), (-1, 2), (1, 1.5),
+                                      (math.nan, 1), (True, 1), ("2", 1)])
+    def test_n_and_N_must_be_whole_and_positive(self, n, N):
+        with pytest.raises(InvalidArgumentError, match="whole number|>= 1"):
+            PotentialSpec(n, N)
+        with pytest.raises(InvalidArgumentError, match="whole number|>= 1"):
+            PotentialSpec.from_json_dict({"n": n, "N": N})
+
+    def test_whole_floats_become_ints(self):
+        pot = PotentialSpec.from_json_dict({"n": 3.0, "N": 2.0, "pairwise": [
+            {"i": 1.0, "j": 2, "kind": "coulomb"}]})
+        assert (pot.n, pot.N, pot.dim) == (3, 2, 6)
+        assert all(type(v) is int for v in (pot.n, pot.N, *pot.pairwise[0][:2]))
+
+    def test_json_indices_are_not_truncated(self):
+        with pytest.raises(InvalidArgumentError, match="i must be a whole number"):
+            PotentialSpec.from_json_dict({"n": 1, "N": 2, "one_particle": [
+                {"i": 1.5, "kind": "gaussian"}]})
 
     def test_positive_masses(self):
         with pytest.raises(InvalidArgumentError):

@@ -10,6 +10,7 @@ from flbarron import grid as G
 from flbarron import solver as SV
 from flbarron.bounds import big_C_V, mu_tilde
 from flbarron.errors import (
+    ContractionViolationError,
     DimensionMismatchError,
     InvalidArgumentError,
     NoContractionError,
@@ -120,6 +121,27 @@ class TestSolveNeumann:
         with pytest.raises(NonFiniteError, match="solver.solve_neumann: update 1 "):
             SV.solve_neumann(gaussian_ham_1d, 1.0, gauss_rhs.copy_with(vals))
         assert len(calls) == 1
+
+    def test_non_shrinking_update_stops_the_iteration(self, monkeypatch):
+        # q = 1 - 2e-14 is certified, but the discrete R of this coarse grid has
+        # spectral radius 1.0004: the second update grows, which disproves q < 1
+        grid = make_tensor_grid(2, 4.0, 9)
+        r = grid.radius_mesh()
+        f = FreqFunction(grid, np.exp(-math.pi * r * r))
+        ham = HamiltonianSpec(PotentialSpec(2, 1, additive=PotentialTerm("gaussian")), (1.0,))
+        calls = []
+        plain_R = SV.OperatorPlan.R
+
+        def counted_R(self, *args):
+            calls.append(1)
+            return plain_R(self, *args)
+
+        monkeypatch.setattr(SV.OperatorPlan, "R", counted_R)
+        with pytest.raises(ContractionViolationError,
+                           match=r"update 2 did not shrink \(ratio 1\.0007\d* >= 1, "
+                                 r"certified q = 0\.99999999999\d*\)"):
+            SV.solve_neumann(ham, 1.0, f)
+        assert len(calls) <= 3
 
 
 class TestKernelReuse:
@@ -247,6 +269,29 @@ class TestSolveDirect:
             Af = np.eye(M) + frac * A / 1.0 if False else None
             conds.append(np.linalg.cond(np.eye(M) + frac * A))
         assert conds[0] < conds[1] < conds[2]
+
+    def test_singular_coupling_detected_above_1024_samples(self):
+        # the same kappa* construction on a 33 x 33 grid (M = 1089): the
+        # condition estimate now runs at every size, not only for M <= 1024
+        grid = make_tensor_grid(2, 6.0, 33)
+        r = grid.radius_mesh()
+        f = FreqFunction(grid, np.exp(-math.pi * r * r))
+        unit = HamiltonianSpec(PotentialSpec(2, 1, additive=PotentialTerm("gaussian")), (1.0,))
+        eigs = np.linalg.eigvals(OperatorPlan(unit, grid).matrix(1.0))
+        kappa_star = -1.0 / eigs[np.argmax(np.abs(eigs))].real
+        bad = HamiltonianSpec(PotentialSpec(2, 1, additive=PotentialTerm(
+            "gaussian", {"kappa": kappa_star})), (1.0,))
+        with pytest.raises(SingularSystemError, match="numerically singular"):
+            SV.solve_direct(bad, 1.0, f)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_matrix_is_not_overwritten(self, gaussian_ham_1d, gauss_rhs, order):
+        # a Fortran-ordered matrix is the one LAPACK could factor in place
+        A = np.asarray(SV.assemble_dense(gaussian_ham_1d, 1.0, gauss_rhs.grid), order=order)
+        kept = A.copy()
+        u = SV.solve_direct(gaussian_ham_1d, 1.0, gauss_rhs, matrix=A)
+        assert np.array_equal(A, kept)
+        assert np.array_equal(u.values, SV.solve_direct(gaussian_ham_1d, 1.0, gauss_rhs).values)
 
 
 class TestBootstrap:
