@@ -28,8 +28,8 @@ from .special import (  # noqa: F401  (public surface of this module)
 
 def mu_tilde(masses, rho: float) -> float:
     """max_i max(mu_i / (2 pi^2), 1/rho): the resolvent weight constant."""
-    if not rho > 0:
-        raise InvalidArgumentError("rho must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise InvalidArgumentError(f"rho must be finite and positive (got {rho!r})")
     return max(max(m / (2.0 * math.pi ** 2) for m in masses), 1.0 / rho)
 
 

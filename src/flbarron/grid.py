@@ -99,15 +99,15 @@ class FreqGrid:
     def axis(self) -> np.ndarray:
         return _read_only(np.linspace(-self.extent, self.extent, self.count))
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         if self.kind == "tensor":
             return (self.count,) * self.dim
         return (len(self.nodes),)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def upper_edge(self) -> float:
         """Outer radius covered by the quadrature (cell boundary, not node)."""
@@ -142,6 +142,17 @@ class FreqGrid:
         1-D weights times the sphere's surface, omega_d * w_j * r_j^(d-1).
         """
         return self._rd_weights
+
+    def batch_rank(self, values) -> int:
+        """0 for samples of the grid's shape, 1 for a stack of shape
+        (B, *shape) of them (tensor grids only); anything else is a
+        DimensionMismatchError."""
+        shape = np.shape(values)
+        if shape == self.shape:
+            return 0
+        if self.kind == "tensor" and shape[1:] == self.shape:
+            return 1
+        raise DimensionMismatchError(f"values shape {shape} does not match grid {self.shape}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -299,19 +310,21 @@ def tabulated_profile(nodes, values, tail_model=None, decay=None) -> RadialProfi
 
 @dataclass(eq=False)
 class FreqFunction:
-    """Sampled Fourier transform on a FreqGrid (the universal value carrier)."""
+    """Sampled Fourier transform on a FreqGrid (the universal value carrier).
+
+    ``values`` has the grid's shape, or (B, *grid.shape) on tensor grids for
+    a stack of B functions that operators and norms treat slice by slice;
+    flat samples of one function are reshaped to the grid.
+    """
 
     grid: FreqGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.shape != self.grid.shape:
-            if self.values.size == self.grid.size:
-                self.values = self.values.reshape(self.grid.shape)
-            else:
-                raise DimensionMismatchError(
-                    f"values shape {self.values.shape} does not match grid {self.grid.shape}")
+        if self.values.ndim == 1 and self.values.size == self.grid.size:
+            self.values = self.values.reshape(self.grid.shape)
+        self.grid.batch_rank(self.values)
 
     def copy_with(self, values) -> "FreqFunction":
         return FreqFunction(self.grid, np.asarray(values))
@@ -487,6 +500,7 @@ def convolve(v_hat, u_hat: FreqFunction, structure: str | None = None, particle=
     that ``lattice_kernel`` first lays out with the remaining arguments.
     Returns the "same" central part of the linear convolution:
     out[a] = sum_j kernel[j] * u[a - j + m], m = (M-1)/2 per kernel axis.
+    A stack of functions is convolved slice by slice in one pass.
     """
     g = u_hat.grid
     kernel = v_hat if isinstance(v_hat, LatticeKernel) else lattice_kernel(
@@ -495,11 +509,13 @@ def convolve(v_hat, u_hat: FreqFunction, structure: str | None = None, particle=
     if g.kind != "tensor" or (g.dim, g.extent, g.count) != (kg.dim, kg.extent, kg.count):
         raise DimensionMismatchError("kernel was laid out on another grid")
     u = np.asarray(u_hat.values)
-    out = np.fft.fftn(u, s=kernel.sizes, axes=kernel.axes) * kernel.fft
+    axes = tuple(ax + g.batch_rank(u) for ax in kernel.axes)
+    out = np.fft.fftn(u, s=kernel.sizes, axes=axes)
+    out *= kernel.fft
     # ifftn's axis order, keeping only the central part after each axis, so
     # later axes transform fewer rows; every kept row sees the same data
     m = (g.count - 1) // 2
-    for ax in reversed(kernel.axes):
+    for ax in reversed(axes):
         out = np.fft.ifft(out, axis=ax)[(slice(None),) * ax + (slice(m, m + g.count),)]
     if not (np.iscomplexobj(u) or kernel.complex_kernel):
         out = out.real
@@ -593,9 +609,10 @@ class RadialKernel3D:
         return coefs
 
 
-# Evaluation radii go through ``radial_convolve_3d`` in blocks of at most
-# this many (radius, cell, Gauss-7 point) triples, which bounds the size of
-# one block's temporaries.
+# Element budget of one block's temporaries: evaluation radii go through
+# ``radial_convolve_3d`` in blocks of at most this many (radius, cell,
+# Gauss-7 point) triples, and operator probes are stacked in chunks of at
+# most this many padded FFT samples (``operators.empirical_operator_norm``).
 _BLOCK_ELEMS = 1 << 14
 
 

@@ -8,6 +8,12 @@ apply an operator many times reuse them.  ``OPERATORS`` holds each op id's
 application, certificate and natural spaces; ``empirical_operator_norm``
 probes any of them with random band-limited inputs and compares the measured
 ratio against the certified bound.
+
+On tensor grids the plan's methods also take a stack of inputs, values of
+shape (B, *grid.shape), and act on each slice exactly as on that slice
+alone.  Probing draws, applies and norms its probes a stacked chunk at a
+time, each chunk holding at most ``grid._BLOCK_ELEMS`` padded FFT samples;
+a single call (``replay_probe``) is the chunk of one.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .grid import (
+    _BLOCK_ELEMS,
     FreqFunction,
     FreqGrid,
     RadialKernel3D,
@@ -45,8 +52,9 @@ class OperatorPlan:
     first use: the kinetic symbol h(xi) = 2 pi^2 sum_i |xi_i|^2 / mu_i + 1,
     and per potential term either its lattice kernel with the kernel's
     padded FFT (tensor grids) or its bipolar primitive (radial grids).  The
-    methods act on sample arrays of the grid's shape; build one plan per
-    (spec, grid) and reuse it for every application.
+    methods act on sample arrays of the grid's shape, or on tensor grids on
+    stacks (B, *grid.shape) of them; build one plan per (spec, grid) and
+    reuse it for every application.
     """
 
     def __init__(self, spec: HamiltonianSpec, grid: FreqGrid):
@@ -89,6 +97,11 @@ class OperatorPlan:
                 for role, i, j, t, dim in terms]
 
     @cached_property
+    def _zero_V(self) -> bool:
+        """Whether V has no terms, decided once per plan."""
+        return self.spec.potential.is_zero()
+
+    @cached_property
     def complex_kernel(self) -> bool:
         """Whether F(V u) of a real u can be complex: some term is shifted
         (shifted terms need a tensor grid, so radial plans answer False)."""
@@ -96,14 +109,12 @@ class OperatorPlan:
 
     def _samples(self, values) -> np.ndarray:
         values = np.asarray(values)
-        if values.shape != self.grid.shape:
-            raise DimensionMismatchError(
-                f"values shape {values.shape} does not match grid {self.grid.shape}")
+        self.grid.batch_rank(values)
         return values
 
     def _resolvent_symbol(self, rho: float) -> np.ndarray:
-        if not rho > 0:
-            raise InvalidArgumentError(f"rho must be positive (got {rho!r})")
+        if not (math.isfinite(rho) and rho > 0):
+            raise InvalidArgumentError(f"rho must be finite and positive (got {rho!r})")
         return self.symbol - 1.0 + rho
 
     def h0_inverse(self, values, rho: float) -> np.ndarray:
@@ -118,14 +129,14 @@ class OperatorPlan:
         correction.  Tensor grids use the lattice convolutions.
         """
         u = FreqFunction(self.grid, self._samples(values))
-        if self.spec.potential.is_zero():
+        if self._zero_V:
             return np.zeros_like(u.values)
         if self.grid.kind == "radial":
             total = np.zeros(len(self.grid.nodes))
             for kernel in self._kernels:
                 total = total + radial_convolve_3d(kernel, u, tail_profile=tail_profile)
             return total
-        out = np.zeros(self.grid.shape, dtype=complex)
+        out = np.zeros(u.values.shape, dtype=complex)
         for coeff, kernel in self._kernels:
             out = out + coeff * np.asarray(convolve(kernel, u).values)
         if not (np.iscomplexobj(u.values) or self.complex_kernel):
@@ -264,25 +275,31 @@ class OperatorProbeReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def random_band_limited(grid: FreqGrid, seed: int, index: int,
+def random_band_limited(grid: FreqGrid, seed: int, index,
                         band: float = 0.8, real_space_real: bool = False) -> FreqFunction:
-    """Unit-amplitude random phases supported on |xi| <= band * extent.
+    """Random amplitudes in [0.2, 1) and phases, supported on |xi| <= band * extent.
 
+    ``index`` is one probe index, or a sequence of them for a stack of
+    shape (len(index), *grid.shape).  Probe k draws its phases, then its
+    amplitudes, over the whole grid from its own generator seeded with
+    (seed, k), so a probe does not depend on the stack it is drawn in.
     Keeping 20% headroom below the grid edge bounds the convolution
     truncation error below the probe comparison tolerance.
     """
-    rng = np.random.default_rng([seed, index])
-    r = grid.radius_mesh()
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=grid.shape)
-    amp = rng.uniform(0.2, 1.0, size=grid.shape)
-    vals = amp * np.exp(1j * phases)
-    vals = np.where(r <= band * grid.extent, vals, 0.0)
+    indices = np.atleast_1d(index)
+    inband = np.flatnonzero(grid.radius_mesh() <= band * grid.extent)
+    phases = np.empty((len(indices), len(inband)))
+    amp = np.empty_like(phases)
+    for row, k in enumerate(indices):
+        rng = np.random.default_rng([seed, int(k)])
+        phases[row] = rng.uniform(0.0, 2.0 * math.pi, size=grid.size)[inband]
+        amp[row] = rng.uniform(0.2, 1.0, size=grid.size)[inband]
+    vals = np.zeros((len(indices), grid.size), dtype=complex)
+    vals[:, inband] = amp * np.exp(1j * phases)
+    vals = vals.reshape((len(indices),) + grid.shape)
     if real_space_real:
-        flipped = vals
-        for ax in range(grid.dim):
-            flipped = np.flip(flipped, axis=ax)
-        vals = 0.5 * (vals + np.conj(flipped))
-    return FreqFunction(grid, vals)
+        vals = 0.5 * (vals + np.conj(np.flip(vals, axis=tuple(range(1, vals.ndim)))))
+    return FreqFunction(grid, vals if np.ndim(index) else vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +360,11 @@ def _registry(op_id: str, column: int, what: str):
 
 
 def _op_params(params: dict | None) -> dict:
-    return {"rho": 1.0, "lam": 0.0, "K": 0.0, **(params or {})}
+    par = {"rho": 1.0, "lam": 0.0, "K": 0.0, **(params or {})}
+    for name in ("rho", "lam", "K"):
+        if not math.isfinite(par[name]):
+            raise InvalidArgumentError(f"{name} must be finite (got {par[name]!r})")
+    return par
 
 
 def make_operator(op_id: str, plan: OperatorPlan, params: dict):
@@ -372,16 +393,15 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src: SpaceIndex,
     if grid is None:
         raise InvalidArgumentError("a tensor grid is required for probing")
     op = make_operator(op_id, OperatorPlan(spec, grid), params)
+    chunk = _probe_chunk(grid)
     worst = -1.0
     worst_idx = -1
-    for k in range(probes):
-        u = random_band_limited(grid, seed, k, real_space_real=params.get("real", False))
-        denom = fl_norm(u, src)
-        if denom == 0.0:
-            continue
-        ratio = fl_norm(op(u), dst) / denom
-        if ratio > worst:
-            worst, worst_idx = ratio, k
+    for start in range(0, probes, chunk):
+        indices = range(start, min(start + chunk, probes))
+        norms = _probe_norms(op, grid, seed, indices, src, dst, params.get("real", False))
+        for k, denom, num in zip(indices, *norms):
+            if denom != 0.0 and num / denom > worst:
+                worst, worst_idx = num / denom, k
     return OperatorProbeReport(
         operator=op_id,
         src={"s": src.s, "p": src.p}, dst={"s": dst.s, "p": dst.p},
@@ -391,15 +411,31 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src: SpaceIndex,
     )
 
 
+def _probe_chunk(grid: FreqGrid) -> int:
+    """Probes per stacked chunk: as many as keep the chunk's padded FFT within
+    ``grid._BLOCK_ELEMS`` samples, and at least one."""
+    from scipy.fft import next_fast_len
+
+    return max(1, _BLOCK_ELEMS // next_fast_len(2 * grid.count - 1) ** grid.dim)
+
+
+def _probe_norms(op, grid: FreqGrid, seed: int, indices, src: SpaceIndex,
+                 dst: SpaceIndex, real: bool) -> tuple:
+    """(||u_k||_src, ||op u_k||_dst) for the probes k in ``indices``, drawn,
+    applied and normed as one stack."""
+    u = random_band_limited(grid, seed, indices, real_space_real=real)
+    return fl_norm(u, src), fl_norm(op(u), dst)
+
+
 def replay_probe(report_dict: dict, spec: HamiltonianSpec, grid: FreqGrid) -> float:
     """Recompute the worst probe's ratio from a serialized report."""
     src = SpaceIndex(report_dict["src"]["s"], report_dict["src"]["p"])
     dst = SpaceIndex(report_dict["dst"]["s"], report_dict["dst"]["p"])
     params = dict(report_dict.get("params", {}))
     op = make_operator(report_dict["operator"], OperatorPlan(spec, grid), params)
-    u = random_band_limited(grid, report_dict["seed"], report_dict["worst_probe"],
-                            real_space_real=params.get("real", False))
-    return fl_norm(op(u), dst) / fl_norm(u, src)
+    (denom,), (num,) = _probe_norms(op, grid, report_dict["seed"], [report_dict["worst_probe"]],
+                                    src, dst, params.get("real", False))
+    return float(num) / float(denom)
 
 
 def certified_bound(op_id: str, spec: HamiltonianSpec, s: float, alpha: float,

@@ -110,23 +110,33 @@ class NormReport:
 # ---------------------------------------------------------------------------
 
 def _weighted_samples(f: FreqFunction, s: float):
-    """(|<xi>^s f(xi)|, the grid's R^d weights), both flattened."""
+    """(|<xi>^s f(xi)|, the grid's R^d weights), flattened over the grid
+    axes; a stack keeps its leading axis."""
     g = f.grid
     r = g.radius_mesh().ravel()
-    vals = np.abs(np.asarray(f.values).ravel())
+    vals = np.abs(np.asarray(f.values))
+    vals = vals.reshape(vals.shape[:g.batch_rank(vals)] + (g.size,))
     return (1.0 + r * r) ** (s / 2.0) * vals, g.trapezoid_weights().ravel()
 
 
-def fl_norm(f: FreqFunction, idx: SpaceIndex) -> float:
-    """||<.>^s f_hat||_{L^p} by grid quadrature (grid max when p = inf)."""
+def fl_norm(f: FreqFunction, idx: SpaceIndex):
+    """||<.>^s f_hat||_{L^p} by grid quadrature (grid max when p = inf).
+
+    A float for one function; for a stack, values of shape (B, *grid.shape),
+    the array of the B slices' norms, each equal to that slice's own norm.
+    """
     weighted, w = _weighted_samples(f, idx.s)
     if math.isinf(idx.p):
-        value = float(np.max(weighted))
+        sums, root = np.max(weighted, axis=-1), 1.0
     else:
-        value = float(np.sum(w * weighted ** idx.p) ** (1.0 / idx.p))
-    if not math.isfinite(value):
-        raise NonFiniteError(f"spaces.fl_norm: FL^{idx.p:g}_{idx.s:g} norm is {value}")
-    return value
+        sums, root = np.sum(w * weighted ** idx.p, axis=-1), 1.0 / idx.p
+    # the root as a scalar power per slice: the array power may round differently
+    values = [float(t ** root) for t in np.atleast_1d(sums)]
+    for k, value in enumerate(values):
+        if not math.isfinite(value):
+            where = f" (slice {k})" if np.ndim(sums) else ""
+            raise NonFiniteError(f"spaces.fl_norm: FL^{idx.p:g}_{idx.s:g} norm is {value}{where}")
+    return np.array(values) if np.ndim(sums) else values[0]
 
 
 def _power_tail(C: float, expo: float, p: float, s: float, n: int, R: float):

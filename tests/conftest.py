@@ -74,6 +74,17 @@ def reference_geometry(grid):
     return ax, np.sqrt(sq), w
 
 
+def reference_fl_norm(f: FreqFunction, idx) -> float:
+    """FL^p_s norm of one function as one flattened sum, its root a scalar
+    power (the grid max of the weighted samples when p = inf)."""
+    _, r, w = reference_geometry(f.grid)
+    r = r.ravel()
+    weighted = (1.0 + r * r) ** (idx.s / 2.0) * np.abs(np.asarray(f.values).ravel())
+    if math.isinf(idx.p):
+        return float(np.max(weighted))
+    return float(np.sum(w.ravel() * weighted ** idx.p) ** (1.0 / idx.p))
+
+
 def reference_sample_kernel_on_lattice(profile, n: int, grid, shift=None) -> np.ndarray:
     """V_hat times the trapezoid weights on the n-dim lattice of ``grid``
     from a coordinate mesh built on the spot: radii by np.linalg.norm,
@@ -196,6 +207,55 @@ def plan_case(name: str, coeff: float, mass: float, count: int):
         raise ValueError(name)
     masses = (mass, 1.5)[:pot.N]
     return HamiltonianSpec(pot, masses), make_tensor_grid(pot.dim, extent, count)
+
+
+# ---------------------------------------------------------------------------
+# reference probing: one probe drawn, applied and normed at a time
+# ---------------------------------------------------------------------------
+
+def reference_random_band_limited(grid, seed: int, index: int, band: float = 0.8,
+                                  real_space_real: bool = False) -> FreqFunction:
+    """One probe: phases then amplitudes over the whole grid from the
+    generator seeded with (seed, index), amp * exp(i phase) at every node,
+    zeroed outside |xi| <= band * extent, flipped axis by axis when made
+    real in real space."""
+    rng = np.random.default_rng([seed, index])
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=grid.shape)
+    amp = rng.uniform(0.2, 1.0, size=grid.shape)
+    vals = np.where(grid.radius_mesh() <= band * grid.extent, amp * np.exp(1j * phases), 0.0)
+    if real_space_real:
+        flipped = vals
+        for ax in range(grid.dim):
+            flipped = np.flip(flipped, axis=ax)
+        vals = 0.5 * (vals + np.conj(flipped))
+    return FreqFunction(grid, vals)
+
+
+def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src, dst,
+                                      probes: int, seed: int, certified: float = math.inf,
+                                      params: dict | None = None):
+    """operators.empirical_operator_norm as a per-probe loop: draw probe k,
+    skip it if ||u||_src = 0, and keep the first k of the largest
+    ||op u||_dst / ||u||_src (worst_probe -1 if every denominator is 0)."""
+    from flbarron.operators import OperatorPlan, OperatorProbeReport, make_operator
+    from flbarron.spaces import fl_norm
+
+    params = dict(params or {})
+    grid = params["grid"]
+    op = make_operator(op_id, OperatorPlan(spec, grid), params)
+    worst, worst_idx = -1.0, -1
+    for k in range(probes):
+        u = reference_random_band_limited(grid, seed, k, real_space_real=params.get("real", False))
+        denom = fl_norm(u, src)
+        if denom == 0.0:
+            continue
+        ratio = fl_norm(op(u), dst) / denom
+        if ratio > worst:
+            worst, worst_idx = ratio, k
+    return OperatorProbeReport(
+        operator=op_id, src={"s": src.s, "p": src.p}, dst={"s": dst.s, "p": dst.p},
+        empirical=float(worst), certified=float(certified), probes=probes, seed=seed,
+        worst_probe=worst_idx, params={k: v for k, v in params.items() if k != "grid"})
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,17 @@ class TestExitCodes:
         assert code == 3
 
 
+    @pytest.mark.parametrize("flags, name", [(["--rho", "inf"], "rho"),
+                                             (["--op", "t_lambda", "--lam", "nan"], "lam"),
+                                             (["--op", "r", "--lam", "nan"], "lam"),
+                                             (["--op", "pk_r", "--K", "inf"], "K")])
+    def test_non_finite_probe_param_is_exit_three(self, gaussian_spec_file, capsys, flags, name):
+        code = run(["probe", "--spec", gaussian_spec_file, "--grid", "kind:tensor,extent:6,count:9",
+                    "--alpha", "inf", "--beta", "0.4", "--probes", "2"] + flags)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "[InvalidArgumentError]" in err and f"{name} must be finite" in err
+
     def test_non_finite_norm_is_exit_three(self, gaussian_spec_file, capsys):
         code = run(["probe", "--spec", gaussian_spec_file, "--s", "nan",
                     "--grid", "kind:tensor,extent:6,count:9", "--alpha", "inf",

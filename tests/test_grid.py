@@ -125,6 +125,18 @@ class TestGeometry:
         g = make_radial_grid(3, 1.0, 60, "uniform")
         assert float(np.sum(g.trapezoid_weights())) == pytest.approx(4 * math.pi / 3, rel=1e-13)
 
+    def test_stacks_only_on_tensor_grids(self):
+        g = make_tensor_grid(2, 3.0, 9)
+        assert FreqFunction(g, np.ones((4, 9, 9))).values.shape == (4, 9, 9)
+        assert FreqFunction(g, np.ones(81)).values.shape == (9, 9)  # flat samples of one
+        for bad in (np.ones((4, 9, 8)), np.ones((2, 4, 9, 9)), np.ones(80)):
+            with pytest.raises(DimensionMismatchError):
+                FreqFunction(g, bad)
+        radial = make_radial_grid(3, 5.0, 30)
+        with pytest.raises(DimensionMismatchError):
+            FreqFunction(radial, np.ones((2,) + radial.shape))
+        assert [g.batch_rank(np.ones(s)) for s in ((9, 9), (1, 9, 9))] == [0, 1]
+
     def test_sample_budget(self):
         with pytest.raises(UnsupportedScaleError, match="exceeds"):
             FreqGrid(dim=3, kind="tensor", extent=1.0, count=10 ** 6 + 1)

@@ -9,7 +9,7 @@ from flbarron import bounds as B
 from flbarron import operators as O
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError
 from flbarron import solver as SV
-from flbarron.grid import FreqFunction, make_radial_grid
+from flbarron.grid import FreqFunction, convolve, make_radial_grid, make_tensor_grid
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
 from flbarron.spaces import SpaceIndex, fl_norm
 
@@ -17,6 +17,8 @@ from conftest import (
     PLAN_CASES,
     plan_case,
     random_complex,
+    reference_empirical_operator_norm,
+    reference_random_band_limited,
     reference_symbol,
     reference_V,
 )
@@ -54,6 +56,14 @@ class TestH0Inverse:
     def test_rho_must_be_positive(self, free_ham_1d, grid_1d):
         with pytest.raises(InvalidArgumentError):
             O.apply_h0_inverse(random_complex(grid_1d, 0), free_ham_1d, 0.0)
+
+    @pytest.mark.parametrize("rho", [math.inf, -math.inf])
+    def test_infinite_rho_rejected(self, gaussian_ham_1d, grid_1d, rho):
+        plan = O.OperatorPlan(gaussian_ham_1d, grid_1d)
+        for apply in (lambda: plan.h0_inverse(random_complex(grid_1d, 0).values, rho),
+                      lambda: plan.matrix(rho), lambda: B.mu_tilde((1.0,), rho)):
+            with pytest.raises(InvalidArgumentError, match="rho must be finite"):
+                apply()
 
     def test_nan_rho_rejected(self, gaussian_ham_1d, grid_1d):
         u = random_complex(grid_1d, 0)
@@ -282,7 +292,7 @@ class TestProbing:
         r2 = O.empirical_operator_norm("r", gaussian_ham_1d, certified=1.0, **kwargs)
         assert r1.empirical == r2.empirical
         replayed = O.replay_probe(r1.to_json_dict(), gaussian_ham_1d, grid_1d)
-        assert replayed == pytest.approx(r1.empirical, rel=1e-12)
+        assert replayed == r1.empirical
 
     def test_lemma_bounds_hold_for_gaussian(self, gaussian_ham_1d, grid_1d):
         s, alpha, beta = 0.0, math.inf, 0.4
@@ -309,6 +319,140 @@ class TestProbing:
         parsed = json.loads(rep.to_json_line())
         assert parsed["operator"] == "identity"
         assert "grid" not in parsed["params"]
+
+
+def _stacked_case(case: str, coeff: float, mass: float):
+    """PLAN_CASES at the TestOperatorPlan counts, plus a 2-D pair of shifted
+    terms (complex kernels on both a one-particle and a pairwise axis set)."""
+    if case != "shifted2d":
+        return plan_case(case, coeff, mass, TestOperatorPlan.COUNTS[case])
+    pot = PotentialSpec(1, 2, one_particle=[
+        (1, PotentialTerm("gaussian", {"kappa": 1.0}, shift=(0.4,), coeff=coeff))], pairwise=[
+        (1, 2, PotentialTerm("gaussian", {"kappa": 0.5}, shift=(-0.3,), coeff=0.5 * coeff))])
+    return HamiltonianSpec(pot, (mass, 1.5)), make_tensor_grid(2, 6.0, 11)
+
+
+class TestStacked:
+    """A stack of inputs, values of shape (B, *grid.shape), gives slice by
+    slice exactly what each slice gives alone."""
+
+    @staticmethod
+    def assert_slices_equal(stacked, per_slice):
+        for got, ref in zip(stacked, per_slice):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("case", PLAN_CASES + ("shifted2d",))
+    @given(coeff=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), rho=st.floats(0.05, 10.0),
+           lam=st.floats(-0.9, 3.0), K=st.floats(0.0, 4.0), s=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 16), B=st.integers(1, 4))
+    @settings(max_examples=3, deadline=None)
+    def test_operators_and_norms_act_per_slice(self, case, complex_input, coeff, mass, rho,
+                                               lam, K, s, seed, B):
+        spec, grid = _stacked_case(case, coeff, mass)
+        slices = [random_complex(grid, seed + b).values for b in range(B)]
+        if not complex_input:
+            slices = [v.real for v in slices]
+        stack = np.stack(slices)
+        plan = O.OperatorPlan(spec, grid)
+        for method, args in ((plan.h0_inverse, (rho,)), (plan.multiply_V, ()),
+                             (plan.R, (rho,)), (plan.T_lambda, (lam,))):
+            self.assert_slices_equal(method(stack, *args), [method(v, *args) for v in slices])
+        for _, kernel in plan._kernels:
+            self.assert_slices_equal(convolve(kernel, FreqFunction(grid, stack)).values,
+                                     [convolve(kernel, FreqFunction(grid, v)).values
+                                      for v in slices])
+        self.assert_slices_equal(O.project_high(FreqFunction(grid, stack), K).values,
+                                 [O.project_high(FreqFunction(grid, v), K).values
+                                  for v in slices])
+        for p in (1.0, 2.0, math.inf):
+            norms = fl_norm(FreqFunction(grid, stack), SpaceIndex(s, p))
+            assert norms.shape == (B,)
+            assert [float(x) for x in norms] == [fl_norm(FreqFunction(grid, v), SpaceIndex(s, p))
+                                                 for v in slices]
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("case", PLAN_CASES + ("shifted2d",))
+    @given(seed=st.integers(0, 2 ** 31), first=st.integers(0, 500), B=st.integers(1, 5))
+    @settings(max_examples=3, deadline=None)
+    def test_random_band_limited_draws_per_index(self, case, real, seed, first, B):
+        grid = _stacked_case(case, 1.0, 1.0)[1]
+        indices = list(range(first, first + B))
+        stack = O.random_band_limited(grid, seed, indices, real_space_real=real).values
+        assert stack.shape == (B,) + grid.shape
+        one = [O.random_band_limited(grid, seed, k, real_space_real=real).values for k in indices]
+        ref = [reference_random_band_limited(grid, seed, k, real_space_real=real).values
+               for k in indices]
+        self.assert_slices_equal(stack, one)
+        self.assert_slices_equal(stack, ref)
+
+    def test_radial_plan_rejects_a_stack(self):
+        pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
+        grid = make_radial_grid(3, 6.0, 30)
+        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid)
+        stack = np.ones((2,) + grid.shape)
+        for method, args in ((plan.h0_inverse, (1.0,)), (plan.multiply_V, ()),
+                             (plan.R, (1.0,)), (plan.T_lambda, (0.0,))):
+            with pytest.raises(DimensionMismatchError):
+                method(stack, *args)
+        with pytest.raises(DimensionMismatchError):
+            FreqFunction(grid, stack)
+
+    def test_potential_zero_decided_once_per_plan(self, grid_1d, monkeypatch):
+        calls = []
+        is_zero = PotentialSpec.is_zero
+        monkeypatch.setattr(PotentialSpec, "is_zero",
+                            lambda self: calls.append(1) or is_zero(self))
+        pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 0.5}))
+        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid_1d)
+        u = random_complex(grid_1d, 3).values
+        for _ in range(3):
+            plan.multiply_V(u)
+            plan.R(np.stack([u, u]), 1.0)
+        assert len(calls) == 1
+
+
+class TestStackedProbing:
+    """empirical_operator_norm in stacked chunks against the per-probe loop."""
+
+    @pytest.mark.parametrize("op", sorted(O.OPERATORS))
+    @pytest.mark.parametrize("case", ["gauss1d_additive", "pair2d", "shifted2d"])
+    def test_equals_per_probe_loop(self, op, case):
+        spec, grid = _stacked_case(case, 0.4, 1.0)
+        probes = O._probe_chunk(grid) + 3  # a full chunk, then a partial one
+        for real, (src, dst) in ((False, (SpaceIndex(0.0, 1.0), SpaceIndex(0.5, 1.0))),
+                                 (True, (SpaceIndex(-0.5, 2.0), SpaceIndex(0.0, 2.0)))):
+            kwargs = dict(probes=probes, seed=23, certified=2.0,
+                          params={"rho": 1.3, "lam": -0.4, "K": 2.0, "grid": grid, "real": real})
+            got = O.empirical_operator_norm(op, spec, src, dst, **kwargs)
+            ref = reference_empirical_operator_norm(op, spec, src, dst, **kwargs)
+            assert got.to_json_dict() == ref.to_json_dict()
+            if got.worst_probe >= 0:
+                assert O.replay_probe(got.to_json_dict(), spec, grid) == got.empirical
+
+    def test_ties_keep_the_first_probe(self, free_ham_1d, grid_1d):
+        # identity between equal spaces: every ratio is exactly 1
+        kwargs = dict(probes=2 * O._probe_chunk(grid_1d) + 1, seed=4, params={"grid": grid_1d})
+        got = O.empirical_operator_norm("identity", free_ham_1d, SpaceIndex(0.3, 2.0),
+                                        SpaceIndex(0.3, 2.0), **kwargs)
+        ref = reference_empirical_operator_norm("identity", free_ham_1d, SpaceIndex(0.3, 2.0),
+                                                SpaceIndex(0.3, 2.0), **kwargs)
+        assert got.to_json_dict() == ref.to_json_dict()
+        assert (got.empirical, got.worst_probe) == (1.0, 0)
+
+    def test_zero_denominators_are_skipped(self, free_ham_1d, grid_1d, monkeypatch):
+        src = SpaceIndex(0.0, 1.0)
+        norm = O.fl_norm
+        monkeypatch.setattr(O, "fl_norm", lambda f, idx: norm(f, idx) * (idx != src))
+        rep = O.empirical_operator_norm("identity", free_ham_1d, src, SpaceIndex(0.0, 2.0),
+                                        probes=O._probe_chunk(grid_1d) + 1, seed=1,
+                                        params={"grid": grid_1d})
+        assert (rep.empirical, rep.worst_probe) == (-1.0, -1)
+
+    def test_3d_probes_stay_one_per_chunk(self):
+        # 13^3 pads to 25^3 = 15625 FFT samples, within one block
+        assert O._probe_chunk(make_tensor_grid(3, 5.0, 13)) == 1
 
 
 class TestRegistry:
@@ -358,6 +502,17 @@ class TestRegistry:
             O.certified_bound("nope", free_ham_1d, 0.0, 2.0, 0.5, 1.0)
         with pytest.raises(InvalidArgumentError):
             O.natural_spaces("nope", 0.0, 2.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("name", ["rho", "lam", "K"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected_by_name(self, name, value, gaussian_ham_1d, grid_1d):
+        plan = O.OperatorPlan(gaussian_ham_1d, grid_1d)
+        params = {"rho": 1.3, "lam": -0.4, "K": 2.0, name: value}
+        for op in ("r", "t_lambda", "identity"):
+            with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+                O.make_operator(op, plan, params)
+            with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+                O.certified_bound("r", gaussian_ham_1d, 0.0, 2.0, 0.5, 1.0, params)
 
     @pytest.mark.parametrize("op", ["identity", "project"])
     def test_no_certificate_or_spaces(self, op, free_ham_1d):

@@ -20,6 +20,8 @@ from flbarron.spaces import (
     split_norm,
 )
 
+from conftest import random_complex, reference_fl_norm
+
 
 class TestFlNorm:
     def test_indicator_mass(self):
@@ -45,6 +47,23 @@ class TestFlNorm:
         vals[3] = math.nan
         with pytest.raises(NonFiniteError, match="spaces.fl_norm"):
             fl_norm(FreqFunction(g, vals), SpaceIndex(0.0, p))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("s", [-0.7, 0.0, 1.3])
+    def test_stack_gives_each_slice_its_own_norm(self, p, s):
+        g = make_tensor_grid(2, 3.0, 9)
+        stack = np.stack([random_complex(g, k).values for k in range(64)])
+        norms = fl_norm(FreqFunction(g, stack), SpaceIndex(s, p))
+        ref = [reference_fl_norm(FreqFunction(g, v), SpaceIndex(s, p)) for v in stack]
+        assert norms.shape == (64,) and norms.tolist() == ref
+        assert [fl_norm(FreqFunction(g, v), SpaceIndex(s, p)) for v in stack] == ref
+
+    def test_nan_in_stack_names_the_slice(self):
+        g = make_tensor_grid(1, 4.0, 9)
+        vals = np.ones((4,) + g.shape)
+        vals[2, 5] = math.nan
+        with pytest.raises(NonFiniteError, match=r"spaces.fl_norm.*\(slice 2\)"):
+            fl_norm(FreqFunction(g, vals), SpaceIndex(0.0, 1.0))
 
     def test_nan_index_raises(self):
         g = make_tensor_grid(1, 4.0, 9)
