@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import bounds as B
 from . import solver as SV
-from .errors import InvalidArgumentError, ToolkitError
+from .errors import InvalidArgumentError, NonFiniteError, ToolkitError
 from .grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
 from .operators import certified_bound, empirical_operator_norm, natural_spaces
 from .potentials import HamiltonianSpec, fourier_transform, decompose_low_high
@@ -39,17 +40,25 @@ from .spaces import (
 
 
 def _canonical_json(obj) -> str:
-    def walk(x):
+    """Sorted, indented JSON with floats at 17 significant digits.
+
+    A NaN anywhere raises NonFiniteError naming its key path: bare ``NaN``
+    is not valid JSON.  Infinities stay (``--alpha inf`` is echoed back).
+    """
+    def walk(x, path):
         if isinstance(x, dict):
-            return {k: walk(v) for k, v in sorted(x.items())}
+            return {k: walk(v, path + (k,)) for k, v in sorted(x.items())}
         if isinstance(x, (list, tuple)):
-            return [walk(v) for v in x]
+            return [walk(v, path + (i,)) for i, v in enumerate(x)]
         if isinstance(x, (np.floating, float)):
+            if math.isnan(x):
+                where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+                raise NonFiniteError(f"cli output: {where.lstrip('.') or 'value'} is NaN")
             return float(f"{float(x):.17g}")
         if isinstance(x, (np.integer,)):
             return int(x)
         return x
-    return json.dumps(walk(obj), sort_keys=True, indent=1)
+    return json.dumps(walk(obj, ()), sort_keys=True, indent=1)
 
 
 def _config_hash(args_dict: dict) -> str:
@@ -258,7 +267,10 @@ def cmd_demo_embeddings(args):
 # wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared: parse_args returns a fresh
+    Namespace on every call."""
     p = argparse.ArgumentParser(prog="flbarron",
                                 description="frequency-space toolkit: norms, constants, solves")
     p.add_argument("--out", default=None, help="output JSON path (CSV written alongside)")

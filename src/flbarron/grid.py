@@ -143,6 +143,19 @@ class FreqGrid:
         """
         return self._rd_weights
 
+    def bracket_power(self, s: float) -> np.ndarray:
+        """<xi>^s = (1 + |xi|^2)^(s/2) at every node, flattened; one
+        read-only table per s, kept by the grid."""
+        table = self._bracket_tables.get(s)
+        if table is None:
+            r = self._radii.ravel()
+            table = self._bracket_tables[s] = _read_only((1.0 + r * r) ** (s / 2.0))
+        return table
+
+    @cached_property
+    def _bracket_tables(self) -> dict:
+        return {}
+
     def batch_rank(self, values) -> int:
         """0 for samples of the grid's shape, 1 for a stack of shape
         (B, *shape) of them (tensor grids only); anything else is a

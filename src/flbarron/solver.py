@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-from scipy.special import gammaln
 
 from .bounds import big_C_V, contraction_radius, low_frequency_l2_bound, mu_tilde
 from .errors import (
@@ -197,6 +194,8 @@ def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
     The matrix shares the discretization of the iteration exactly; a
     precomputed ``matrix`` from assemble_dense is reused when given.
     """
+    from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+
     g = f.grid
     A = assemble_dense(spec, rho, g) if matrix is None else matrix
     b = np.asarray(apply_h0_inverse(f, spec, rho).values).ravel()
@@ -381,6 +380,8 @@ def stretched_exp_transform(rho: float, delta: float, n: int = 3, tol: float = 1
     """Transform of exp(-|x|^delta) at radius rho (n = 3 via the sine kernel,
     n = 2 via a Bessel-segment sum).  Raises NonConvergenceError when
     QUADPACK warns, rather than returning its value."""
+    from scipy.integrate import IntegrationWarning
+
     _check_delta(delta)
     if not 0 <= rho < math.inf:
         raise InvalidArgumentError(f"rho must be finite and >= 0 (got {rho})")
@@ -394,6 +395,8 @@ def stretched_exp_transform(rho: float, delta: float, n: int = 3, tol: float = 1
 
 
 def _quad_transform(rho: float, delta: float, n: int, tol: float) -> float:
+    from scipy.integrate import quad
+
     r_cut = _T_CUT ** (1.0 / delta)
     if rho == 0.0:
         val, _ = quad(lambda r: math.exp(-r ** delta) * r ** (n - 1), 0, r_cut,
@@ -449,14 +452,19 @@ def sharp_transform_radii(rhos, delta: float, n: int = 3) -> np.ndarray:
     series = _series_table(delta)
     rule, max_phase = _rule_table(delta)
     vals, err = np.empty_like(rhos), np.empty_like(rhos)
+    # two block-sized scratch arrays that every block of this call reuses: with
+    # fresh temporaries per block, malloc may hand the freed top of the heap
+    # back to the OS after each block and page it in again for the next one
+    work = np.empty((2, max(_BLOCK_ELEMS, rule[0].size)))
     step = _BLOCK_ELEMS // _SERIES_TERMS
     for lo in range(0, rhos.size, step):
-        vals[lo:lo + step], err[lo:lo + step] = _series_block(rhos[lo:lo + step], *series)
+        vals[lo:lo + step], err[lo:lo + step] = _series_block(rhos[lo:lo + step], *series,
+                                                              work=work)
     near = np.flatnonzero(rhos * max_phase <= _RULE_MAX_PHASE)
     step = max(1, _BLOCK_ELEMS // rule[0].size)
     for lo in range(0, near.size, step):
         idx = near[lo:lo + step]
-        rule_vals, rule_err = _rule_block(rhos[idx], *rule)
+        rule_vals, rule_err = _rule_block(rhos[idx], *rule, work=work)
         take = rule_err < err[idx]
         vals[idx[take]] = rule_vals[take]
         err[idx[take]] = rule_err[take]
@@ -468,6 +476,8 @@ def sharp_transform_radii(rhos, delta: float, n: int = 3) -> np.ndarray:
 def _series_table(delta: float):
     """Per-term constants of the series: (k delta, log|coefficient|, the
     size of the logarithms it is formed from, (-1)^(k+1) sin(pi k delta/2))."""
+    from scipy.special import gammaln
+
     k = np.arange(1, _SERIES_TERMS + 1)
     a = k * delta
     log_num, log_den = gammaln(a + 2.0), gammaln(k + 1.0)
@@ -475,17 +485,27 @@ def _series_table(delta: float):
     return a, log_num - log_den, 1.0 + np.abs(log_num) + log_den, trig
 
 
-def _series_block(rho, a, log_coef, log_size, trig):
+def _block_views(work, rows: int, cols: int):
+    """Two (rows, cols) C-contiguous views of the scratch rows of ``work``."""
+    return [w[:rows * cols].reshape(rows, cols) for w in work]
+
+
+def _series_block(rho, a, log_coef, log_size, trig, work):
     """Series values and rounding estimates, inf where it has not converged."""
+    log_power, terms = _block_views(work, rho.size, a.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_power = np.multiply.outer(np.log(2.0 * math.pi * rho), a)
-        env = np.exp(log_coef - log_power)
-        terms = env * trig
+        np.multiply.outer(np.log(2.0 * math.pi * rho), a, out=log_power)
+        # env, terms and abs_terms are one buffer, each overwriting the last
+        env = np.exp(np.subtract(log_coef, log_power, out=terms), out=terms)
+        last = env[:, -1].copy()
+        terms = np.multiply(env, trig, out=terms)
         total = terms.sum(axis=1)
         size = np.abs(total)
-        ok = (env[:, -1] < 1e-17 * size) & (np.abs(terms).max(axis=1) < 1e2 * size)
+        abs_terms = np.abs(terms, out=terms)
+        ok = (last < 1e-17 * size) & (abs_terms.max(axis=1) < 1e2 * size)
         # exp carries the absolute rounding of the logarithm into each term
-        err = (np.abs(terms) * (log_size + np.abs(log_power))).sum(axis=1) / size
+        scale = np.add(log_size, np.abs(log_power, out=log_power), out=log_power)
+        err = np.multiply(abs_terms, scale, out=terms).sum(axis=1) / size
         vals = total / (2.0 * math.pi ** 2 * rho ** 3)
     return vals, np.where(ok, err, np.inf)
 
@@ -510,18 +530,20 @@ def _rule_table(delta: float):
     return (2.0 * math.pi * r, c, c_exp, c_phase), max_phase
 
 
-def _rule_block(rho, two_pi_r, c, c_exp, c_phase):
+def _rule_block(rho, two_pi_r, c, c_exp, c_phase, work):
     """Rule values and rounding estimates at radii the rule resolves.  Row
     sums, not a matrix product, so a radius's value never depends on the
     other radii of its block."""
-    phase = np.multiply.outer(rho, two_pi_r)
-    kern = np.sin(phase)
+    phase, kern = _block_views(work, rho.size, two_pi_r.size)
+    np.multiply.outer(rho, two_pi_r, out=phase)
+    np.sin(phase, out=kern)
     with np.errstate(invalid="ignore"):
         np.divide(kern, phase, out=kern)  # sinc(2 rho r); 0/0 only at rho = 0
     kern[rho == 0] = 1.0
-    vals = (kern * c).sum(axis=1)
+    vals = np.multiply(kern, c, out=phase).sum(axis=1)
     np.abs(kern, out=kern)
-    mag = (kern * c_exp).sum(axis=1) + rho * (kern * c_phase).sum(axis=1)
+    mag = (np.multiply(kern, c_exp, out=phase).sum(axis=1)
+           + rho * np.multiply(kern, c_phase, out=phase).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
         return vals, mag / np.abs(vals)
 

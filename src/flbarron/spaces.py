@@ -113,10 +113,9 @@ def _weighted_samples(f: FreqFunction, s: float):
     """(|<xi>^s f(xi)|, the grid's R^d weights), flattened over the grid
     axes; a stack keeps its leading axis."""
     g = f.grid
-    r = g.radius_mesh().ravel()
     vals = np.abs(np.asarray(f.values))
     vals = vals.reshape(vals.shape[:g.batch_rank(vals)] + (g.size,))
-    return (1.0 + r * r) ** (s / 2.0) * vals, g.trapezoid_weights().ravel()
+    return g.bracket_power(s) * vals, g.trapezoid_weights().ravel()
 
 
 def fl_norm(f: FreqFunction, idx: SpaceIndex):

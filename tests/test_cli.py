@@ -186,6 +186,20 @@ class TestExitCodes:
         assert code == 3
         assert "[NonFiniteError]" in capsys.readouterr().err
 
+    def test_nan_in_output_is_exit_three(self, gaussian_spec_file, tmp_path, capsys):
+        # bare NaN is not JSON: the eigen-contraction constants are NaN at lam = nan
+        out = tmp_path / "c.json"
+        code = run(["--out", str(out), "constants", "--spec", gaussian_spec_file, "--lam", "nan"])
+        assert code == 3
+        assert "[NonFiniteError]: cli output: contraction_K_eigen is NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinity_in_output_is_kept(self, gaussian_spec_file, tmp_path):
+        out = tmp_path / "c.json"
+        assert run(["--out", str(out), "constants", "--spec", gaussian_spec_file,
+                    "--alpha", "inf"]) == 0
+        assert json.loads(out.read_text())["parameters"]["alpha"] == float("inf")
+
     def test_probe_default_beta_names_the_fix(self, tmp_path, capsys):
         # n = 3 with the defaults alpha = 2, gamma = 0.5 gives beta = 0.75 = n/(2 alpha)
         spec = {"n": 3, "N": 1, "masses": [1.0], "pairwise": [], "additive": None,

@@ -120,6 +120,18 @@ class TestGeometry:
             with pytest.raises(ValueError):
                 a.ravel()[0] = 1.0
 
+    @pytest.mark.parametrize("kind", ["tensor", "radial"])
+    @pytest.mark.parametrize("s", [0.0, 0.5, -1.0, 2.7, -0.3])
+    def test_bracket_power_is_the_plain_expression(self, kind, s):
+        g = make_tensor_grid(3, 4.0, 13) if kind == "tensor" else make_radial_grid(3, 200.0, 300)
+        r = g.radius_mesh().ravel()
+        table = g.bracket_power(s)
+        assert table.shape == (g.size,)
+        assert table.tobytes() == ((1.0 + r * r) ** (s / 2.0)).tobytes()
+        assert g.bracket_power(s) is table and g.bracket_power(s + 1.0) is not table
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
     def test_radial_weights_integrate_over_r_d(self):
         # int_{|xi| <= 1} d xi = 4 pi / 3 in three dimensions
         g = make_radial_grid(3, 1.0, 60, "uniform")

@@ -1,0 +1,185 @@
+"""Start-up: flbarron imports scipy only inside the functions that use it.
+
+The fresh-process tests run a snippet under ``sys.executable`` with
+``PYTHONPATH=src``, so nothing this test process has imported or built
+(scipy modules, the memoised CLI parser) carries into them.
+"""
+
+import ast
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+
+from flbarron import solver as SV
+from flbarron.cli import build_parser
+from flbarron.grid import FreqFunction, make_tensor_grid
+from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "flbarron"
+
+# printed by every snippet: which scipy modules the process holds
+SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def fresh(code: str, cwd=None) -> dict:
+    """Run ``code`` in a fresh interpreter; it prints one JSON object last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    out = fresh(f"""
+        import importlib, json, sys
+        import flbarron, flbarron.cli
+        after_cli = {SCIPY_LOADED}
+        for name in {modules!r}:
+            importlib.import_module("flbarron." + name)
+        print(json.dumps({{"cli": after_cli, "all": {SCIPY_LOADED}}}))
+    """)
+    assert out == {"cli": [], "all": []}
+
+
+TRANSFORM_CASES = [(0.7, 1.0, 3), (0.0, 0.5, 3), (0.3, 1.5, 2)]
+
+
+def test_first_quadpack_fallback_in_a_fresh_process():
+    out = fresh(f"""
+        import json, sys
+        from flbarron import solver as SV
+        from flbarron.errors import NonConvergenceError
+        before = {SCIPY_LOADED}
+        values = [SV.stretched_exp_transform(*c).hex() for c in {TRANSFORM_CASES!r}]
+        try:
+            SV.stretched_exp_transform(1.0, 0.2)
+            raised = None
+        except NonConvergenceError as exc:
+            raised = str(exc)
+        print(json.dumps({{"before": before, "after": {SCIPY_LOADED},
+                          "values": values, "raised": raised}}))
+    """)
+    assert out["before"] == []
+    assert "scipy.integrate" in out["after"]
+    assert out["values"] == [SV.stretched_exp_transform(*c).hex() for c in TRANSFORM_CASES]
+    assert out["raised"] is not None and "rho = 1.0, delta = 0.2, n = 3" in out["raised"]
+
+
+def _gaussian_solve_case():
+    grid = make_tensor_grid(1, 8.0, 129)
+    r = grid.radius_mesh()
+    f = FreqFunction(grid, np.exp(-math.pi * r * r))
+    ham = HamiltonianSpec(PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 0.05})),
+                          (1.0,))
+    return ham, f
+
+
+def test_first_series_table_and_direct_solve_in_a_fresh_process():
+    out = fresh(f"""
+        import json, math, sys
+        import numpy as np
+        from flbarron import solver as SV
+        from flbarron.grid import FreqFunction, make_tensor_grid
+        from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
+        series = SV.sharp_transform_radii(np.geomspace(0.05, 50.0, 7), 0.5)
+        after_series = {SCIPY_LOADED}
+        grid = make_tensor_grid(1, 8.0, 129)
+        r = grid.radius_mesh()
+        f = FreqFunction(grid, np.exp(-math.pi * r * r))
+        ham = HamiltonianSpec(PotentialSpec(1, 1, additive=PotentialTerm(
+            "gaussian", {{"kappa": 0.05}})), (1.0,))
+        u = SV.solve_direct(ham, 1.0, f)
+        print(json.dumps({{"series": series.tobytes().hex(), "after_series": after_series,
+                          "solve": np.asarray(u.values).tobytes().hex(),
+                          "dtype": str(np.asarray(u.values).dtype),
+                          "after_solve": {SCIPY_LOADED}}}))
+    """)
+    assert "scipy.special" in out["after_series"] and "scipy.linalg" not in out["after_series"]
+    assert "scipy.linalg" in out["after_solve"]
+    assert out["series"] == SV.sharp_transform_radii(np.geomspace(0.05, 50.0, 7), 0.5) \
+        .tobytes().hex()
+    ham, f = _gaussian_solve_case()
+    u = np.asarray(SV.solve_direct(ham, 1.0, f).values)
+    assert (out["dtype"], out["solve"]) == (str(u.dtype), u.tobytes().hex())
+
+
+def test_parser_reuse_matches_a_fresh_parser(tmp_path):
+    spec = {"n": 1, "N": 1, "masses": [1.0], "one_particle": [], "pairwise": [],
+            "additive": {"kind": "gaussian", "params": {"kappa": 0.05},
+                         "shift": [], "coeff": 1.0}}
+    (tmp_path / "gauss.json").write_text(json.dumps(spec))
+    commands = [["norm", "--spec", "gauss.json", "--bogus"],
+                ["norm", "--spec", "gauss.json", "--s", "0.5", "--p", "2"],
+                ["--seed", "3", "probe", "--spec", "gauss.json", "--op", "r",
+                 "--grid", "kind:tensor,extent:6,count:17", "--alpha", "inf", "--beta", "0.4",
+                 "--probes", "3"],
+                ["norm", "--spec", "gauss.json"]]
+    out = fresh(f"""
+        import contextlib, io, json
+        from flbarron import cli
+
+        def outcome(argv):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(argv)
+            return [code, buf.getvalue()]
+
+        shared = [outcome(argv) for argv in {commands!r}]
+        alone = []
+        for argv in {commands!r}:
+            cli.build_parser.cache_clear()
+            alone.append(outcome(argv))
+        print(json.dumps({{"shared": shared, "alone": alone}}))
+    """, cwd=tmp_path)
+    assert [code for code, _ in out["shared"]] == [2, 0, 0, 0]
+    assert out["shared"] == out["alone"]
+    assert out["shared"][1][1] != out["shared"][3][1]  # --s/--p did not stick to the parser
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------------------------------
+# static guard: no module-level scipy import anywhere in the package
+# ---------------------------------------------------------------------------
+
+def _import_time_nodes(node):
+    """Nodes run when the module is imported: everything outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield child
+        yield from _import_time_nodes(child)
+
+
+def _is_scipy(name: str | None) -> bool:
+    return name is not None and (name == "scipy" or name.startswith("scipy."))
+
+
+def test_no_module_level_scipy_import():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _import_time_nodes(tree):
+            if (isinstance(node, ast.Import) and any(_is_scipy(a.name) for a in node.names)) \
+                    or (isinstance(node, ast.ImportFrom) and _is_scipy(node.module)):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == [], f"import scipy inside the function that uses it: {offenders}"
+
+
+def test_static_guard_sees_nested_module_level_imports():
+    tree = ast.parse("try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n"
+                     "class A:\n    from scipy import special\n"
+                     "def f():\n    from scipy.integrate import quad\n")
+    found = [n.lineno for n in _import_time_nodes(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert found == [2, 6]
