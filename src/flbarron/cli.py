@@ -12,6 +12,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -25,10 +26,10 @@ import numpy as np
 from . import __version__
 from . import bounds as B
 from . import solver as SV
-from .errors import InvalidArgumentError, NonFiniteError, ToolkitError
+from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteError, ToolkitError
 from .grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
 from .operators import certified_bound, empirical_operator_norm, natural_spaces
-from .potentials import HamiltonianSpec, fourier_transform, decompose_low_high
+from .potentials import HamiltonianSpec, PotentialTerm, decompose_low_high, fourier_transform
 from .spaces import (
     SpaceIndex,
     SplitIndex,
@@ -61,13 +62,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(walk(obj, ()), sort_keys=True, indent=1)
 
 
-def _config_hash(args_dict: dict) -> str:
-    skip = {"func", "out"}  # the destination path is not part of the computation
-    blob = json.dumps({k: v for k, v in sorted(args_dict.items()) if k not in skip},
-                      sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def _emit(payload: dict, out: str | None, csv_rows=None, csv_header=None):
     text = _canonical_json(payload)
     if out:
@@ -88,27 +82,37 @@ def _load_spec(path: str) -> HamiltonianSpec:
         return HamiltonianSpec.from_json_dict(json.load(fh))
 
 
-def _parse_grid(desc: str):
-    """'kind:radial,count:N,rmax:R' or 'kind:tensor,extent:X,count:N'."""
+def _build_grid(desc: str, dim: int):
+    """'kind:radial,count:N,rmax:R[,scheme:S]' or 'kind:tensor,extent:X,count:N'."""
     fields = dict(part.split(":", 1) for part in desc.split(","))
     kind = fields.pop("kind")
     if kind == "radial":
-        return ("radial", float(fields["rmax"]), int(fields["count"]),
-                fields.get("scheme", "log-uniform"))
+        return make_radial_grid(dim, float(fields["rmax"]), int(fields["count"]),
+                                fields.get("scheme", "log-uniform"))
     if kind == "tensor":
-        return ("tensor", float(fields["extent"]), int(fields["count"]))
+        return make_tensor_grid(dim, float(fields["extent"]), int(fields["count"]))
     raise ValueError(f"unknown grid kind {kind!r}")
 
 
-def _build_grid(desc: str, dim: int):
-    parsed = _parse_grid(desc)
-    if parsed[0] == "radial":
-        return make_radial_grid(dim, parsed[1], parsed[2], parsed[3])
-    return make_tensor_grid(dim, parsed[1], parsed[2])
-
-
 def _meta(args) -> dict:
-    return {"config_hash": _config_hash(vars(args)), "version": __version__}
+    skip = {"func", "out"}  # the destination path is not part of the computation
+    blob = json.dumps({k: v for k, v in sorted(vars(args).items()) if k not in skip},
+                      sort_keys=True, default=str)
+    return {"config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16], "version": __version__}
+
+
+@contextlib.contextmanager
+def _beta_hint(n: int, s: float, alpha: float, beta: float, beta_flag: bool = True):
+    """Name the flags that fix an InvalidArgumentError raised at beta <= n/(2 alpha):
+    beta = 1 + (s - gamma)/2 exceeds n/(2 alpha) iff gamma < s + 2 - n/alpha."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        if not (alpha >= 1 and beta <= n / (2.0 * alpha)):
+            raise
+        fix = f"--beta above {n / (2.0 * alpha):g}, or " if beta_flag else ""
+        raise InvalidArgumentError(
+            f"{exc}: pass {fix}--gamma below {s + 2.0 - n / alpha:g}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +168,17 @@ def cmd_constants(args):
                           "rho": args.rho},
            "mu_tilde_1": B.mu_tilde(ham.masses, 1.0),
            "mu_tilde_rho": B.mu_tilde(ham.masses, args.rho)}
-    if not math.isinf(alpha):
-        out["c_alpha_beta"] = B.c_alpha_beta(alpha, beta, pot.n)
-    nu_entries = []
-    for role, i, j, t, dim in pot.terms():
-        texp = None if role == "additive" else t.power_exponent(dim)
-        if texp is not None and texp != dim:
-            nu_entries.append({"term": f"{role}:{i}" if j is None else f"{role}:{i},{j}",
-                               "kind": t.kind, "t": texp, "nu_t_n": B.nu_t_n(texp, dim)})
-    out["nu_constants"] = nu_entries
-    C = B.big_C_V(pot, s, alpha, beta)
+    with _beta_hint(pot.n, s, alpha, beta, beta_flag=False):  # constants has no --beta
+        if not math.isinf(alpha):
+            out["c_alpha_beta"] = B.c_alpha_beta(alpha, beta, pot.n)
+        nu_entries = []
+        for role, i, j, t, dim in pot.terms():
+            texp = None if role == "additive" else t.power_exponent(dim)
+            if texp is not None and texp != dim:
+                nu_entries.append({"term": f"{role}:{i}" if j is None else f"{role}:{i},{j}",
+                                   "kind": t.kind, "t": texp, "nu_t_n": B.nu_t_n(texp, dim)})
+        out["nu_constants"] = nu_entries
+        C = B.big_C_V(pot, s, alpha, beta)
     out["big_C_V"] = C
     out["frak_C_V"] = B.frak_C_V(pot, s, alpha, gamma)
     out["coercivity_rho_star"] = B.coercivity_rho(ham, s, alpha, gamma)
@@ -190,7 +195,7 @@ def cmd_solve(args):
     ham = _load_spec(args.spec)
     grid = _build_grid(args.grid, ham.dim)
     if grid.kind != "tensor":
-        raise ToolkitError("solve needs a tensor grid")
+        raise DimensionMismatchError("solve needs a tensor grid")
     r = grid.radius_mesh()
     f = FreqFunction(grid, np.exp(-math.pi * r * r))
     u, report = SV.solve_neumann(ham, args.rho, f, s=args.s, tol=args.tol)
@@ -217,15 +222,8 @@ def cmd_probe(args):
     ham = _load_spec(args.spec)
     grid = _build_grid(args.grid, ham.dim)
     beta = args.beta if args.beta is not None else 1.0 + (args.s - args.gamma) / 2.0
-    try:
+    with _beta_hint(ham.n, args.s, args.alpha, beta):
         C = B.big_C_V(ham.potential, args.s, args.alpha, beta)
-    except InvalidArgumentError as exc:
-        if not (args.alpha >= 1 and beta <= ham.n / (2.0 * args.alpha)):
-            raise
-        # beta = 1 + (s - gamma)/2 exceeds n/(2 alpha) iff gamma < s + 2 - n/alpha
-        raise InvalidArgumentError(
-            f"{exc}: pass --beta above {ham.n / (2.0 * args.alpha):g}, "
-            f"or --gamma below {args.s + 2.0 - ham.n / args.alpha:g}") from exc
     params = {"rho": args.rho, "lam": args.lam, "K": args.K, "grid": grid}
     cert = certified_bound(args.op, ham, args.s, args.alpha, beta, C, params)
     src, dst = natural_spaces(args.op, args.s, args.alpha, beta, args.p)
@@ -244,8 +242,6 @@ def cmd_demo_embeddings(args):
         _, lower = counterexample_norm(k, 0.0, 1.0, -0.5, 2.0, 1)
         rows.append((k, lower))
     # Coulomb partial Barron(-1) integrals under extent doubling vs split norm
-    from .potentials import PotentialTerm
-
     coul = fourier_transform(PotentialTerm("coulomb"), 3)
     partials = []
     splits = []
@@ -331,6 +327,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for name, value in vars(args).items():  # inf stays: --alpha inf is a valid space
+            if isinstance(value, float) and math.isnan(value):
+                flag = "--" + name.replace("_", "-")
+                raise InvalidArgumentError(f"{flag} must be finite or +-inf (got nan)")
         return args.func(args)
     except ToolkitError as exc:
         sys.stderr.write(f"numeric failure [{type(exc).__name__}]: {exc}\n")

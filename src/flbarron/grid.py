@@ -447,8 +447,8 @@ class LatticeKernel:
 
     ``samples`` spans ``axes`` of ``grid`` (odd length M each, center index
     (M-1)/2) and is singleton elsewhere; ``fft`` is its FFT zero-padded to
-    ``sizes`` along those axes, long enough that the circular product is
-    the linear convolution.
+    ``sizes`` = ``padded_length(M)`` along those axes, long enough that the
+    circular product is the linear convolution on the samples kept.
     """
 
     grid: FreqGrid
@@ -459,9 +459,17 @@ class LatticeKernel:
     complex_kernel: bool
 
 
+def padded_length(M: int) -> int:
+    """FFT length per kernel axis of ``convolve`` on M points: wrap-around at L
+    reaches indices <= 2M-2-L, all below the kept ones (from m = (M-1)/2) iff L >= 2M-1-m."""
+    from scipy.fft import next_fast_len
+
+    return next_fast_len(2 * M - 1 - (M - 1) // 2)
+
+
 def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
                    n: int | None = None, shift=None) -> LatticeKernel:
-    """Lay V_hat out on ``grid`` and take its padded FFT.
+    """Lay V_hat out on ``grid`` and take its FFT padded to ``padded_length``.
 
     structure: "additive" (full d-dim kernel; ``v_hat`` is a radial profile
     or a FreqFunction sampled on ``grid``), "one_particle" with particle=i
@@ -469,8 +477,6 @@ def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
     (anti-diagonal kernel over the two particles' axes).  Particle indices
     are 1-based; ``n`` is the single-particle dimension.
     """
-    from scipy.fft import next_fast_len
-
     if grid.kind != "tensor":
         raise DimensionMismatchError("convolve operates on tensor grids")
     d = grid.dim
@@ -500,7 +506,7 @@ def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
     else:
         raise InvalidArgumentError(f"unknown convolution structure {structure!r}")
     kernel = kernel.reshape([M if ax in axes else 1 for ax in range(d)])
-    sizes = tuple(next_fast_len(2 * M - 1) for _ in axes)
+    sizes = (padded_length(M),) * len(axes)
     return LatticeKernel(grid, axes, sizes, kernel, np.fft.fftn(kernel, s=sizes, axes=axes),
                          np.iscomplexobj(kernel))
 
@@ -511,9 +517,9 @@ def convolve(v_hat, u_hat: FreqFunction, structure: str | None = None, particle=
 
     ``v_hat`` is a LatticeKernel, whose FFT is applied as it is, or a kernel
     that ``lattice_kernel`` first lays out with the remaining arguments.
-    Returns the "same" central part of the linear convolution:
-    out[a] = sum_j kernel[j] * u[a - j + m], m = (M-1)/2 per kernel axis.
-    A stack of functions is convolved slice by slice in one pass.
+    Returns the "same" central part of the linear convolution (exact from
+    FFTs of ``padded_length(M)`` per axis): out[a] = sum_j kernel[j] * u[a - j + m],
+    m = (M-1)/2 per kernel axis.  A stack of functions is convolved slice by slice in one pass.
     """
     g = u_hat.grid
     kernel = v_hat if isinstance(v_hat, LatticeKernel) else lattice_kernel(
@@ -622,10 +628,10 @@ class RadialKernel3D:
         return coefs
 
 
-# Element budget of one block's temporaries: evaluation radii go through
-# ``radial_convolve_3d`` in blocks of at most this many (radius, cell,
-# Gauss-7 point) triples, and operator probes are stacked in chunks of at
-# most this many padded FFT samples (``operators.empirical_operator_norm``).
+# Element budget of one block's temporaries: ``radial_convolve_3d`` takes
+# evaluation radii in blocks of at most this many (radius, cell, Gauss-7 point)
+# triples; ``operators.empirical_operator_norm`` stacks probes in chunks of at
+# most this many padded FFT samples (167 / 10 / 2 probes on 65 / 25^2 / 13^3).
 _BLOCK_ELEMS = 1 << 14
 
 

@@ -39,6 +39,7 @@ from .grid import (
     RadialProfile,
     convolve,
     lattice_kernel,
+    padded_length,
     radial_convolve_3d,
 )
 from .potentials import HamiltonianSpec, PotentialSpec, fourier_transform
@@ -414,9 +415,7 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src: SpaceIndex,
 def _probe_chunk(grid: FreqGrid) -> int:
     """Probes per stacked chunk: as many as keep the chunk's padded FFT within
     ``grid._BLOCK_ELEMS`` samples, and at least one."""
-    from scipy.fft import next_fast_len
-
-    return max(1, _BLOCK_ELEMS // next_fast_len(2 * grid.count - 1) ** grid.dim)
+    return max(1, _BLOCK_ELEMS // padded_length(grid.count) ** grid.dim)
 
 
 def _probe_norms(op, grid: FreqGrid, seed: int, indices, src: SpaceIndex,

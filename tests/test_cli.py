@@ -1,11 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flbarron import cli
 from flbarron.cli import run
 
 
@@ -184,14 +190,16 @@ class TestExitCodes:
                     "--grid", "kind:tensor,extent:6,count:9", "--alpha", "inf",
                     "--beta", "0.4", "--probes", "2"])
         assert code == 3
-        assert "[NonFiniteError]" in capsys.readouterr().err
+        assert ("[InvalidArgumentError]: --s must be finite or +-inf (got nan)"
+                in capsys.readouterr().err)
 
-    def test_nan_in_output_is_exit_three(self, gaussian_spec_file, tmp_path, capsys):
-        # bare NaN is not JSON: the eigen-contraction constants are NaN at lam = nan
-        out = tmp_path / "c.json"
-        code = run(["--out", str(out), "constants", "--spec", gaussian_spec_file, "--lam", "nan"])
+    def test_nan_in_output_is_exit_three(self, coulomb_spec_file, tmp_path, capsys):
+        # bare NaN is not JSON: at beta = inf, c_alpha_beta is Gamma(inf)/Gamma(inf) = NaN
+        out = tmp_path / "n.json"
+        code = run(["--out", str(out), "norm", "--spec", coulomb_spec_file,
+                    "--alpha", "2.4", "--beta", "inf"])
         assert code == 3
-        assert "[NonFiniteError]: cli output: contraction_K_eigen is NaN" in capsys.readouterr().err
+        assert "[NonFiniteError]: cli output: big_C_V is NaN" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinity_in_output_is_kept(self, gaussian_spec_file, tmp_path):
@@ -211,6 +219,19 @@ class TestExitCodes:
         assert code == 3
         assert "pass --beta above 0.75, or --gamma below 0.5" in capsys.readouterr().err
 
+    def test_constants_default_gamma_names_the_fix(self, coulomb_spec_file, capsys):
+        # n = 3 with the defaults alpha = 2, gamma = 0.5 gives alpha*beta = 1.5 = n/2;
+        # constants derives beta from gamma, so only --gamma is offered
+        assert run(["constants", "--spec", coulomb_spec_file]) == 3
+        err = capsys.readouterr().err
+        assert "alpha*beta = 1.5 must exceed n/2 = 1.5: pass --gamma below 0.5\n" in err
+        assert run(["constants", "--spec", coulomb_spec_file, "--gamma", "0.4"]) == 0
+
+    def test_solve_on_radial_grid_is_dimension_mismatch(self, gaussian_spec_file, capsys):
+        code = run(["solve", "--spec", gaussian_spec_file, "--grid", "kind:radial,count:20,rmax:4"])
+        assert code == 3
+        assert "[DimensionMismatchError]: solve needs a tensor grid" in capsys.readouterr().err
+
     def test_verify_eigen_gamma_above_delta_is_exit_three(self, capsys):
         # the default --gammas 0.90,0.95,0.99 lie above delta = 0.75
         code = run(["verify-eigen", "--delta", "0.75"])
@@ -227,6 +248,74 @@ class TestExitCodes:
                                  "additive": None}))
         assert run([command, "--spec", str(p)]) == 3
         assert "[InvalidArgumentError]" in capsys.readouterr().err
+
+
+def _float_flags() -> list:
+    """(subcommand, flag) for every float-typed flag the parser accepts; the
+    global ones (--tol) under every subcommand."""
+    parser = cli.build_parser()
+    floats = lambda p: [a.option_strings[0] for a in p._actions if a.type is float]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, flag) for name, sp in sub.choices.items()
+            for flag in floats(parser) + floats(sp)]
+
+
+def _no_nan(constant: str) -> float:
+    assert constant != "NaN", "NaN in the JSON output"
+    return float(constant)
+
+
+class TestNonFiniteFloatFlags:
+    SPECS = {"coulomb": {"n": 3, "N": 2, "masses": [1.0, 1.0], "one_particle": [],
+                         "pairwise": [{"i": 1, "j": 2, "kind": "coulomb", "params": {},
+                                       "shift": [], "coeff": 1.0}], "additive": None},
+             "gauss": {"n": 1, "N": 1, "masses": [1.0], "one_particle": [], "pairwise": [],
+                       "additive": {"kind": "gaussian", "params": {"kappa": 0.05},
+                                    "shift": [], "coeff": 1.0}}}
+    # tiny runs that exit 0 with every flag at its default
+    BASE = {"norm": ["--spec", "coulomb", "--alpha", "2.4"],
+            "decompose": ["--spec", "coulomb"],
+            "constants": ["--spec", "coulomb", "--alpha", "2.4"],
+            "solve": ["--spec", "gauss", "--grid", "kind:tensor,extent:4,count:9"],
+            "verify-eigen": ["--cells", "20", "--gammas", "0.9"],
+            "probe": ["--spec", "gauss", "--grid", "kind:tensor,extent:4,count:9",
+                      "--probes", "2"],
+            "demo-embeddings": []}
+    CASES = [(cmd, flag, value) for cmd, flag in _float_flags() for value in ("nan", "inf", "-inf")]
+
+    def test_every_subcommand_has_a_base_run(self):
+        assert set(self.BASE) == {cmd for cmd, _, _ in self.CASES}
+
+    @settings(max_examples=len(CASES), deadline=None)
+    @given(case=st.sampled_from(CASES))
+    def test_exit_zero_without_nan_or_three_with_a_named_error(self, case):
+        # NaN is named before the subcommand loads its spec; +-inf either runs to a
+        # NaN-free report or fails with a typed error (``--flag=-inf``: argparse
+        # reads a bare "-inf" as a flag)
+        cmd, flag, value = case
+        load = cli._load_spec if value != "nan" else (
+            lambda path: pytest.fail(f"{flag}=nan reached the subcommand"))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, spec in self.SPECS.items():
+                paths[name] = Path(tmp) / f"{name}.json"
+                paths[name].write_text(json.dumps(spec))
+            argv = [cmd] + [str(paths.get(a, a)) for a in self.BASE[cmd]]
+            argv = ([f"{flag}={value}"] + argv if flag == "--tol" else argv + [f"{flag}={value}"])
+            out, err = io.StringIO(), io.StringIO()
+            with (mock.patch.object(cli, "_load_spec", load), contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                code = run(argv)
+        last = (err.getvalue().splitlines() or [""])[-1]
+        if value == "nan":
+            assert code == 3
+            assert last == (f"numeric failure [InvalidArgumentError]: "
+                            f"{flag} must be finite or +-inf (got nan)")
+        elif code == 0:
+            json.loads(out.getvalue(), parse_constant=_no_nan)
+        else:
+            assert code == 3, (argv, err.getvalue())
+            assert re.fullmatch(r"numeric failure \[\w+Error\]: \S.*", last), (argv, last)
 
 
 class TestOtherSubcommands:

@@ -26,9 +26,10 @@ from flbarron.grid import (
     tabulated_profile,
 )
 
-from flbarron.potentials import PotentialTerm, fourier_transform
+from flbarron.potentials import PotentialSpec, PotentialTerm, fourier_transform
 
 from conftest import (
+    reference_direct_V,
     reference_geometry,
     reference_radial_convolve_3d,
     reference_sample_kernel_on_lattice,
@@ -282,6 +283,43 @@ class TestConvolve:
         u = FreqFunction(make_tensor_grid(1, 5.0, 33), np.ones(33))
         with pytest.raises(DimensionMismatchError):
             convolve(kernel, u)
+
+    # case -> (odd counts M, one-term spec): a 1-D kernel on 1-D and 3-D grids, the
+    # 2-D pairwise kernel, 2-D additive and 3-D one-particle kernels; the 3-D
+    # kernel's direct reference costs O(M^6), so it stops at M = 15
+    _WIDE = PotentialTerm("gaussian", {"kappa": 1.3, "width": 0.5}, coeff=0.7)  # edge/center 0.46
+    ALIAS_CASES = {
+        "one_particle_1d": (range(3, 42, 2), PotentialSpec(1, 1, one_particle=[(1, _WIDE)])),
+        "one_particle_on_3d": (range(3, 42, 2), PotentialSpec(1, 3, one_particle=[(2, _WIDE)])),
+        "pairwise_2d": (range(3, 42, 2), PotentialSpec(1, 2, pairwise=[(1, 2, _WIDE)])),
+        "additive_2d": (range(3, 42, 2), PotentialSpec(1, 2, additive=_WIDE)),
+        "one_particle_3d": (range(3, 16, 2), PotentialSpec(3, 1, one_particle=[(1, _WIDE)])),
+    }
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("case", list(ALIAS_CASES))
+    def test_alias_free_length_is_exact(self, case, complex_input):
+        # the linear convolution's outermost samples, kernel offset +-m against
+        # u's first and last index, wrap onto the kept ones at one FFT length
+        # below 2M-1-m; spikes there make any such alias far exceed the bound
+        from scipy.fft import next_fast_len
+
+        counts, pot = self.ALIAS_CASES[case]
+        (role, i, j, term, n), = pot.terms()
+        rng = np.random.default_rng(5)
+        for M in counts:
+            g = make_tensor_grid(pot.dim, 1.0, M)
+            u = rng.normal(size=g.shape) + (1j * rng.normal(size=g.shape) if complex_input else 0)
+            for corner in np.ndindex(*([2] * g.dim)):
+                u[tuple(c * (M - 1) for c in corner)] *= 50.0
+            u = FreqFunction(g, u)
+            kernel = lattice_kernel(fourier_transform(term, n), g, role,
+                                    particle=i if j is None else (i, j), n=n)
+            assert kernel.sizes == (next_fast_len(2 * M - 1 - (M - 1) // 2),) * len(kernel.axes)
+            out = term.coeff * np.asarray(convolve(kernel, u).values)
+            bound = 1e-13 * term.coeff * np.max(np.abs(kernel.samples)) * np.sum(np.abs(u.values))
+            assert np.iscomplexobj(out) == complex_input
+            assert np.max(np.abs(out - reference_direct_V(pot, u))) <= bound, M
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     @settings(max_examples=20, deadline=None)

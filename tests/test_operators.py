@@ -9,7 +9,8 @@ from flbarron import bounds as B
 from flbarron import operators as O
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError
 from flbarron import solver as SV
-from flbarron.grid import FreqFunction, convolve, make_radial_grid, make_tensor_grid
+from flbarron.grid import (_BLOCK_ELEMS, FreqFunction, RadialProfile, convolve, lattice_kernel,
+                           make_radial_grid, make_tensor_grid)
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
 from flbarron.spaces import SpaceIndex, fl_norm
 
@@ -450,9 +451,14 @@ class TestStackedProbing:
                                         params={"grid": grid_1d})
         assert (rep.empirical, rep.worst_probe) == (-1.0, -1)
 
-    def test_3d_probes_stay_one_per_chunk(self):
-        # 13^3 pads to 25^3 = 15625 FFT samples, within one block
-        assert O._probe_chunk(make_tensor_grid(3, 5.0, 13)) == 1
+    def test_probe_chunks_stay_within_one_block(self):
+        # 65, 25^2 and 13^3 pad to 98, 40^2 and 20^3 FFT samples per probe
+        prof = RadialProfile("gaussian", (1.0, 1.0))
+        for d, M, chunk in ((1, 65, 167), (2, 25, 10), (3, 13, 2)):
+            grid = make_tensor_grid(d, 5.0, M)
+            padded = math.prod(lattice_kernel(prof, grid, "additive").sizes)
+            assert O._probe_chunk(grid) == chunk
+            assert chunk * padded <= _BLOCK_ELEMS < (chunk + 1) * padded
 
 
 class TestRegistry:
