@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import InadmissibleTermError, InvalidArgumentError
-from .grid import FreqGrid
 from .potentials import HamiltonianSpec, PotentialSpec, admissible_region, fourier_transform
 from .spaces import SpaceIndex, SplitIndex, profile_norm_report, split_norm
 from .special import (  # noqa: F401  (public surface of this module)
@@ -44,16 +43,13 @@ def sigma_exponent(alpha: float, p: float) -> float:
 # potential aggregation constants
 # ---------------------------------------------------------------------------
 
-def term_sum_norm(term, n: int, s: float, alpha: float, beta: float,
-                  grid: FreqGrid | None = None) -> float:
+def term_sum_norm(term, n: int, s: float, alpha: float, beta: float) -> float:
     """Certified upper bound on ||f||_{s,alpha;beta} for one unshifted term."""
-    prof = fourier_transform(term, n)
-    value, _ = split_norm(prof, SplitIndex(s, alpha, beta), n, grid=grid)
+    value, _ = split_norm(fourier_transform(term, n), SplitIndex(s, alpha, beta), n)
     return value
 
 
-def big_C_V(spec: PotentialSpec, s: float, alpha: float, beta: float,
-            grid: FreqGrid | None = None) -> float:
+def big_C_V(spec: PotentialSpec, s: float, alpha: float, beta: float) -> float:
     """The multiplier-norm constant
 
         2^{|s|/2} sum_i ||V_i||_{s,a;b} + 2^{|s|} sum_{i<j} ||V_ij||_{s,a;b}
@@ -71,23 +67,21 @@ def big_C_V(spec: PotentialSpec, s: float, alpha: float, beta: float,
                 raise InadmissibleTermError(
                     f"{role.replace('_', '-')} term {term.kind} at {where} "
                     f"inadmissible at (s={s}, alpha={alpha})", term=(i, j, term.kind))
-            norm = term_sum_norm(term, dim, s, alpha, beta, grid)
+            norm = term_sum_norm(term, dim, s, alpha, beta)
         weight = 2.0 ** abs(s) if role == "pairwise" else 2.0 ** (abs(s) / 2.0)
         total += weight * abs(term.coeff) * norm
     return total
 
 
-def frak_C_V(spec: PotentialSpec, s: float, alpha: float, gamma: float,
-             grid: FreqGrid | None = None) -> float:
+def frak_C_V(spec: PotentialSpec, s: float, alpha: float, gamma: float) -> float:
     """Form-bound constant: big_C_V at indices ((s-|s|)/2, alpha, 1+(s-gamma)/2)."""
-    return big_C_V(spec, (s - abs(s)) / 2.0, alpha, 1.0 + (s - gamma) / 2.0, grid)
+    return big_C_V(spec, (s - abs(s)) / 2.0, alpha, 1.0 + (s - gamma) / 2.0)
 
 
-def form_bound_constant(spec: PotentialSpec, s: float, alpha: float, t: float,
-                        grid: FreqGrid | None = None) -> float:
+def form_bound_constant(spec: PotentialSpec, s: float, alpha: float, t: float) -> float:
     """Quadratic-form constant at Sobolev exponent t:
     big_C_V at ((s-|s|)/2, alpha, t + (s-|s|)/2)."""
-    return big_C_V(spec, (s - abs(s)) / 2.0, alpha, t + (s - abs(s)) / 2.0, grid)
+    return big_C_V(spec, (s - abs(s)) / 2.0, alpha, t + (s - abs(s)) / 2.0)
 
 
 def aggregate_M(spec: PotentialSpec) -> float:
@@ -156,8 +150,8 @@ class BoundContext:
     def mu_tilde(self, rho: float = 1.0) -> float:
         return mu_tilde(self.spec.masses, rho)
 
-    def C_V(self, grid: FreqGrid | None = None) -> float:
-        return big_C_V(self.spec.potential, self.s, self.alpha, self.beta, grid)
+    def C_V(self) -> float:
+        return big_C_V(self.spec.potential, self.s, self.alpha, self.beta)
 
 
 def contraction_radius(mu_tilde_val: float, energy: float, C: float,
@@ -176,7 +170,7 @@ def contraction_radius(mu_tilde_val: float, energy: float, C: float,
 
 
 def coercivity_rho(spec: HamiltonianSpec, s: float, alpha: float, gamma: float,
-                   grid: FreqGrid | None = None, frak_C: float | None = None) -> float:
+                   frak_C: float | None = None) -> float:
     """Threshold rho*: any rho > rho* makes the shifted form coercive.
 
     rho* = frak_C if A > t*frak_C, else A + (1/t - 1) A (t frak_C / A)^(1/(1-t)),
@@ -186,7 +180,7 @@ def coercivity_rho(spec: HamiltonianSpec, s: float, alpha: float, gamma: float,
     if not t < 1.0:
         raise InvalidArgumentError("need gamma > |s| so that t < 1")
     if frak_C is None:
-        frak_C = frak_C_V(spec.potential, s, alpha, gamma, grid)
+        frak_C = frak_C_V(spec.potential, s, alpha, gamma)
     A = min(2.0 * math.pi ** 2 / m for m in spec.masses)
     if A > t * frak_C:
         return frak_C
@@ -194,8 +188,7 @@ def coercivity_rho(spec: HamiltonianSpec, s: float, alpha: float, gamma: float,
 
 
 def coercivity_margin(spec: HamiltonianSpec, s: float, alpha: float, gamma: float,
-                      rho: float, frak_C: float | None = None,
-                      grid: FreqGrid | None = None) -> float:
+                      rho: float, frak_C: float | None = None) -> float:
     """Largest eps with A z^2 - frak_C <z>^(2t) + rho >= eps (1 + z^2) for all z.
 
     1/eps is the H^1 stability constant of the weak form; requires rho
@@ -203,7 +196,7 @@ def coercivity_margin(spec: HamiltonianSpec, s: float, alpha: float, gamma: floa
     """
     t = (abs(s) - gamma) / 2.0 + 1.0
     if frak_C is None:
-        frak_C = frak_C_V(spec.potential, s, alpha, gamma, grid)
+        frak_C = frak_C_V(spec.potential, s, alpha, gamma)
     A = min(2.0 * math.pi ** 2 / m for m in spec.masses)
 
     def worst(eps: float) -> float:

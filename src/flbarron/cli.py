@@ -103,12 +103,12 @@ def _meta(args) -> dict:
 
 @contextlib.contextmanager
 def _beta_hint(n: int, s: float, alpha: float, beta: float, beta_flag: bool = True):
-    """Name the flags that fix an InvalidArgumentError raised at beta <= n/(2 alpha):
+    """Name the flags that fix an InvalidArgumentError raised at beta <= n/(2 alpha), s finite:
     beta = 1 + (s - gamma)/2 exceeds n/(2 alpha) iff gamma < s + 2 - n/alpha."""
     try:
         yield
     except InvalidArgumentError as exc:
-        if not (alpha >= 1 and beta <= n / (2.0 * alpha)):
+        if not (math.isfinite(s) and alpha >= 1 and beta <= n / (2.0 * alpha)):
             raise
         fix = f"--beta above {n / (2.0 * alpha):g}, or " if beta_flag else ""
         raise InvalidArgumentError(
@@ -181,7 +181,7 @@ def cmd_constants(args):
         C = B.big_C_V(pot, s, alpha, beta)
     out["big_C_V"] = C
     out["frak_C_V"] = B.frak_C_V(pot, s, alpha, gamma)
-    out["coercivity_rho_star"] = B.coercivity_rho(ham, s, alpha, gamma)
+    out["coercivity_rho_star"] = B.coercivity_rho(ham, s, alpha, gamma, frak_C=out["frak_C_V"])
     mt1 = B.mu_tilde(ham.masses, 1.0)
     out["contraction_K_eigen"] = B.contraction_radius(mt1, abs(args.lam + 1.0), C, s, beta)
     ctx = B.BoundContext(ham, s, alpha, gamma, args.lam)
@@ -224,10 +224,10 @@ def cmd_probe(args):
     beta = args.beta if args.beta is not None else 1.0 + (args.s - args.gamma) / 2.0
     with _beta_hint(ham.n, args.s, args.alpha, beta):
         C = B.big_C_V(ham.potential, args.s, args.alpha, beta)
-    params = {"rho": args.rho, "lam": args.lam, "K": args.K, "grid": grid}
+    params = {"rho": args.rho, "lam": args.lam, "K": args.K}
     cert = certified_bound(args.op, ham, args.s, args.alpha, beta, C, params)
     src, dst = natural_spaces(args.op, args.s, args.alpha, beta, args.p)
-    rep = empirical_operator_norm(args.op, ham, src, dst, args.probes, args.seed,
+    rep = empirical_operator_norm(args.op, ham, grid, src, dst, args.probes, args.seed,
                                   certified=cert, params=params)
     payload = {"meta": _meta(args), "report": rep.to_json_dict(),
                "satisfied": rep.satisfied}

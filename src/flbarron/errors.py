@@ -41,6 +41,10 @@ class PoleError(ToolkitError):
     """Gamma-function argument hit a pole."""
 
 
+class GammaOverflowError(ToolkitError):
+    """Gamma-function value too large for a float."""
+
+
 class DomainError(ToolkitError):
     """Input outside the mathematical domain of a special function."""
 

@@ -234,14 +234,12 @@ class RadialProfile:
       log_kernel       (C,)         C * (ln r + euler_gamma)
       tabulated        ()           interpolant + fitted power-law tail
 
-    ``decay`` is the tail exponent p with |f(r)| ~ C_tail r^p (p < 0) when
-    known, used for truncation-tail estimates.
+    ``power`` and ``log_kernel`` are the kinds singular at r = 0; the tail
+    exponent of a tabulated profile is that of its ``tail_model``.
     """
 
     kind: str
     params: tuple = ()
-    valid_min: float = 0.0
-    decay: float | None = None
     table_nodes: np.ndarray | None = field(default=None, repr=False)
     table_values: np.ndarray | None = field(default=None, repr=False)
     tail_model: tuple | None = None  # (A, p1, B, p2): A r^p1 + B r^p2 beyond table
@@ -284,8 +282,6 @@ class RadialProfile:
 
     def tail_exponent(self) -> float | None:
         """exponent p with |f| ~ C r^p at infinity, None if unknown."""
-        if self.decay is not None:
-            return self.decay
         k, p = self.kind, self.params
         if k in ("power", "bracket_power"):
             return p[1]
@@ -311,10 +307,9 @@ class RadialProfile:
         return None
 
 
-def tabulated_profile(nodes, values, tail_model=None, decay=None) -> RadialProfile:
+def tabulated_profile(nodes, values, tail_model=None) -> RadialProfile:
     return RadialProfile(kind="tabulated", table_nodes=np.asarray(nodes, float),
-                         table_values=np.asarray(values, float),
-                         tail_model=tail_model, decay=decay)
+                         table_values=np.asarray(values, float), tail_model=tail_model)
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +403,19 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
                              shift: np.ndarray | None = None) -> np.ndarray:
     """Sample V_hat on the n-dim sub-lattice with trapezoid weights folded in.
 
-    Cells within 3 lattice spacings of the origin are replaced by the mean
-    over 16^n midpoint sub-cells, so integrable singularities such as
-    |theta|^(t-n) are integrated rather than evaluated at the node.
+    For the kinds singular at the origin (power, log_kernel), cells within
+    3 lattice spacings of it are replaced by the mean over 16^n midpoint
+    sub-cells, so integrable singularities such as |theta|^(t-n) are
+    integrated rather than evaluated at the node.  Either way the profile is
+    evaluated on the lattice once.
     A nonzero real-space shift contributes the exact phase factor.
     """
     lattice = grid if grid.dim == n else FreqGrid(n, "tensor", extent=grid.extent, count=grid.count)
     ax = lattice.axis
     h = lattice.spacing
     radius = lattice.radius_mesh()
-    vals = np.asarray(profile(np.where(radius > 0, radius, h)), dtype=float).copy()
-    sing = profile.kind in ("power", "log_kernel") or (
-        profile.kind == "tabulated" and profile.valid_min > 0)
-    if sing:
+    if profile.kind in ("power", "log_kernel"):
+        vals = np.asarray(profile(np.where(radius > 0, radius, h)), dtype=float)
         near = radius <= 3.0 * h + 1e-12 * h
         idxs = np.argwhere(near)
         # midpoint sub-cells: offsets never hit the cell center, so integrable
@@ -467,27 +462,23 @@ def padded_length(M: int) -> int:
     return next_fast_len(2 * M - 1 - (M - 1) // 2)
 
 
-def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
+def lattice_kernel(v_hat: RadialProfile, grid: FreqGrid, structure: str, particle=None,
                    n: int | None = None, shift=None) -> LatticeKernel:
-    """Lay V_hat out on ``grid`` and take its FFT padded to ``padded_length``.
+    """Lay the radial profile V_hat out on ``grid`` and take its FFT padded
+    to ``padded_length``.
 
-    structure: "additive" (full d-dim kernel; ``v_hat`` is a radial profile
-    or a FreqFunction sampled on ``grid``), "one_particle" with particle=i
-    (kernel over particle i's n axes), or "pairwise" with particle=(i, j)
-    (anti-diagonal kernel over the two particles' axes).  Particle indices
-    are 1-based; ``n`` is the single-particle dimension.
+    structure: "additive" (full d-dim kernel), "one_particle" with
+    particle=i (kernel over particle i's n axes), or "pairwise" with
+    particle=(i, j) (anti-diagonal kernel over the two particles' axes).
+    Particle indices are 1-based; ``n`` is the single-particle dimension.
+    A nonzero real-space ``shift`` gives the kernel its phase.
     """
     if grid.kind != "tensor":
         raise DimensionMismatchError("convolve operates on tensor grids")
     d = grid.dim
     M = grid.count
     if structure == "additive":
-        if isinstance(v_hat, FreqFunction):
-            if v_hat.grid.shape != grid.shape:
-                raise DimensionMismatchError("additive kernel grid mismatch")
-            kernel = np.asarray(v_hat.values) * grid.trapezoid_weights()
-        else:
-            kernel = sample_kernel_on_lattice(v_hat, d, grid, shift)
+        kernel = sample_kernel_on_lattice(v_hat, d, grid, shift)
         axes = tuple(range(d))
     elif n is None:
         raise InvalidArgumentError("one_particle/pairwise convolution needs n")
@@ -511,19 +502,15 @@ def lattice_kernel(v_hat, grid: FreqGrid, structure: str, particle=None,
                          np.iscomplexobj(kernel))
 
 
-def convolve(v_hat, u_hat: FreqFunction, structure: str | None = None, particle=None,
-             n: int | None = None, shift=None) -> FreqFunction:
-    """Sampled F(V u) on u's tensor grid.
+def convolve(kernel: LatticeKernel, u_hat: FreqFunction) -> FreqFunction:
+    """Sampled F(V u) on u's tensor grid, from the kernel that
+    ``lattice_kernel`` laid out on that grid.
 
-    ``v_hat`` is a LatticeKernel, whose FFT is applied as it is, or a kernel
-    that ``lattice_kernel`` first lays out with the remaining arguments.
     Returns the "same" central part of the linear convolution (exact from
     FFTs of ``padded_length(M)`` per axis): out[a] = sum_j kernel[j] * u[a - j + m],
     m = (M-1)/2 per kernel axis.  A stack of functions is convolved slice by slice in one pass.
     """
     g = u_hat.grid
-    kernel = v_hat if isinstance(v_hat, LatticeKernel) else lattice_kernel(
-        v_hat, g, structure, particle, n, shift)
     kg = kernel.grid
     if g.kind != "tensor" or (g.dim, g.extent, g.count) != (kg.dim, kg.extent, kg.count):
         raise DimensionMismatchError("kernel was laid out on another grid")
@@ -631,7 +618,9 @@ class RadialKernel3D:
 # Element budget of one block's temporaries: ``radial_convolve_3d`` takes
 # evaluation radii in blocks of at most this many (radius, cell, Gauss-7 point)
 # triples; ``operators.empirical_operator_norm`` stacks probes in chunks of at
-# most this many padded FFT samples (167 / 10 / 2 probes on 65 / 25^2 / 13^3).
+# most this many padded FFT samples (167 / 10 / 2 probes on 65 / 25^2 / 13^3);
+# ``solver.sharp_transform_radii`` takes (radii x terms or nodes) blocks of at
+# most this many float64.  128 KiB blocks reuse heap memory rather than raise the peak.
 _BLOCK_ELEMS = 1 << 14
 
 

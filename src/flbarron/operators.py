@@ -227,15 +227,6 @@ def _cutoff(K: float) -> float:
     return K
 
 
-# ---------------------------------------------------------------------------
-# quadratic form via Parseval
-# ---------------------------------------------------------------------------
-
-def quad_form_V(u: FreqFunction, v: FreqFunction, spec: PotentialSpec) -> float:
-    """integral of V u v for real-valued u, v; see ``OperatorPlan.quad_form``."""
-    return OperatorPlan(HamiltonianSpec(spec, (1.0,) * spec.N), u.grid).quad_form(u.values, v.values)
-
-
 def sobolev_products(u: FreqFunction):
     """(||u||_{L^2}^2, ||grad u||_{L^2}^2) by Parseval: the gradient picks up 4 pi^2 |xi|^2."""
     g = u.grid
@@ -277,8 +268,8 @@ class OperatorProbeReport:
 
 
 def random_band_limited(grid: FreqGrid, seed: int, index,
-                        band: float = 0.8, real_space_real: bool = False) -> FreqFunction:
-    """Random amplitudes in [0.2, 1) and phases, supported on |xi| <= band * extent.
+                        real_space_real: bool = False) -> FreqFunction:
+    """Random amplitudes in [0.2, 1) and phases, supported on |xi| <= 0.8 * extent.
 
     ``index`` is one probe index, or a sequence of them for a stack of
     shape (len(index), *grid.shape).  Probe k draws its phases, then its
@@ -288,7 +279,7 @@ def random_band_limited(grid: FreqGrid, seed: int, index,
     truncation error below the probe comparison tolerance.
     """
     indices = np.atleast_1d(index)
-    inband = np.flatnonzero(grid.radius_mesh() <= band * grid.extent)
+    inband = np.flatnonzero(grid.radius_mesh() <= 0.8 * grid.extent)
     phases = np.empty((len(indices), len(inband)))
     amp = np.empty_like(phases)
     for row, k in enumerate(indices):
@@ -382,17 +373,20 @@ def natural_spaces(op_id: str, s: float, alpha: float, beta: float,
     return SpaceIndex(src_s, p), SpaceIndex(dst_s, p)
 
 
-def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src: SpaceIndex,
-                            dst: SpaceIndex, probes: int, seed: int,
+def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid: FreqGrid,
+                            src: SpaceIndex, dst: SpaceIndex, probes: int, seed: int,
                             certified: float = math.inf,
                             params: dict | None = None) -> OperatorProbeReport:
-    """Max over random band-limited probes of ||op u||_dst / ||u||_src."""
+    """Max over random band-limited probes on the tensor ``grid`` of
+    ||op u||_dst / ||u||_src.
+
+    ``params`` carries rho / lam / K as the operator needs them, and
+    ``real`` for probes that are real in real space; the report keeps them
+    as given, so ``replay_probe`` can rebuild the worst probe.
+    """
     if probes < 1:
         raise InvalidArgumentError("probes must be >= 1")
     params = dict(params or {})
-    grid = params.get("grid")
-    if grid is None:
-        raise InvalidArgumentError("a tensor grid is required for probing")
     op = make_operator(op_id, OperatorPlan(spec, grid), params)
     chunk = _probe_chunk(grid)
     worst = -1.0
@@ -408,7 +402,7 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src: SpaceIndex,
         src={"s": src.s, "p": src.p}, dst={"s": dst.s, "p": dst.p},
         empirical=float(worst), certified=float(certified),
         probes=probes, seed=seed, worst_probe=worst_idx,
-        params={k: v for k, v in params.items() if k not in ("grid",)},
+        params=params,
     )
 
 

@@ -84,10 +84,10 @@ def fourier_transform(term: PotentialTerm, n: int) -> RadialProfile:
     if k in ("inverse_power", "coulomb"):
         t = 1.0 if k == "coulomb" else float(p["t"])
         if t == n == 1:
-            return RadialProfile("log_kernel", (-2.0,), valid_min=1e-300, decay=None)
-        return RadialProfile("power", (c_t_n(t, n), t - n), valid_min=1e-300)
+            return RadialProfile("log_kernel", (-2.0,))
+        return RadialProfile("power", (c_t_n(t, n), t - n))
     if k == "log_1d":
-        return RadialProfile("log_kernel", (-2.0,), valid_min=1e-300)
+        return RadialProfile("log_kernel", (-2.0,))
     if k == "yukawa":
         mu = float(p["mu"])
         return RadialProfile("rational_bracket",

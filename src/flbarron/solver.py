@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .grid import (
+    _BLOCK_ELEMS,
     FreqFunction,
     FreqGrid,
     RadialProfile,
@@ -126,7 +127,7 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     if not max_iter >= 1:
         raise InvalidArgumentError(f"max_iter must be >= 1 (got {max_iter})")
     if C is None:
-        C = big_C_V(spec.potential, s, alpha, beta) if not spec.potential.is_zero() else 0.0
+        C = big_C_V(spec.potential, s, alpha, beta)
     q = mu_tilde(spec.masses, rho) * C
     plan = OperatorPlan(spec, f.grid)
     b = f.copy_with(plan.h0_inverse(f.values, rho))
@@ -230,10 +231,14 @@ def oracle_error(u_iter: FreqFunction, u_direct: FreqFunction, s: float = 0.0) -
 # high-frequency bootstrap series
 # ---------------------------------------------------------------------------
 
+_SERIES_MAX_TERMS = 60
+_SERIES_TOL = 1e-12
+_RATIO_CAP = 0.52  # the certified 1/2 plus headroom for discretization
+
+
 def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: float,
                      alpha: float, beta: float, energy: float,
-                     C: float | None = None, max_terms: int = 60,
-                     tol: float = 1e-12, ratio_cap: float = 0.52) -> SolveReport:
+                     C: float | None = None) -> SolveReport:
     """Reconstruct the high-frequency part from the low-frequency part.
 
     mode = "eigen": data is an eigenfunction psi with eigenvalue ``energy``;
@@ -241,12 +246,15 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
     mode = "solve": data is the right-hand side f at rho = ``energy``; the
     series is sum_k (-P_K R)^k [P_K (H0+rho)^(-1) f - P_K R (u - P_K u)].
     K is chosen so the projected operator is a certified 1/2-contraction.
+    At most 60 terms are summed, stopping at the first term below 1e-12
+    times the low part's norm; a step ratio above 0.52 raises
+    ContractionViolationError.
     """
     if not math.isfinite(energy):
         raise InvalidArgumentError(f"energy must be finite (got {energy})")
     pot = spec.potential
     if C is None:
-        C = big_C_V(pot, s, alpha, beta) if not pot.is_zero() else 0.0
+        C = big_C_V(pot, s, alpha, beta)
     idx = SpaceIndex(abs(s), 1.0)
     plan = OperatorPlan(spec, data.grid)
     if mode == "eigen":
@@ -279,13 +287,13 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
     partial = term.copy_with(np.asarray(term.values).copy())
     term_norms = [fl_norm(term, idx)]
     errors = [_diff_norm(target, partial, idx)]
-    for _ in range(max_terms - 1):
+    for _ in range(_SERIES_MAX_TERMS - 1):
         term = apply_step(term)
         tn = fl_norm(term, idx)
         term_norms.append(tn)
         partial = partial.copy_with(np.asarray(partial.values) + np.asarray(term.values))
         errors.append(_diff_norm(target, partial, idx))
-        if tn <= tol * max(low_norm, 1e-300):
+        if tn <= _SERIES_TOL * max(low_norm, 1e-300):
             break
     ratios = [b / a for a, b in zip(term_norms[:-1], term_norms[1:]) if a > 0]
     v_norm = fl_norm(partial, idx)
@@ -293,7 +301,7 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
     rhs_low = low_frequency_l2_bound(s, data.grid.dim, K)
     max_ratio = max(ratios) if ratios else 0.0
     report = SolveReport(
-        converged=errors[-1] <= max(1e-6 * max(v_norm, 1e-300), tol),
+        converged=errors[-1] <= max(1e-6 * max(v_norm, 1e-300), _SERIES_TOL),
         iterations=len(term_norms),
         residual_history=errors,
         certificate={"q": 0.5, "K": K},
@@ -303,9 +311,9 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
                 "series_bounded_by_low": v_norm <= low_norm * (1 + 1e-9),
                 "low_freq_l2_lhs": lhs_low, "low_freq_l2_rhs": rhs_low},
     )
-    if max_ratio > ratio_cap:
+    if max_ratio > _RATIO_CAP:
         raise ContractionViolationError(
-            f"projected step ratio {max_ratio:.4f} exceeded {ratio_cap}")
+            f"projected step ratio {max_ratio:.4f} exceeded {_RATIO_CAP}")
     return report
 
 
@@ -353,8 +361,8 @@ _RULE_X, _RULE_W = leggauss(24)  # Gauss-Legendre nodes per panel of the small-r
 _RULE_PANELS = 80                # rule panels of width _T_CUT / _RULE_PANELS in t ...
 _RULE_GRADED = 12                # ... the first one split geometrically toward t = 0
 _RULE_MAX_PHASE = 40.0           # radians of sin(2 pi rho r) per panel the rule resolves
-_BLOCK_ELEMS = 1 << 14           # float64 per (radii x terms or nodes) block: 128 KiB, so
-                                 # blocks reuse heap memory rather than raise the peak
+_QUAD_TOL = 1e-13                # absolute and relative QUADPACK tolerance of the scalar path
+_SEAM = 160.0                    # radius beyond which the tabulated transform is its fitted tail
 
 
 def c1_constant(n: int, delta: float) -> float:
@@ -376,7 +384,7 @@ def _check_delta(delta: float) -> None:
         raise InvalidArgumentError(f"delta must lie in (0, 2) (got {delta})")
 
 
-def stretched_exp_transform(rho: float, delta: float, n: int = 3, tol: float = 1e-13) -> float:
+def stretched_exp_transform(rho: float, delta: float, n: int = 3) -> float:
     """Transform of exp(-|x|^delta) at radius rho (n = 3 via the sine kernel,
     n = 2 via a Bessel-segment sum).  Raises NonConvergenceError when
     QUADPACK warns, rather than returning its value."""
@@ -388,24 +396,24 @@ def stretched_exp_transform(rho: float, delta: float, n: int = 3, tol: float = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            return _quad_transform(rho, delta, n, tol)
+            return _quad_transform(rho, delta, n)
         except IntegrationWarning as exc:
             raise NonConvergenceError(f"transform of exp(-|x|^delta) at rho = {rho}, "
                                       f"delta = {delta}, n = {n}: {exc}") from exc
 
 
-def _quad_transform(rho: float, delta: float, n: int, tol: float) -> float:
+def _quad_transform(rho: float, delta: float, n: int) -> float:
     from scipy.integrate import quad
 
     r_cut = _T_CUT ** (1.0 / delta)
     if rho == 0.0:
         val, _ = quad(lambda r: math.exp(-r ** delta) * r ** (n - 1), 0, r_cut,
-                      epsabs=tol, epsrel=tol, limit=400)
+                      epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
         return omega_d(n) * val
     if n == 3:
         val, _ = quad(lambda r: math.exp(-r ** delta) * r, 0, r_cut,
                       weight="sin", wvar=2.0 * math.pi * rho,
-                      epsabs=tol, epsrel=tol, limit=4000)
+                      epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=4000)
         return 2.0 / rho * val
     if n == 2:
         from scipy.special import j0, jn_zeros
@@ -416,7 +424,7 @@ def _quad_transform(rho: float, delta: float, n: int, tol: float) -> float:
         total = 0.0
         for a, b in zip(pts[:-1], pts[1:]):
             v, _ = quad(lambda r: math.exp(-r ** delta) * r * j0(w * r), a, b,
-                        epsabs=tol, epsrel=1e-12, limit=200)
+                        epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
             total += v
         return 2.0 * math.pi * total
     raise UnsupportedScaleError("transform implemented for n in {2, 3}")
@@ -554,24 +562,22 @@ def closed_form_sharp_transform(rho, n: int):
     return amp * (1.0 + 4.0 * math.pi ** 2 * np.asarray(rho) ** 2) ** (-(n + 1) / 2.0)
 
 
-def tabulate_sharp_transform(nodes: np.ndarray, delta: float, n: int = 3,
-                             seam: float = 160.0) -> RadialProfile:
-    """Tabulated transform profile: ``sharp_transform_radii`` below ``seam``,
-    fitted two-term power model A r^(-delta-n) (1 + b r^(-delta)) beyond."""
+def tabulate_sharp_transform(nodes: np.ndarray, delta: float, n: int = 3) -> RadialProfile:
+    """Tabulated transform profile: ``sharp_transform_radii`` at nodes up to
+    radius 160, beyond it the two-term power model A r^(-delta-n) +
+    B r^(-2 delta-n) fitted on [160/3, 160], which is also the tail model."""
     nodes = np.asarray(nodes, float)
     vals = np.empty_like(nodes)
-    low = nodes <= seam
+    low = nodes <= _SEAM
     vals[low] = sharp_transform_radii(nodes[low], delta, n)
-    xs = np.geomspace(seam / 3.0, seam, 16)
+    xs = np.geomspace(_SEAM / 3.0, _SEAM, 16)
     ys = sharp_transform_radii(xs, delta, n)
     wv = ys * xs ** (delta + n)
     Bc, Ac = np.polyfit(xs ** -delta, wv, 1)
     hi = ~low
     if hi.any():
         vals[hi] = Ac * nodes[hi] ** -(delta + n) + Bc * nodes[hi] ** -(2 * delta + n)
-    return tabulated_profile(nodes, vals,
-                             tail_model=(Ac, -(delta + n), Bc, -(2 * delta + n)),
-                             decay=-(delta + n))
+    return tabulated_profile(nodes, vals, tail_model=(Ac, -(delta + n), Bc, -(2 * delta + n)))
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray):
@@ -600,17 +606,17 @@ def _profile_tail_terms(profile: RadialProfile):
     raise UnsupportedScaleError("no tail model for this profile kind")
 
 
-def high_band_barron_norm(profile: RadialProfile, gamma: float, n: int,
-                          cutoff: float = 1.0, r_max: float = 60.0,
-                          count: int = 3 * 1500) -> float:
-    """Barron-gamma mass of the band |xi| > cutoff with an analytic tail.
+def high_band_barron_norm(profile: RadialProfile, gamma: float, n: int) -> float:
+    """Barron-gamma mass of the band |xi| > 1: by quadrature on a 4500-node
+    log-uniform grid up to radius 60, plus the profile's analytic tail beyond.
 
     This is the component of the norm that diverges as gamma approaches the
     sharp index; the complementary ball contributes an analytic-in-gamma
     constant that would mask the blow-up rate.
     """
-    grid = make_radial_grid(n, r_max, count, "log-uniform", r_min=1e-6)
-    base = fl_norm(project_high(sample_profile(profile, grid), cutoff), SpaceIndex(gamma, 1.0))
+    r_max = 60.0
+    grid = make_radial_grid(n, r_max, 3 * 1500, "log-uniform", r_min=1e-6)
+    base = fl_norm(project_high(sample_profile(profile, grid), 1.0), SpaceIndex(gamma, 1.0))
     tail = 0.0
     for (A, p) in zip(*[iter(_profile_tail_terms(profile))] * 2):
         # int_R^inf <r>^gamma A r^p r^(n-1) dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2))
@@ -621,11 +627,12 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float, n: int,
 
 
 def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
-                         residual_cells: int = 3 * 150, seed_window: float = 4.0,
+                         residual_cells: int = 3 * 150,
                          compute_residual: bool = True) -> EigenReport:
     """Decay-rate, tail-amplitude and blow-up measurements for exp(-|x|^delta).
 
-    The decay window [xi_lo, 10 xi_lo] is widened until the next-order tail
+    A pilot fit on [4, 40] places the decay window [xi_lo, 10 xi_lo], with
+    xi_lo >= 4, widened until the next-order tail
     correction contributes below 1% at xi_lo (capped at 32 to stay clear of
     quadrature noise); the amplitude removes the first correction by a
     two-term extrapolation, and the blow-up slope is fitted on the diverging
@@ -642,6 +649,7 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     c1 = c1_constant(n, delta)
 
     # pilot fit to place the window
+    seed_window = 4.0
     xs0 = np.geomspace(seed_window, 10 * seed_window, 16)
     ys0 = sharp_transform_radii(xs0, delta, n)
     w0 = np.abs(ys0) * xs0 ** (delta + n)
@@ -691,24 +699,21 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     )
 
 
-def sharp_example_residual(delta: float, n: int = 3, ncells: int = 3 * 150,
-                           r_max: float | None = None,
-                           r_eval_max: float | None = None) -> float:
-    """Fixed-point residual of the sharpness example on a default radial grid."""
+def sharp_example_residual(delta: float, n: int = 3, ncells: int = 3 * 150) -> float:
+    """Fixed-point residual of the sharpness example on a log-uniform radial
+    grid: the closed-form transform up to radius 2000 at delta = 1; for
+    delta < 1 the tabulated one up to radius 800, its residual measured on
+    |xi| <= 40 (see ``eigen_residual``)."""
     if n != 3:
         raise UnsupportedScaleError("residual check implemented for n = 3")
     example = sharp_example_potential(delta, n)
     if delta == 1.0:
-        r_max = 2000.0 if r_max is None else r_max
-        grid = make_radial_grid(3, r_max, ncells, "log-uniform", r_min=1e-4)
+        grid = make_radial_grid(3, 2000.0, ncells, "log-uniform", r_min=1e-4)
         psi_prof = example.psi_profile
         psi = sample_profile(psi_prof, grid)
-        return eigen_residual(example.hamiltonian, psi, example.eigenvalue,
-                              tail_profile=psi_prof, r_eval_max=r_eval_max)
-    r_max = 800.0 if r_max is None else r_max
-    r_eval_max = 40.0 if r_eval_max is None else r_eval_max
-    grid = make_radial_grid(3, r_max, ncells, "log-uniform", r_min=1e-4)
+        return eigen_residual(example.hamiltonian, psi, example.eigenvalue, tail_profile=psi_prof)
+    grid = make_radial_grid(3, 800.0, ncells, "log-uniform", r_min=1e-4)
     psi_prof = tabulate_sharp_transform(grid.nodes, delta, n)
     psi = FreqFunction(grid, psi_prof.table_values)
     return eigen_residual(example.hamiltonian, psi, example.eigenvalue,
-                          tail_profile=psi_prof, r_eval_max=r_eval_max)
+                          tail_profile=psi_prof, r_eval_max=40.0)

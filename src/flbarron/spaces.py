@@ -45,6 +45,8 @@ class SpaceIndex:
     p: float
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise InvalidArgumentError(f"SpaceIndex: s must be finite (got {self.s!r})")
         if not (self.p >= 1):
             raise InvalidArgumentError("p must be >= 1 (inf allowed)")
 
@@ -58,6 +60,10 @@ class SplitIndex:
     beta: float
 
     def __post_init__(self):
+        for name in ("s", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgumentError(
+                    f"SplitIndex: {name} must be finite (got {getattr(self, name)!r})")
         if not (self.alpha >= 1):
             raise InvalidArgumentError("alpha must be in [1, inf]")
 
@@ -195,8 +201,9 @@ def profile_norm_report(profile: RadialProfile, idx: SpaceIndex, n: int,
     return NormReport({"s": idx.s, "p": idx.p}, value, bound, False)
 
 
-def default_norm_grid(n: int, r_max: float = 200.0, count: int = 3 * 1200) -> FreqGrid:
-    return make_radial_grid(n, r_max, count, "log-uniform", r_min=1e-8)
+def default_norm_grid(n: int) -> FreqGrid:
+    """The radial grid profile norms take by default: 3600 log-uniform nodes on [0, 200]."""
+    return make_radial_grid(n, 200.0, 3 * 1200, "log-uniform", r_min=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, InvalidArgumentError, PoleError
+from .errors import DomainError, GammaOverflowError, InvalidArgumentError, PoleError
 
 
 def gamma(x: float) -> float:
@@ -17,6 +17,8 @@ def gamma(x: float) -> float:
         return math.gamma(x)
     except ValueError as exc:
         raise PoleError(f"Gamma pole at x = {x}") from exc
+    except OverflowError as exc:
+        raise GammaOverflowError(f"Gamma({x}) overflows a float") from exc
 
 
 def omega_d(d: int) -> float:
@@ -40,7 +42,9 @@ def c_alpha_beta(alpha: float, beta: float, n: int) -> float:
     if ab <= n / 2.0:
         raise InvalidArgumentError(
             f"alpha*beta = {ab} must exceed n/2 = {n / 2}")
-    return math.pi ** (n / 2.0) * gamma(ab - n / 2.0) / gamma(ab)
+    if not math.isfinite(ab):
+        raise InvalidArgumentError(f"alpha*beta = {ab} must be finite")
+    return bracket_lp_norm(ab, n)
 
 
 def bracket_lp_norm(gamma_idx: float, n: int) -> float:

@@ -10,6 +10,7 @@ from flbarron.grid import (
     _exact_moments,
     _tail_correction,
     convolve,
+    lattice_kernel,
     make_tensor_grid,
 )
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm, fourier_transform
@@ -94,8 +95,7 @@ def reference_sample_kernel_on_lattice(profile, n: int, grid, shift=None) -> np.
     h = 2.0 * grid.extent / (grid.count - 1)
     mesh = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
     radius = np.linalg.norm(mesh, axis=-1)
-    if profile.kind in ("power", "log_kernel") or (
-            profile.kind == "tabulated" and profile.valid_min > 0):
+    if profile.kind in ("power", "log_kernel"):
         vals = np.asarray(profile(np.where(radius > 0, radius, h)), dtype=float).copy()
         sub = ((np.arange(16) + 0.5) / 16.0 - 0.5) * h
         offs = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n)
@@ -116,15 +116,15 @@ def reference_sample_kernel_on_lattice(profile, n: int, grid, shift=None) -> np.
 # ---------------------------------------------------------------------------
 
 def reference_V(pot: PotentialSpec, u: FreqFunction) -> np.ndarray:
-    """F(V u) as the sum over terms of grid.convolve, each kernel sampled anew."""
+    """F(V u) as the sum over terms of grid.convolve, each kernel laid out anew."""
     terms = ([("one_particle", i, t, pot.n) for i, t in pot.one_particle]
              + [("pairwise", (i, j), t, pot.n) for i, j, t in pot.pairwise]
              + ([("additive", None, pot.additive, pot.dim)] if pot.additive else []))
     out = np.zeros(u.grid.shape, dtype=complex)
     for structure, particle, term, dim in terms:
         shift = np.asarray(term.shift, float) if term.shift else None
-        conv = convolve(fourier_transform(term, dim), u, structure, particle=particle,
-                        n=pot.n, shift=shift)
+        conv = convolve(lattice_kernel(fourier_transform(term, dim), u.grid, structure,
+                                       particle=particle, n=pot.n, shift=shift), u)
         out = out + term.coeff * np.asarray(conv.values)
     shifted = any(np.any(np.asarray(t.shift) != 0) for _, _, t, _ in terms)
     return out if np.iscomplexobj(u.values) or shifted else out.real
@@ -231,7 +231,7 @@ def reference_random_band_limited(grid, seed: int, index: int, band: float = 0.8
     return FreqFunction(grid, vals)
 
 
-def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src, dst,
+def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid, src, dst,
                                       probes: int, seed: int, certified: float = math.inf,
                                       params: dict | None = None):
     """operators.empirical_operator_norm as a per-probe loop: draw probe k,
@@ -241,7 +241,6 @@ def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src, ds
     from flbarron.spaces import fl_norm
 
     params = dict(params or {})
-    grid = params["grid"]
     op = make_operator(op_id, OperatorPlan(spec, grid), params)
     worst, worst_idx = -1.0, -1
     for k in range(probes):
@@ -255,7 +254,7 @@ def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, src, ds
     return OperatorProbeReport(
         operator=op_id, src={"s": src.s, "p": src.p}, dst={"s": dst.s, "p": dst.p},
         empirical=float(worst), certified=float(certified), probes=probes, seed=seed,
-        worst_probe=worst_idx, params={k: v for k, v in params.items() if k != "grid"})
+        worst_probe=worst_idx, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_criterion_4_multiplier_bounds():
     total = 0
     for name, ham, s, alpha, beta, grid in _probe_configurations():
         C = B.big_C_V(ham.potential, s, alpha, beta)
-        params = {"rho": 1.3, "lam": -0.4, "K": 2.0, "grid": grid}
+        params = {"rho": 1.3, "lam": -0.4, "K": 2.0}
         for p in (1.0, 2.0):
             sigma = B.sigma_exponent(alpha, p)
             src_hi = SpaceIndex(abs(s) + 2 * sigma * beta, p)
@@ -178,7 +178,7 @@ def test_criterion_4_multiplier_bounds():
             ]
             for op, src, dst in cases:
                 cert = O.certified_bound(op, ham, s, alpha, beta, C, params)
-                rep = O.empirical_operator_norm(op, ham, src, dst, probes=probes,
+                rep = O.empirical_operator_norm(op, ham, grid, src, dst, probes=probes,
                                                 seed=11, certified=cert, params=params)
                 total += 1
                 if not rep.satisfied:

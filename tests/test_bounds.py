@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flbarron import bounds as B
-from flbarron.errors import DomainError, InvalidArgumentError, PoleError
+from flbarron.errors import DomainError, GammaOverflowError, InvalidArgumentError, PoleError
 from flbarron.grid import RadialProfile, make_radial_grid
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
 
@@ -26,6 +26,10 @@ class TestGammaConstants:
         assert B.c_alpha_beta(2.0, 1.0, 1) == pytest.approx(math.pi / 2.0, rel=1e-14)
         with pytest.raises(InvalidArgumentError):
             B.c_alpha_beta(1.0, 1.0, 3)  # alpha*beta = 1 <= n/2
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            B.c_alpha_beta(2.0, math.inf, 3)  # Gamma(inf) / Gamma(inf) is NaN
+        with pytest.raises(GammaOverflowError, match=r"Gamma\(298.5\)"):
+            B.c_alpha_beta(2.0, 150.0, 3)
 
     @pytest.mark.parametrize("ab", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3])

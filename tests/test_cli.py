@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -194,13 +196,20 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     def test_nan_in_output_is_exit_three(self, coulomb_spec_file, tmp_path, capsys):
-        # bare NaN is not JSON: at beta = inf, c_alpha_beta is Gamma(inf)/Gamma(inf) = NaN
+        # bare NaN is not JSON; no flag value yields a NaN any more, so a patched bound does
         out = tmp_path / "n.json"
-        code = run(["--out", str(out), "norm", "--spec", coulomb_spec_file,
-                    "--alpha", "2.4", "--beta", "inf"])
+        with mock.patch.object(cli.B, "big_C_V", return_value=math.nan):
+            code = run(["--out", str(out), "norm", "--spec", coulomb_spec_file,
+                        "--alpha", "2.4", "--beta", "1.0"])
         assert code == 3
         assert "[NonFiniteError]: cli output: big_C_V is NaN" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gamma_overflow_is_exit_three(self, coulomb_spec_file, capsys):
+        # c_alpha_beta needs Gamma(alpha*beta), far beyond the float range here
+        code = run(["norm", "--spec", coulomb_spec_file, "--alpha", "2.4", "--beta", "1e300"])
+        assert code == 3
+        assert "[GammaOverflowError]: Gamma(2.4e+300) overflows a float" in capsys.readouterr().err
 
     def test_infinity_in_output_is_kept(self, gaussian_spec_file, tmp_path):
         out = tmp_path / "c.json"
@@ -260,11 +269,6 @@ def _float_flags() -> list:
             for flag in floats(parser) + floats(sp)]
 
 
-def _no_nan(constant: str) -> float:
-    assert constant != "NaN", "NaN in the JSON output"
-    return float(constant)
-
-
 class TestNonFiniteFloatFlags:
     SPECS = {"coulomb": {"n": 3, "N": 2, "masses": [1.0, 1.0], "one_particle": [],
                          "pairwise": [{"i": 1, "j": 2, "kind": "coulomb", "params": {},
@@ -286,36 +290,47 @@ class TestNonFiniteFloatFlags:
     def test_every_subcommand_has_a_base_run(self):
         assert set(self.BASE) == {cmd for cmd, _, _ in self.CASES}
 
-    @settings(max_examples=len(CASES), deadline=None)
-    @given(case=st.sampled_from(CASES))
-    def test_exit_zero_without_nan_or_three_with_a_named_error(self, case):
-        # NaN is named before the subcommand loads its spec; +-inf either runs to a
-        # NaN-free report or fails with a typed error (``--flag=-inf``: argparse
-        # reads a bare "-inf" as a flag)
-        cmd, flag, value = case
-        load = cli._load_spec if value != "nan" else (
-            lambda path: pytest.fail(f"{flag}=nan reached the subcommand"))
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = {}
-            for name, spec in self.SPECS.items():
-                paths[name] = Path(tmp) / f"{name}.json"
-                paths[name].write_text(json.dumps(spec))
-            argv = [cmd] + [str(paths.get(a, a)) for a in self.BASE[cmd]]
-            argv = ([f"{flag}={value}"] + argv if flag == "--tol" else argv + [f"{flag}={value}"])
-            out, err = io.StringIO(), io.StringIO()
-            with (mock.patch.object(cli, "_load_spec", load), contextlib.redirect_stdout(out),
-                  contextlib.redirect_stderr(err)):
+    def test_exit_zero_without_nan_or_three_with_a_named_error(self, tmp_path):
+        # every case, each with RuntimeWarning as an error: NaN is named before the
+        # subcommand loads its spec; +-inf either runs to a NaN-free report or fails
+        # with a typed error where it enters, so the output guard's NonFiniteError
+        # never fires (``--flag=-inf``: argparse reads a bare "-inf" as a flag)
+        paths = {}
+        for name, spec in self.SPECS.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(spec))
+        failures = [f"{cmd} {flag}={value}: {failure}" for cmd, flag, value in self.CASES
+                    if (failure := self.failure(cmd, flag, value, paths))]
+        assert not failures, "\n".join(failures)
+
+    def failure(self, cmd, flag, value, paths):
+        """None when the case behaves as stated above, else what it did."""
+        def load(path, load_spec=cli._load_spec):
+            if value == "nan":
+                raise AssertionError("reached the subcommand")
+            return load_spec(path)
+
+        argv = [cmd] + [str(paths.get(a, a)) for a in self.BASE[cmd]]
+        argv = ([f"{flag}={value}"] + argv if flag == "--tol" else argv + [f"{flag}={value}"])
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with (warnings.catch_warnings(), mock.patch.object(cli, "_load_spec", load),
+                  contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+                warnings.simplefilter("error", RuntimeWarning)
                 code = run(argv)
+        except Exception as exc:
+            return f"raised {type(exc).__name__}: {exc}"
         last = (err.getvalue().splitlines() or [""])[-1]
         if value == "nan":
-            assert code == 3
-            assert last == (f"numeric failure [InvalidArgumentError]: "
-                            f"{flag} must be finite or +-inf (got nan)")
-        elif code == 0:
-            json.loads(out.getvalue(), parse_constant=_no_nan)
-        else:
-            assert code == 3, (argv, err.getvalue())
-            assert re.fullmatch(r"numeric failure \[\w+Error\]: \S.*", last), (argv, last)
+            named = f"numeric failure [InvalidArgumentError]: {flag} must be finite or +-inf (got nan)"
+            return None if (code, last) == (3, named) else f"exit {code}: {last}"
+        if code == 0:
+            constants = []
+            json.loads(out.getvalue(), parse_constant=lambda c: constants.append(c) or float(c))
+            return "NaN in the JSON output" if "NaN" in constants else None
+        if code == 3 and re.fullmatch(r"numeric failure \[(?!NonFiniteError)\w+Error\]: \S.*", last):
+            return None
+        return f"exit {code}: {last}"
 
 
 class TestOtherSubcommands:

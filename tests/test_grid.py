@@ -176,6 +176,20 @@ class TestSampleKernelOnLattice:
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("n, dim, kind, params", CASES)
+    def test_profile_evaluated_on_the_lattice_once(self, n, dim, kind, params, monkeypatch):
+        # singular kinds also average the sub-cells near the origin, one call per cell
+        grid = make_tensor_grid(dim, 4.0, 9)
+        profile = fourier_transform(PotentialTerm(kind, params), n)
+        shapes = []
+        call = RadialProfile.__call__
+        monkeypatch.setattr(RadialProfile, "__call__",
+                            lambda self, r: shapes.append(np.shape(r)) or call(self, r))
+        kernel = sample_kernel_on_lattice(profile, n, grid)
+        assert shapes.count((9,) * n) == 1
+        assert len(shapes) == 1 or profile.kind in ("power", "log_kernel")
+        assert np.array_equal(kernel, reference_sample_kernel_on_lattice(profile, n, grid))
+
 
 class TestRadialIntegral:
     def test_lorentzian_1d(self):
@@ -218,14 +232,15 @@ class TestConvolve:
         h = grid_1d.spacing
         c = 1.0 / h ** 2  # width ~ h
         amp = math.sqrt(c / math.pi)  # unit mass
-        out = convolve(RadialProfile("gaussian", (amp, c)), u, "additive")
+        out = convolve(lattice_kernel(RadialProfile("gaussian", (amp, c)), grid_1d, "additive"), u)
         # smoothing by a width-h mollifier perturbs at second order in h
         assert np.max(np.abs(out.values - u.values)) < 0.05
 
     def test_gaussian_closed_form(self, grid_1d):
         xi = grid_1d.axis
         u = FreqFunction(grid_1d, np.exp(-math.pi * xi ** 2))
-        out = convolve(RadialProfile("gaussian", (1.0, math.pi)), u, "additive")
+        out = convolve(lattice_kernel(RadialProfile("gaussian", (1.0, math.pi)), grid_1d,
+                                      "additive"), u)
         expected = 2.0 ** -0.5 * np.exp(-math.pi * xi ** 2 / 2.0)
         assert np.max(np.abs(out.values - expected)) < 1e-12
 
@@ -250,7 +265,7 @@ class TestConvolve:
         rng = np.random.default_rng(3)
         u = FreqFunction(g, rng.normal(size=(9, 9)))
         prof = RadialProfile("gaussian", (1.3, 0.7))
-        out = convolve(prof, u, "pairwise", particle=(1, 2), n=1)
+        out = convolve(lattice_kernel(prof, g, "pairwise", particle=(1, 2), n=1), u)
         w = np.full(9, g.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
@@ -262,8 +277,8 @@ class TestConvolve:
         xi = g.axis
         sym = np.exp(-np.add.outer(xi ** 2, xi ** 2))
         u = FreqFunction(g, sym)
-        out = convolve(RadialProfile("gaussian", (1.0, 1.0)), u, "pairwise",
-                       particle=(1, 2), n=1)
+        out = convolve(lattice_kernel(RadialProfile("gaussian", (1.0, 1.0)), g, "pairwise",
+                                      particle=(1, 2), n=1), u)
         assert np.max(np.abs(out.values - out.values.T)) < 1e-12
 
     def test_one_particle_acts_on_single_axis(self):
@@ -271,8 +286,8 @@ class TestConvolve:
         xi = g.axis
         u = FreqFunction(g, np.exp(-math.pi * xi ** 2)[:, None]
                          * np.exp(-math.pi * xi ** 2)[None, :])
-        out = convolve(RadialProfile("gaussian", (1.0, math.pi)), u, "one_particle",
-                       particle=1, n=1)
+        out = convolve(lattice_kernel(RadialProfile("gaussian", (1.0, math.pi)), g, "one_particle",
+                                      particle=1, n=1), u)
         expected = (2.0 ** -0.5 * np.exp(-math.pi * xi ** 2 / 2.0))[:, None] \
             * np.exp(-math.pi * xi ** 2)[None, :]
         assert np.max(np.abs(out.values - expected)) < 1e-9
@@ -328,10 +343,9 @@ class TestConvolve:
         xi = g.axis
         u = FreqFunction(g, np.exp(-xi ** 2))
         v = FreqFunction(g, np.cos(xi) * np.exp(-xi ** 2 / 2))
-        prof = RadialProfile("gaussian", (1.0, 1.0))
-        lhs = convolve(prof, u.copy_with(a * u.values + b * v.values), "additive")
-        rhs = a * np.asarray(convolve(prof, u, "additive").values) \
-            + b * np.asarray(convolve(prof, v, "additive").values)
+        kernel = lattice_kernel(RadialProfile("gaussian", (1.0, 1.0)), g, "additive")
+        lhs = convolve(kernel, u.copy_with(a * u.values + b * v.values))
+        rhs = a * np.asarray(convolve(kernel, u).values) + b * np.asarray(convolve(kernel, v).values)
         scale = max(np.max(np.abs(rhs)), 1e-30)
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-12 * scale
 

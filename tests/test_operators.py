@@ -227,10 +227,11 @@ class TestQuadraticForm:
         ham = self.gaussian_config()
         t = 0.5
         frak = B.form_bound_constant(ham.potential, 0.0, math.inf, t)
+        plan = O.OperatorPlan(ham, grid_1d)
         for k in range(20):
             u = O.random_band_limited(grid_1d, 11, k, real_space_real=True)
             v = O.random_band_limited(grid_1d, 12, k, real_space_real=True)
-            lhs = abs(O.quad_form_V(u, v, ham.potential))
+            lhs = abs(plan.quad_form(u.values, v.values))
             rhs = frak * fl_norm(u, SpaceIndex(t, 2.0)) * fl_norm(v, SpaceIndex(t, 2.0))
             assert lhs <= rhs * (1 + 1e-9)
 
@@ -238,22 +239,14 @@ class TestQuadraticForm:
         ham = self.gaussian_config()
         t = 0.5
         frak = B.form_bound_constant(ham.potential, 0.0, math.inf, t)
+        plan = O.OperatorPlan(ham, grid_1d)
         for k in range(10):
             u = O.random_band_limited(grid_1d, 13, k, real_space_real=True)
             l2, grad2 = O.sobolev_products(u)
-            lhs = abs(O.quad_form_V(u, u, ham.potential))
+            lhs = abs(plan.quad_form(u.values, u.values))
             for eps in (1.0, 0.1, 0.01):
                 rhs = frak * (eps ** (1 - t) * grad2 + (eps ** (1 - t) + eps ** -t) * l2)
                 assert lhs <= rhs * (1 + 1e-9)
-
-    @pytest.mark.parametrize("case", PLAN_CASES)
-    def test_plan_quad_form_equals_quad_form_V(self, case):
-        spec, grid = plan_case(case, 0.3, 1.0, 9)
-        plan = O.OperatorPlan(spec, grid)
-        for k in range(3):
-            u = O.random_band_limited(grid, 14, 2 * k, real_space_real=True)
-            v = O.random_band_limited(grid, 14, 2 * k + 1, real_space_real=True)
-            assert plan.quad_form(u.values, v.values) == O.quad_form_V(u, v, spec.potential)
 
     def test_shifted_gaussian_closed_form(self, grid_1d):
         # u(x) = exp(-pi (x - a)^2) is real but u_hat is not, so the pairing
@@ -271,7 +264,8 @@ class TestQuadraticForm:
         g = make_radial_grid(3, 6.0, 600, "log-uniform", r_min=1e-4)
         u = FreqFunction(g, np.exp(-math.pi * g.nodes ** 2))
         pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
-        assert O.quad_form_V(u, u, pot) == pytest.approx(3 ** -1.5, rel=1e-9)
+        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), g)
+        assert plan.quad_form(u.values, u.values) == pytest.approx(3 ** -1.5, rel=1e-9)
         l2, grad2 = O.sobolev_products(u)
         assert l2 == pytest.approx(2 ** -1.5, rel=1e-9)
         assert grad2 == pytest.approx(3 * math.pi * 2 ** -1.5, rel=1e-9)
@@ -279,16 +273,15 @@ class TestQuadraticForm:
 
 class TestProbing:
     def test_identity_ratio_one(self, free_ham_1d, grid_1d):
-        rep = O.empirical_operator_norm("identity", free_ham_1d,
+        rep = O.empirical_operator_norm("identity", free_ham_1d, grid_1d,
                                         SpaceIndex(0, 1), SpaceIndex(0, 1),
-                                        probes=5, seed=0, certified=1.0,
-                                        params={"grid": grid_1d})
+                                        probes=5, seed=0, certified=1.0)
         assert rep.empirical == pytest.approx(1.0, rel=1e-12)
         assert rep.satisfied
 
     def test_probe_deterministic_and_replayable(self, gaussian_ham_1d, grid_1d):
-        kwargs = dict(src=SpaceIndex(0, 1), dst=SpaceIndex(2, 1), probes=8, seed=3,
-                      params={"rho": 1.0, "grid": grid_1d})
+        kwargs = dict(grid=grid_1d, src=SpaceIndex(0, 1), dst=SpaceIndex(2, 1), probes=8, seed=3,
+                      params={"rho": 1.0})
         r1 = O.empirical_operator_norm("r", gaussian_ham_1d, certified=1.0, **kwargs)
         r2 = O.empirical_operator_norm("r", gaussian_ham_1d, certified=1.0, **kwargs)
         assert r1.empirical == r2.empirical
@@ -304,9 +297,9 @@ class TestProbing:
             ("t_lambda", SpaceIndex(0, 1), SpaceIndex(2 - 2 * beta, 1)),
             ("r", SpaceIndex(0, 1), SpaceIndex(2 - 2 * beta, 1)),
         ]:
-            params = {"rho": 1.0, "lam": -0.3, "K": 4.0, "grid": grid_1d}
+            params = {"rho": 1.0, "lam": -0.3, "K": 4.0}
             cert = O.certified_bound(op, gaussian_ham_1d, s, alpha, beta, C, params)
-            rep = O.empirical_operator_norm(op, gaussian_ham_1d, src, dst,
+            rep = O.empirical_operator_norm(op, gaussian_ham_1d, grid_1d, src, dst,
                                             probes=25, seed=17, certified=cert,
                                             params=params)
             assert rep.satisfied, rep.to_json_line()
@@ -314,12 +307,12 @@ class TestProbing:
     def test_json_line_round_trip(self, free_ham_1d, grid_1d):
         import json
 
-        rep = O.empirical_operator_norm("identity", free_ham_1d, SpaceIndex(0, 1),
+        rep = O.empirical_operator_norm("identity", free_ham_1d, grid_1d, SpaceIndex(0, 1),
                                         SpaceIndex(0, 1), probes=2, seed=1,
-                                        certified=1.0, params={"grid": grid_1d})
+                                        certified=1.0, params={"rho": 2.0})
         parsed = json.loads(rep.to_json_line())
         assert parsed["operator"] == "identity"
-        assert "grid" not in parsed["params"]
+        assert parsed["params"] == {"rho": 2.0}
 
 
 def _stacked_case(case: str, coeff: float, mass: float):
@@ -425,20 +418,21 @@ class TestStackedProbing:
         for real, (src, dst) in ((False, (SpaceIndex(0.0, 1.0), SpaceIndex(0.5, 1.0))),
                                  (True, (SpaceIndex(-0.5, 2.0), SpaceIndex(0.0, 2.0)))):
             kwargs = dict(probes=probes, seed=23, certified=2.0,
-                          params={"rho": 1.3, "lam": -0.4, "K": 2.0, "grid": grid, "real": real})
-            got = O.empirical_operator_norm(op, spec, src, dst, **kwargs)
-            ref = reference_empirical_operator_norm(op, spec, src, dst, **kwargs)
+                          params={"rho": 1.3, "lam": -0.4, "K": 2.0, "real": real})
+            got = O.empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
+            ref = reference_empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
             assert got.to_json_dict() == ref.to_json_dict()
             if got.worst_probe >= 0:
                 assert O.replay_probe(got.to_json_dict(), spec, grid) == got.empirical
 
     def test_ties_keep_the_first_probe(self, free_ham_1d, grid_1d):
         # identity between equal spaces: every ratio is exactly 1
-        kwargs = dict(probes=2 * O._probe_chunk(grid_1d) + 1, seed=4, params={"grid": grid_1d})
-        got = O.empirical_operator_norm("identity", free_ham_1d, SpaceIndex(0.3, 2.0),
+        kwargs = dict(probes=2 * O._probe_chunk(grid_1d) + 1, seed=4)
+        got = O.empirical_operator_norm("identity", free_ham_1d, grid_1d, SpaceIndex(0.3, 2.0),
                                         SpaceIndex(0.3, 2.0), **kwargs)
-        ref = reference_empirical_operator_norm("identity", free_ham_1d, SpaceIndex(0.3, 2.0),
-                                                SpaceIndex(0.3, 2.0), **kwargs)
+        ref = reference_empirical_operator_norm("identity", free_ham_1d, grid_1d,
+                                                SpaceIndex(0.3, 2.0), SpaceIndex(0.3, 2.0),
+                                                **kwargs)
         assert got.to_json_dict() == ref.to_json_dict()
         assert (got.empirical, got.worst_probe) == (1.0, 0)
 
@@ -446,9 +440,9 @@ class TestStackedProbing:
         src = SpaceIndex(0.0, 1.0)
         norm = O.fl_norm
         monkeypatch.setattr(O, "fl_norm", lambda f, idx: norm(f, idx) * (idx != src))
-        rep = O.empirical_operator_norm("identity", free_ham_1d, src, SpaceIndex(0.0, 2.0),
-                                        probes=O._probe_chunk(grid_1d) + 1, seed=1,
-                                        params={"grid": grid_1d})
+        rep = O.empirical_operator_norm("identity", free_ham_1d, grid_1d, src,
+                                        SpaceIndex(0.0, 2.0), probes=O._probe_chunk(grid_1d) + 1,
+                                        seed=1)
         assert (rep.empirical, rep.worst_probe) == (-1.0, -1)
 
     def test_probe_chunks_stay_within_one_block(self):

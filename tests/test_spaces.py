@@ -66,9 +66,16 @@ class TestFlNorm:
             fl_norm(FreqFunction(g, vals), SpaceIndex(0.0, 1.0))
 
     def test_nan_index_raises(self):
-        g = make_tensor_grid(1, 4.0, 9)
-        with pytest.raises(NonFiniteError, match="spaces.fl_norm"):
-            fl_norm(FreqFunction(g, np.ones(g.shape)), SpaceIndex(math.nan, 1.0))
+        # rejected where it enters, before any norm is taken
+        for s in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError, match="SpaceIndex: s must be finite"):
+                SpaceIndex(s, 1.0)
+
+    def test_non_finite_split_index_raises(self):
+        for s, beta, name in ((math.inf, 1.0, "s"), (-math.inf, 1.0, "s"),
+                              (0.0, math.inf, "beta"), (0.0, -math.inf, "beta")):
+            with pytest.raises(InvalidArgumentError, match=f"SplitIndex: {name} must be finite"):
+                SplitIndex(s, 2.0, beta)
 
     def test_sup_norm_is_grid_max(self):
         g = make_radial_grid(1, 10.0, 120, "uniform")
