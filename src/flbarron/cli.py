@@ -222,6 +222,11 @@ def cmd_probe(args):
     ham = _load_spec(args.spec)
     grid = _build_grid(args.grid, ham.dim)
     beta = args.beta if args.beta is not None else 1.0 + (args.s - args.gamma) / 2.0
+    if not math.isfinite(beta):
+        raise InvalidArgumentError(
+            f"--beta must be finite (got {beta})" if args.beta is not None else
+            f"beta = 1 + (s - gamma)/2 must be finite (got {beta} from --s {args.s:g}, "
+            f"--gamma {args.gamma:g})")
     with _beta_hint(ham.n, args.s, args.alpha, beta):
         C = B.big_C_V(ham.potential, args.s, args.alpha, beta)
     params = {"rho": args.rho, "lam": args.lam, "K": args.K}
@@ -320,10 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_negative_values(argv: list) -> list:
+    """``--s -1e-3`` as ``--s=-1e-3``: argparse reads ``-1e-3`` or ``-inf`` as a flag
+    (only plain negative decimals as values), which would leave ``--s`` without one."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(token)  # a negative number, not a flag
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -625,9 +625,8 @@ _BLOCK_ELEMS = 1 << 14
 
 
 def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
-                       r_eval: np.ndarray | None = None,
                        tail_profile: RadialProfile | None = None) -> np.ndarray:
-    """(V * u)(r_eval) for radial data in R^3 on a Gauss-3 cell grid.
+    """(V * u) at the nodes of u's grid, for radial data in R^3 on a Gauss-3 cell grid.
 
     ``tail_profile`` (typically u's own profile) supplies the power-law
     model used for the analytic s > r_max correction; without it the
@@ -657,7 +656,7 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
     else:
         Q = lambda u: np.multiply(np.power(u, kernel.q, out=u), kernel.scale, out=u)
 
-    r_all = g.nodes if r_eval is None else np.asarray(r_eval, dtype=float)
+    r_all = g.nodes
     out = np.empty(len(r_all))
     rows = max(1, _BLOCK_ELEMS // s7.size)
     for start in range(0, len(r_all), rows):

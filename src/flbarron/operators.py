@@ -380,9 +380,8 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid: FreqGrid,
     """Max over random band-limited probes on the tensor ``grid`` of
     ||op u||_dst / ||u||_src.
 
-    ``params`` carries rho / lam / K as the operator needs them, and
-    ``real`` for probes that are real in real space; the report keeps them
-    as given, so ``replay_probe`` can rebuild the worst probe.
+    ``params`` carries rho / lam / K as the operator needs them; the report
+    keeps them as given, so ``replay_probe`` can rebuild the worst probe.
     """
     if probes < 1:
         raise InvalidArgumentError("probes must be >= 1")
@@ -393,7 +392,7 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid: FreqGrid,
     worst_idx = -1
     for start in range(0, probes, chunk):
         indices = range(start, min(start + chunk, probes))
-        norms = _probe_norms(op, grid, seed, indices, src, dst, params.get("real", False))
+        norms = _probe_norms(op, grid, seed, indices, src, dst)
         for k, denom, num in zip(indices, *norms):
             if denom != 0.0 and num / denom > worst:
                 worst, worst_idx = num / denom, k
@@ -413,10 +412,10 @@ def _probe_chunk(grid: FreqGrid) -> int:
 
 
 def _probe_norms(op, grid: FreqGrid, seed: int, indices, src: SpaceIndex,
-                 dst: SpaceIndex, real: bool) -> tuple:
+                 dst: SpaceIndex) -> tuple:
     """(||u_k||_src, ||op u_k||_dst) for the probes k in ``indices``, drawn,
     applied and normed as one stack."""
-    u = random_band_limited(grid, seed, indices, real_space_real=real)
+    u = random_band_limited(grid, seed, indices)
     return fl_norm(u, src), fl_norm(op(u), dst)
 
 
@@ -427,7 +426,7 @@ def replay_probe(report_dict: dict, spec: HamiltonianSpec, grid: FreqGrid) -> fl
     params = dict(report_dict.get("params", {}))
     op = make_operator(report_dict["operator"], OperatorPlan(spec, grid), params)
     (denom,), (num,) = _probe_norms(op, grid, report_dict["seed"], [report_dict["worst_probe"]],
-                                    src, dst, params.get("real", False))
+                                    src, dst)
     return float(num) / float(denom)
 
 

@@ -4,7 +4,7 @@ The solver iterates u_{k+1} = (H0 + rho)^{-1} f - R u_k, whose fixed point
 solves (H + rho) u = f on the grid; the certified contraction factor is
 q = mu~_rho * C(V).  A dense direct solve of the same discrete operator
 serves as the oracle.  The sharpness experiments tabulate the transform of
-exp(-|x|^delta) (for 0 < delta < 1 in n = 3 by a convergent series at large
+exp(-|x|^delta) in n = 3 (for 0 < delta < 1 by a convergent series at large
 radii and a fixed Gauss-Legendre rule at small ones, otherwise by oscillatory
 quadrature), fit its tail decay and amplitude, and measure the Barron
 blow-up rate of its diverging high-frequency mass.
@@ -52,6 +52,7 @@ from .spaces import SpaceIndex, fl_norm
 from .special import omega_d
 
 MAX_DENSE_SAMPLES = 4096  # dense oracle cap: I + R is assembled as an M x M matrix
+MAX_ITER = 400            # Neumann iterations before NonConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +114,7 @@ class EigenReport:
 # ---------------------------------------------------------------------------
 
 def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float = 0.0,
-                  tol: float = 1e-10, max_iter: int = 400,
-                  alpha: float = math.inf, beta: float = 0.0,
-                  C: float | None = None):
+                  tol: float = 1e-10, alpha: float = math.inf, beta: float = 0.0):
     """Fixed-point iteration for u + R u = (H0 + rho)^(-1) f.
 
     Requires the global contraction q = mu~_rho C(V) < 1; the error of the
@@ -124,11 +123,7 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     """
     if not 0 <= tol < math.inf:
         raise InvalidArgumentError(f"tol must be finite and >= 0 (got {tol})")
-    if not max_iter >= 1:
-        raise InvalidArgumentError(f"max_iter must be >= 1 (got {max_iter})")
-    if C is None:
-        C = big_C_V(spec.potential, s, alpha, beta)
-    q = mu_tilde(spec.masses, rho) * C
+    q = mu_tilde(spec.masses, rho) * big_C_V(spec.potential, s, alpha, beta)
     plan = OperatorPlan(spec, f.grid)
     b = f.copy_with(plan.h0_inverse(f.values, rho))
     idx = SpaceIndex(s, 1.0)
@@ -144,7 +139,7 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     u = b.copy_with(np.zeros_like(np.asarray(b.values)))
     history = []
     converged = False
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         u_next = b.copy_with(np.asarray(b.values) - plan.R(u.values, rho))
         diff = u_next.copy_with(np.asarray(u_next.values) - np.asarray(u.values))
         try:
@@ -162,7 +157,7 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
                 f"solver.solve_neumann: update {k} did not shrink (ratio "
                 f"{resid / history[-2]:.6g} >= 1, certified q = {q:.15g})")
     if not converged:
-        raise NonConvergenceError(f"no convergence after {max_iter} iterations "
+        raise NonConvergenceError(f"no convergence after {MAX_ITER} iterations "
                                   f"(last update {history[-1]:.3e})")
     report = SolveReport(
         True, len(history), history,
@@ -237,8 +232,7 @@ _RATIO_CAP = 0.52  # the certified 1/2 plus headroom for discretization
 
 
 def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: float,
-                     alpha: float, beta: float, energy: float,
-                     C: float | None = None) -> SolveReport:
+                     alpha: float, beta: float, energy: float) -> SolveReport:
     """Reconstruct the high-frequency part from the low-frequency part.
 
     mode = "eigen": data is an eigenfunction psi with eigenvalue ``energy``;
@@ -252,9 +246,7 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
     """
     if not math.isfinite(energy):
         raise InvalidArgumentError(f"energy must be finite (got {energy})")
-    pot = spec.potential
-    if C is None:
-        C = big_C_V(pot, s, alpha, beta)
+    C = big_C_V(spec.potential, s, alpha, beta)
     idx = SpaceIndex(abs(s), 1.0)
     plan = OperatorPlan(spec, data.grid)
     if mode == "eigen":
@@ -385,55 +377,36 @@ def _check_delta(delta: float) -> None:
 
 
 def stretched_exp_transform(rho: float, delta: float, n: int = 3) -> float:
-    """Transform of exp(-|x|^delta) at radius rho (n = 3 via the sine kernel,
-    n = 2 via a Bessel-segment sum).  Raises NonConvergenceError when
-    QUADPACK warns, rather than returning its value."""
-    from scipy.integrate import IntegrationWarning
+    """Transform of exp(-|x|^delta) at radius rho in n = 3, by QUADPACK's
+    sine-weighted rule.  Raises NonConvergenceError when QUADPACK warns,
+    rather than returning its value."""
+    from scipy.integrate import IntegrationWarning, quad
 
+    if n != 3:
+        raise UnsupportedScaleError(f"transform implemented for n = 3 (got n = {n})")
     _check_delta(delta)
     if not 0 <= rho < math.inf:
         raise InvalidArgumentError(f"rho must be finite and >= 0 (got {rho})")
+    r_cut = _T_CUT ** (1.0 / delta)
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            return _quad_transform(rho, delta, n)
+            if rho == 0.0:
+                val, _ = quad(lambda r: math.exp(-r ** delta) * r ** 2, 0, r_cut,
+                              epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
+                return omega_d(3) * val
+            val, _ = quad(lambda r: math.exp(-r ** delta) * r, 0, r_cut, weight="sin",
+                          wvar=2.0 * math.pi * rho, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=4000)
+            return 2.0 / rho * val
         except IntegrationWarning as exc:
             raise NonConvergenceError(f"transform of exp(-|x|^delta) at rho = {rho}, "
                                       f"delta = {delta}, n = {n}: {exc}") from exc
 
 
-def _quad_transform(rho: float, delta: float, n: int) -> float:
-    from scipy.integrate import quad
+def sharp_transform_radii(rhos, delta: float) -> np.ndarray:
+    """n = 3 transform of exp(-|x|^delta) at every radius of ``rhos``, in blocks of radii.
 
-    r_cut = _T_CUT ** (1.0 / delta)
-    if rho == 0.0:
-        val, _ = quad(lambda r: math.exp(-r ** delta) * r ** (n - 1), 0, r_cut,
-                      epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400)
-        return omega_d(n) * val
-    if n == 3:
-        val, _ = quad(lambda r: math.exp(-r ** delta) * r, 0, r_cut,
-                      weight="sin", wvar=2.0 * math.pi * rho,
-                      epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=4000)
-        return 2.0 / rho * val
-    if n == 2:
-        from scipy.special import j0, jn_zeros
-
-        w = 2.0 * math.pi * rho
-        zeros = jn_zeros(0, max(8, int(w * r_cut / math.pi) + 8)) / w
-        pts = [0.0] + [z for z in zeros if z < r_cut] + [r_cut]
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            v, _ = quad(lambda r: math.exp(-r ** delta) * r * j0(w * r), a, b,
-                        epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
-            total += v
-        return 2.0 * math.pi * total
-    raise UnsupportedScaleError("transform implemented for n in {2, 3}")
-
-
-def sharp_transform_radii(rhos, delta: float, n: int = 3) -> np.ndarray:
-    """Transform of exp(-|x|^delta) at every radius of ``rhos``, in blocks of radii.
-
-    For n = 3 and 0 < delta < 1 two vectorised methods are tried per radius:
+    For 0 < delta < 1 two vectorised methods are tried per radius:
 
     - the series F(rho) = sum_{k>=1} (-1)^(k+1) sin(pi k delta/2)
       Gamma(k delta + 2) / k! (2 pi rho)^(-k delta) / (2 pi^2 rho^3), the
@@ -448,15 +421,15 @@ def sharp_transform_radii(rhos, delta: float, n: int = 3) -> np.ndarray:
       panel spans more than _RULE_MAX_PHASE radians of sin(2 pi rho r).
 
     Each radius takes the counting method with the smaller first-order
-    rounding estimate; radii that neither covers, and every radius for other
-    (delta, n), go through the scalar quadrature ``stretched_exp_transform``.
+    rounding estimate; radii that neither covers, and every radius for
+    delta >= 1, go through the scalar quadrature ``stretched_exp_transform``.
     """
     _check_delta(delta)
     rhos = np.asarray(rhos, dtype=float)
     if not np.all((rhos >= 0) & (rhos < np.inf)):
         raise InvalidArgumentError("rho must be finite and >= 0 at every radius")
-    if n != 3 or delta >= 1:
-        return np.array([stretched_exp_transform(float(r), delta, n) for r in rhos])
+    if delta >= 1:
+        return np.array([stretched_exp_transform(float(r), delta) for r in rhos])
     series = _series_table(delta)
     rule, max_phase = _rule_table(delta)
     vals, err = np.empty_like(rhos), np.empty_like(rhos)
@@ -477,7 +450,7 @@ def sharp_transform_radii(rhos, delta: float, n: int = 3) -> np.ndarray:
         vals[idx[take]] = rule_vals[take]
         err[idx[take]] = rule_err[take]
     for i in np.flatnonzero(err == np.inf):
-        vals[i] = stretched_exp_transform(float(rhos[i]), delta, n)
+        vals[i] = stretched_exp_transform(float(rhos[i]), delta)
     return vals
 
 
@@ -562,22 +535,22 @@ def closed_form_sharp_transform(rho, n: int):
     return amp * (1.0 + 4.0 * math.pi ** 2 * np.asarray(rho) ** 2) ** (-(n + 1) / 2.0)
 
 
-def tabulate_sharp_transform(nodes: np.ndarray, delta: float, n: int = 3) -> RadialProfile:
-    """Tabulated transform profile: ``sharp_transform_radii`` at nodes up to
-    radius 160, beyond it the two-term power model A r^(-delta-n) +
-    B r^(-2 delta-n) fitted on [160/3, 160], which is also the tail model."""
+def tabulate_sharp_transform(nodes: np.ndarray, delta: float) -> RadialProfile:
+    """Tabulated n = 3 transform profile: ``sharp_transform_radii`` at nodes up
+    to radius 160, beyond it the two-term power model A r^(-delta-3) +
+    B r^(-2 delta-3) fitted on [160/3, 160], which is also the tail model."""
     nodes = np.asarray(nodes, float)
     vals = np.empty_like(nodes)
     low = nodes <= _SEAM
-    vals[low] = sharp_transform_radii(nodes[low], delta, n)
+    vals[low] = sharp_transform_radii(nodes[low], delta)
     xs = np.geomspace(_SEAM / 3.0, _SEAM, 16)
-    ys = sharp_transform_radii(xs, delta, n)
-    wv = ys * xs ** (delta + n)
+    ys = sharp_transform_radii(xs, delta)
+    wv = ys * xs ** (delta + 3)
     Bc, Ac = np.polyfit(xs ** -delta, wv, 1)
     hi = ~low
     if hi.any():
-        vals[hi] = Ac * nodes[hi] ** -(delta + n) + Bc * nodes[hi] ** -(2 * delta + n)
-    return tabulated_profile(nodes, vals, tail_model=(Ac, -(delta + n), Bc, -(2 * delta + n)))
+        vals[hi] = Ac * nodes[hi] ** -(delta + 3) + Bc * nodes[hi] ** -(2 * delta + 3)
+    return tabulated_profile(nodes, vals, tail_model=(Ac, -(delta + 3), Bc, -(2 * delta + 3)))
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray):
@@ -606,53 +579,56 @@ def _profile_tail_terms(profile: RadialProfile):
     raise UnsupportedScaleError("no tail model for this profile kind")
 
 
-def high_band_barron_norm(profile: RadialProfile, gamma: float, n: int) -> float:
-    """Barron-gamma mass of the band |xi| > 1: by quadrature on a 4500-node
-    log-uniform grid up to radius 60, plus the profile's analytic tail beyond.
+def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
+    """Barron-gamma mass in n = 3 of the band |xi| > 1: by quadrature on a
+    4500-node log-uniform grid up to radius 60, plus the profile's analytic
+    tail beyond.
 
     This is the component of the norm that diverges as gamma approaches the
     sharp index; the complementary ball contributes an analytic-in-gamma
     constant that would mask the blow-up rate.
     """
     r_max = 60.0
-    grid = make_radial_grid(n, r_max, 3 * 1500, "log-uniform", r_min=1e-6)
+    grid = make_radial_grid(3, r_max, 3 * 1500, "log-uniform", r_min=1e-6)
     base = fl_norm(project_high(sample_profile(profile, grid), 1.0), SpaceIndex(gamma, 1.0))
     tail = 0.0
     for (A, p) in zip(*[iter(_profile_tail_terms(profile))] * 2):
-        # int_R^inf <r>^gamma A r^p r^(n-1) dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2))
-        e = gamma + p + n
+        # int_R^inf <r>^gamma A r^p r^2 dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2))
+        e = gamma + p + 3
         if e < 0:
             tail += A * (r_max ** e / (-e) + (gamma / 2.0) * r_max ** (e - 2) / (2 - e))
-    return base + omega_d(n) * tail
+    return base + omega_d(3) * tail
 
 
 def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
-                         residual_cells: int = 3 * 150,
-                         compute_residual: bool = True) -> EigenReport:
-    """Decay-rate, tail-amplitude and blow-up measurements for exp(-|x|^delta).
+                         residual_cells: int = 3 * 150) -> EigenReport:
+    """Residual, decay-rate, tail-amplitude and blow-up measurements for
+    exp(-|x|^delta) in n = 3, the one dimension ``n`` may take.
 
     A pilot fit on [4, 40] places the decay window [xi_lo, 10 xi_lo], with
     xi_lo >= 4, widened until the next-order tail
     correction contributes below 1% at xi_lo (capped at 32 to stay clear of
     quadrature noise); the amplitude removes the first correction by a
     two-term extrapolation, and the blow-up slope is fitted on the diverging
-    high-frequency band of the Barron norm.
+    high-frequency band of the Barron norm.  The residual runs first, so a
+    ``residual_cells`` that ``make_radial_grid`` rejects fails before any transform.
     """
     if not (0 < delta <= 1):
         raise InvalidArgumentError("delta must lie in (0, 1] for the experiment")
-    if n < 2:
-        raise InvalidArgumentError("the radial example needs n >= 2")
+    if n != 3:
+        raise UnsupportedScaleError(f"sharpness experiment implemented for n = 3 (got n = {n})")
     if not all(0 < g < delta for g in gammas):
         raise InvalidArgumentError(
             f"blow-up gammas must lie in (0, delta) = (0, {delta:g}) (got {list(gammas)})")
-    example = sharp_example_potential(delta, n)
-    c1 = c1_constant(n, delta)
+    resid = sharp_example_residual(delta, ncells=residual_cells)
+    example = sharp_example_potential(delta, 3)
+    c1 = c1_constant(3, delta)
 
     # pilot fit to place the window
     seed_window = 4.0
     xs0 = np.geomspace(seed_window, 10 * seed_window, 16)
-    ys0 = sharp_transform_radii(xs0, delta, n)
-    w0 = np.abs(ys0) * xs0 ** (delta + n)
+    ys0 = sharp_transform_radii(xs0, delta)
+    w0 = np.abs(ys0) * xs0 ** (delta + 3)
     B0, A0 = np.polyfit(xs0 ** -delta, w0, 1)
     if A0 <= 0:
         raise FitDegenerateError("pilot amplitude fit degenerate")
@@ -660,11 +636,11 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     xi_lo = min(max(xi_lo, seed_window), 32.0)
 
     xs = np.geomspace(xi_lo, 10 * xi_lo, 24)
-    ys = sharp_transform_radii(xs, delta, n)
+    ys = sharp_transform_radii(xs, delta)
     if np.any(ys == 0):
         raise FitDegenerateError("transform vanished inside the fit window")
     slope, ci = _ols_slope(np.log(xs), np.log(np.abs(ys)))
-    wv = np.abs(ys) * xs ** (delta + n)
+    wv = np.abs(ys) * xs ** (delta + 3)
     Bc, Ac = np.polyfit(xs ** -delta, wv, 1)
     tail_sign = int(np.sign(ys[-1]))
 
@@ -673,24 +649,20 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
         psi_prof = example.psi_profile
     else:
         probe_nodes = np.geomspace(1e-4, 400.0, 1200)
-        psi_prof = tabulate_sharp_transform(probe_nodes, delta, n)
-    norms = [high_band_barron_norm(psi_prof, g, n) for g in gammas]
+        psi_prof = tabulate_sharp_transform(probe_nodes, delta)
+    norms = [high_band_barron_norm(psi_prof, g) for g in gammas]
     bx = [-math.log(delta - g) for g in gammas]
     blow, blow_ci = _ols_slope(np.array(bx), np.log(np.array(norms)))
-
-    resid = None
-    if compute_residual:
-        resid = sharp_example_residual(delta, n, ncells=residual_cells)
 
     check = None
     if delta == 1.0:
         sample = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 25)])
-        numeric = np.array([stretched_exp_transform(x, delta, n) for x in sample])
-        closed = closed_form_sharp_transform(sample, n)
+        numeric = np.array([stretched_exp_transform(x, delta) for x in sample])
+        closed = closed_form_sharp_transform(sample, 3)
         check = float(np.max(np.abs(numeric - closed) / np.abs(closed)))
 
     return EigenReport(
-        delta=delta, n=n, eigenvalue=example.eigenvalue, residual=resid,
+        delta=delta, n=3, eigenvalue=example.eigenvalue, residual=resid,
         decay_exponent=slope, decay_ci=ci,
         tail_amplitude=float(Ac), tail_amplitude_ref=abs(c1), tail_sign=tail_sign,
         blowup_slope=blow, blowup_ci=blow_ci, blowup_gammas=tuple(gammas),
@@ -699,21 +671,19 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     )
 
 
-def sharp_example_residual(delta: float, n: int = 3, ncells: int = 3 * 150) -> float:
-    """Fixed-point residual of the sharpness example on a log-uniform radial
-    grid: the closed-form transform up to radius 2000 at delta = 1; for
+def sharp_example_residual(delta: float, ncells: int = 3 * 150) -> float:
+    """Fixed-point residual of the n = 3 sharpness example on a log-uniform
+    radial grid: the closed-form transform up to radius 2000 at delta = 1; for
     delta < 1 the tabulated one up to radius 800, its residual measured on
     |xi| <= 40 (see ``eigen_residual``)."""
-    if n != 3:
-        raise UnsupportedScaleError("residual check implemented for n = 3")
-    example = sharp_example_potential(delta, n)
+    example = sharp_example_potential(delta, 3)
     if delta == 1.0:
         grid = make_radial_grid(3, 2000.0, ncells, "log-uniform", r_min=1e-4)
         psi_prof = example.psi_profile
         psi = sample_profile(psi_prof, grid)
         return eigen_residual(example.hamiltonian, psi, example.eigenvalue, tail_profile=psi_prof)
     grid = make_radial_grid(3, 800.0, ncells, "log-uniform", r_min=1e-4)
-    psi_prof = tabulate_sharp_transform(grid.nodes, delta, n)
+    psi_prof = tabulate_sharp_transform(grid.nodes, delta)
     psi = FreqFunction(grid, psi_prof.table_values)
     return eigen_residual(example.hamiltonian, psi, example.eigenvalue,
                           tail_profile=psi_prof, r_eval_max=40.0)

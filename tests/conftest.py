@@ -244,7 +244,7 @@ def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid, s
     op = make_operator(op_id, OperatorPlan(spec, grid), params)
     worst, worst_idx = -1.0, -1
     for k in range(probes):
-        u = reference_random_band_limited(grid, seed, k, real_space_real=params.get("real", False))
+        u = reference_random_band_limited(grid, seed, k)
         denom = fl_norm(u, src)
         if denom == 0.0:
             continue
@@ -276,7 +276,7 @@ def _gauss7_moments(Qfun, c, lo_s, hi_s):
     return np.stack([m0, m1, m2], axis=-1)
 
 
-def reference_radial_convolve_3d(kernel, u_hat, r_eval=None, tail_profile=None):
+def reference_radial_convolve_3d(kernel, u_hat, tail_profile=None):
     """grid.radial_convolve_3d evaluated per radius: the cell moments of
     Q(r+s) - Q(|r-s|) for each r, then the quadratic fit's weights."""
     g = u_hat.grid
@@ -290,8 +290,7 @@ def reference_radial_convolve_3d(kernel, u_hat, r_eval=None, tail_profile=None):
     d = nodes3 - c[:, None]
     V = np.stack([np.ones_like(d), d, d * d], axis=2)
     VinvT = np.transpose(np.linalg.inv(V), (0, 2, 1))
-    if r_eval is None:
-        r_eval = g.nodes
+    r_eval = g.nodes
 
     if kernel.smoothQ is not None:
         Qm = lambda r: (lambda s: kernel.smoothQ(np.abs(r - s)))
@@ -347,8 +346,8 @@ def reference_radial_convolve_3d(kernel, u_hat, r_eval=None, tail_profile=None):
 # reference tabulation of the sharp transform: one quadrature per radius
 # ---------------------------------------------------------------------------
 
-def reference_tabulate_sharp_transform(nodes, delta: float, n: int = 3, seam: float = 160.0):
-    """(table values, tail model) of the sharp-example profile with one
+def reference_tabulate_sharp_transform(nodes, delta: float, seam: float = 160.0):
+    """(table values, tail model) of the n = 3 sharp-example profile with one
     scalar ``stretched_exp_transform`` call per node below the seam and per
     seam-fit point."""
     from flbarron.solver import stretched_exp_transform
@@ -356,9 +355,9 @@ def reference_tabulate_sharp_transform(nodes, delta: float, n: int = 3, seam: fl
     nodes = np.asarray(nodes, float)
     vals = np.empty_like(nodes)
     low = nodes <= seam
-    vals[low] = [stretched_exp_transform(r, delta, n) for r in nodes[low]]
+    vals[low] = [stretched_exp_transform(r, delta) for r in nodes[low]]
     xs = np.geomspace(seam / 3.0, seam, 16)
-    ys = np.array([stretched_exp_transform(x, delta, n) for x in xs])
-    Bc, Ac = np.polyfit(xs ** -delta, ys * xs ** (delta + n), 1)
-    vals[~low] = Ac * nodes[~low] ** -(delta + n) + Bc * nodes[~low] ** -(2 * delta + n)
-    return vals, (Ac, -(delta + n), Bc, -(2 * delta + n))
+    ys = np.array([stretched_exp_transform(x, delta) for x in xs])
+    Bc, Ac = np.polyfit(xs ** -delta, ys * xs ** (delta + 3), 1)
+    vals[~low] = Ac * nodes[~low] ** -(delta + 3) + Bc * nodes[~low] ** -(2 * delta + 3)
+    return vals, (Ac, -(delta + 3), Bc, -(2 * delta + 3))

@@ -236,6 +236,33 @@ class TestExitCodes:
         assert "alpha*beta = 1.5 must exceed n/2 = 1.5: pass --gamma below 0.5\n" in err
         assert run(["constants", "--spec", coulomb_spec_file, "--gamma", "0.4"]) == 0
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--beta", "inf", "--beta must be finite (got inf)"),
+        ("--beta", "-inf", "--beta must be finite (got -inf)"),
+        ("--gamma", "inf", "beta = 1 + (s - gamma)/2 must be finite (got -inf from --s 0, "
+                           "--gamma inf)"),
+        ("--gamma", "-inf", "beta = 1 + (s - gamma)/2 must be finite (got inf from --s 0, "
+                            "--gamma -inf)")])
+    def test_probe_non_finite_beta_names_the_flag(self, gaussian_spec_file, capsys,
+                                                  flag, value, error):
+        # the Gaussian spec has only an additive term, which never reads beta in big_C_V
+        code = run(["probe", "--spec", gaussian_spec_file, "--grid", "kind:tensor,extent:4,count:9",
+                    "--probes", "2", flag, value])
+        assert code == 3
+        assert capsys.readouterr().err == f"numeric failure [InvalidArgumentError]: {error}\n"
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-0.001"])  # -inf: the float-flag sweep
+    def test_negative_value_after_a_space_parses_like_equals(self, coulomb_spec_file, value):
+        def outcome(*flag):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["norm", "--spec", coulomb_spec_file, *flag])
+            return code, out.getvalue(), err.getvalue()
+
+        spaced = outcome("--s", value)
+        assert spaced[0] in (0, 3)
+        assert spaced == outcome(f"--s={value}")
+
     def test_solve_on_radial_grid_is_dimension_mismatch(self, gaussian_spec_file, capsys):
         code = run(["solve", "--spec", gaussian_spec_file, "--grid", "kind:radial,count:20,rmax:4"])
         assert code == 3
@@ -291,19 +318,20 @@ class TestNonFiniteFloatFlags:
         assert set(self.BASE) == {cmd for cmd, _, _ in self.CASES}
 
     def test_exit_zero_without_nan_or_three_with_a_named_error(self, tmp_path):
-        # every case, each with RuntimeWarning as an error: NaN is named before the
-        # subcommand loads its spec; +-inf either runs to a NaN-free report or fails
-        # with a typed error where it enters, so the output guard's NonFiniteError
-        # never fires (``--flag=-inf``: argparse reads a bare "-inf" as a flag)
+        # every case, written as ``--flag=value`` and as ``--flag value``, each with
+        # RuntimeWarning as an error: NaN is named before the subcommand loads its spec;
+        # +-inf either runs to a NaN-free report or fails with a typed error where it
+        # enters, so the output guard's NonFiniteError never fires
         paths = {}
         for name, spec in self.SPECS.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps(spec))
-        failures = [f"{cmd} {flag}={value}: {failure}" for cmd, flag, value in self.CASES
-                    if (failure := self.failure(cmd, flag, value, paths))]
+        failures = [f"{cmd} {flag}{sep}{value}: {failure}" for cmd, flag, value in self.CASES
+                    for sep in ("=", " ")
+                    if (failure := self.failure(cmd, flag, value, paths, sep))]
         assert not failures, "\n".join(failures)
 
-    def failure(self, cmd, flag, value, paths):
+    def failure(self, cmd, flag, value, paths, sep):
         """None when the case behaves as stated above, else what it did."""
         def load(path, load_spec=cli._load_spec):
             if value == "nan":
@@ -311,7 +339,8 @@ class TestNonFiniteFloatFlags:
             return load_spec(path)
 
         argv = [cmd] + [str(paths.get(a, a)) for a in self.BASE[cmd]]
-        argv = ([f"{flag}={value}"] + argv if flag == "--tol" else argv + [f"{flag}={value}"])
+        pair = [f"{flag}={value}"] if sep == "=" else [flag, value]
+        argv = pair + argv if flag == "--tol" else argv + pair
         out, err = io.StringIO(), io.StringIO()
         try:
             with (warnings.catch_warnings(), mock.patch.object(cli, "_load_spec", load),

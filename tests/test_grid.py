@@ -373,35 +373,29 @@ class TestRadialConvolve3D:
 
     @staticmethod
     def case(name):
-        """(kernel, u, r_eval, tail_profile) on a log-uniform 3-D grid."""
+        """(kernel, u, tail_profile) on a log-uniform 3-D grid."""
         g = make_radial_grid(3, 300.0, 450, "log-uniform", r_min=1e-4)
         prof = RadialProfile("rational_bracket", (1.7, 1.0, 2.0))
         u = sample_profile(prof, g)
         power = RadialKernel3D(RadialProfile("power", (0.8, -1.5)), coeff=1.3)
         if name == "power":
-            return power, u, None, prof
+            return power, u, prof
         if name == "log":
-            return RadialKernel3D(RadialProfile("power", (-0.6, -2.0))), u, None, prof
+            return RadialKernel3D(RadialProfile("power", (-0.6, -2.0))), u, prof
         if name == "rational_bracket":
-            return RadialKernel3D(RadialProfile("rational_bracket", (0.9, 2.0, 1.5))), u, None, prof
+            return RadialKernel3D(RadialProfile("rational_bracket", (0.9, 2.0, 1.5))), u, prof
         if name == "tabulated_tail":
             tab = tabulated_profile(g.nodes, u.values, tail_model=(1.7, -4.0, -3.4, -6.0))
-            return power, u, None, tab
-        if name == "r_eval_subset":
-            cells = g.cell_bounds
-            r_eval = np.concatenate([g.nodes[5::37], 0.5 * (cells[1:] + cells[:-1])[::11],
-                                     [1e-5, 0.3, 299.0, 400.0]])
-            return power, u, r_eval, prof
+            return power, u, tab
         raise ValueError(name)
 
-    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket", "tabulated_tail",
-                                      "r_eval_subset"])
+    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket", "tabulated_tail"])
     def test_matches_per_radius_reference(self, name):
-        kernel, u, r_eval, tail = self.case(name)
-        ref = reference_radial_convolve_3d(kernel, u, r_eval=r_eval, tail_profile=tail)
+        kernel, u, tail = self.case(name)
+        ref = reference_radial_convolve_3d(kernel, u, tail_profile=tail)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = radial_convolve_3d(kernel, u, r_eval=r_eval, tail_profile=tail)
+            out = radial_convolve_3d(kernel, u, tail_profile=tail)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
 

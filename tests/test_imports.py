@@ -15,6 +15,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from flbarron import solver as SV
 from flbarron.cli import build_parser
@@ -50,7 +51,7 @@ def test_importing_the_cli_loads_no_scipy():
     assert out == {"cli": [], "all": []}
 
 
-TRANSFORM_CASES = [(0.7, 1.0, 3), (0.0, 0.5, 3), (0.3, 1.5, 2)]
+TRANSFORM_CASES = [(0.7, 1.0, 3), (0.0, 0.5, 3), (0.3, 1.5, 3)]
 
 
 def test_first_quadpack_fallback_in_a_fresh_process():
@@ -72,6 +73,27 @@ def test_first_quadpack_fallback_in_a_fresh_process():
     assert "scipy.integrate" in out["after"]
     assert out["values"] == [SV.stretched_exp_transform(*c).hex() for c in TRANSFORM_CASES]
     assert out["raised"] is not None and "rho = 1.0, delta = 0.2, n = 3" in out["raised"]
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--n", "2"], "[UnsupportedScaleError]: sharpness experiment implemented for "
+                   "n = 3 (got n = 2)"),
+    (["--n", "4"], "[UnsupportedScaleError]: sharpness experiment implemented for "
+                   "n = 3 (got n = 4)"),
+    (["--cells", "5"], "[InvalidArgumentError]: count must be >= 8")])
+def test_verify_eigen_rejects_before_any_transform(flags, error):
+    argv = ["verify-eigen", "--delta", "0.75", "--gammas", "0.6,0.7"] + flags
+    out = fresh(f"""
+        import contextlib, io, json, sys
+        from flbarron import cli
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run({argv!r})
+        print(json.dumps({{"code": code, "err": err.getvalue(), "scipy": {SCIPY_LOADED}}}))
+    """)
+    assert out["code"] == 3
+    assert out["err"] == f"numeric failure {error}\n"
+    assert out["scipy"] == []  # no transform ran: the series, rule and QUADPACK need scipy
 
 
 def _gaussian_solve_case():

@@ -415,10 +415,10 @@ class TestStackedProbing:
     def test_equals_per_probe_loop(self, op, case):
         spec, grid = _stacked_case(case, 0.4, 1.0)
         probes = O._probe_chunk(grid) + 3  # a full chunk, then a partial one
-        for real, (src, dst) in ((False, (SpaceIndex(0.0, 1.0), SpaceIndex(0.5, 1.0))),
-                                 (True, (SpaceIndex(-0.5, 2.0), SpaceIndex(0.0, 2.0)))):
+        for src, dst in ((SpaceIndex(0.0, 1.0), SpaceIndex(0.5, 1.0)),
+                         (SpaceIndex(-0.5, 2.0), SpaceIndex(0.0, 2.0))):
             kwargs = dict(probes=probes, seed=23, certified=2.0,
-                          params={"rho": 1.3, "lam": -0.4, "K": 2.0, "real": real})
+                          params={"rho": 1.3, "lam": -0.4, "K": 2.0})
             got = O.empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
             ref = reference_empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
             assert got.to_json_dict() == ref.to_json_dict()
