@@ -144,14 +144,8 @@ class BoundContext:
     def beta(self) -> float:
         return 1.0 + (self.s - self.gamma) / 2.0
 
-    def sigma(self, p: float) -> float:
-        return sigma_exponent(self.alpha, p)
-
     def mu_tilde(self, rho: float = 1.0) -> float:
         return mu_tilde(self.spec.masses, rho)
-
-    def C_V(self) -> float:
-        return big_C_V(self.spec.potential, self.s, self.alpha, self.beta)
 
 
 def contraction_radius(mu_tilde_val: float, energy: float, C: float,
@@ -224,8 +218,8 @@ def coercivity_margin(spec: HamiltonianSpec, s: float, alpha: float, gamma: floa
     return lo
 
 
-def eigen_certificate(ctx: BoundContext, input_norm: float, which: str = "barron",
-                      C: float | None = None) -> float:
+def eigen_certificate(ctx: BoundContext, input_norm: float, which: str = "barron", *,
+                      C: float) -> float:
     """Right-hand side of the eigenfunction norm estimates.
 
     which = "barron": mu~_1 [|lambda+1| + C] * ||psi||_{B^{|s|}};
@@ -234,8 +228,6 @@ def eigen_certificate(ctx: BoundContext, input_norm: float, which: str = "barron
     """
     if input_norm < 0:
         raise InvalidArgumentError("input_norm must be nonnegative")
-    if C is None:
-        C = ctx.C_V()
     lam = ctx.lambda_or_rho
     mu1 = ctx.mu_tilde(1.0)
     core = abs(lam + 1.0) + C

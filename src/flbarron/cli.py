@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -173,7 +174,7 @@ def cmd_constants(args):
             out["c_alpha_beta"] = B.c_alpha_beta(alpha, beta, pot.n)
         nu_entries = []
         for role, i, j, t, dim in pot.terms():
-            texp = None if role == "additive" else t.power_exponent(dim)
+            texp = None if role == "additive" else t.power_exponent()
             if texp is not None and texp != dim:
                 nu_entries.append({"term": f"{role}:{i}" if j is None else f"{role}:{i},{j}",
                                    "kind": t.kind, "t": texp, "nu_t_n": B.nu_t_n(texp, dim)})
@@ -325,17 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)  # never "--flag" or "-h"
+
+
 def _attach_negative_values(argv: list) -> list:
-    """``--s -1e-3`` as ``--s=-1e-3``: argparse reads ``-1e-3`` or ``-inf`` as a flag
-    (only plain negative decimals as values), which would leave ``--s`` without one."""
+    """``--s -1e-3`` as ``--s=-1e-3``: argparse reads ``-1e-3``, ``-inf`` or the list
+    ``-0.5,0.7`` as a flag, which would leave ``--s`` without a value."""
     out = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
-            with contextlib.suppress(ValueError):
-                float(token)  # a negative number, not a flag
-                out[-1] += "=" + token
-                continue
-        out.append(token)
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
     return out
 
 

@@ -70,8 +70,8 @@ class FreqGrid:
             raise InvalidArgumentError("dim must be >= 1")
         if self.kind == "radial":
             r = self.nodes
-            if r is None or self.weights is None:
-                raise InvalidArgumentError("radial grid needs nodes and weights")
+            if r is None or self.weights is None or np.ndim(self.cell_bounds) != 1:
+                raise InvalidArgumentError("radial grid needs nodes, weights and cell_bounds")
             if np.any(np.diff(r) <= 0) or r[0] < 0:
                 raise InvalidArgumentError("radial nodes must be strictly increasing, r0 >= 0")
             if np.any(self.weights <= 0):
@@ -112,8 +112,7 @@ class FreqGrid:
     def upper_edge(self) -> float:
         """Outer radius covered by the quadrature (cell boundary, not node)."""
         if self.kind == "radial":
-            return float(self.cell_bounds[-1]) if self.cell_bounds is not None \
-                else float(self.nodes[-1])
+            return float(self.cell_bounds[-1])
         return float(self.extent)
 
     @cached_property
@@ -350,7 +349,7 @@ class FreqFunction:
         if g.kind == "radial":
             d["nodes"] = list(map(float, g.nodes))
             d["weights"] = list(map(float, g.weights))
-            d["cell_bounds"] = list(map(float, g.cell_bounds)) if g.cell_bounds is not None else None
+            d["cell_bounds"] = list(map(float, g.cell_bounds))
         else:
             d["axes"] = {"extent": g.extent, "count": g.count}
         return d
@@ -362,10 +361,9 @@ class FreqFunction:
     def from_json_dict(d: dict) -> "FreqFunction":
         """Inverse of ``to_json_dict``; a ``radial_flag`` key (older files) is ignored."""
         if d["kind"] == "radial":
-            cb = d.get("cell_bounds")
             grid = FreqGrid(dim=d["dim"], kind="radial",
                             nodes=np.array(d["nodes"]), weights=np.array(d["weights"]),
-                            cell_bounds=None if cb is None else np.array(cb))
+                            cell_bounds=np.array(d["cell_bounds"]))
         else:
             grid = FreqGrid(dim=d["dim"], kind="tensor",
                             extent=d["axes"]["extent"], count=d["axes"]["count"])
@@ -576,12 +574,6 @@ class RadialKernel3D:
             else:
                 self.q = a + 2.0  # tau * C tau^(a+1) integrates to C u^(a+2)/(a+2)
                 self.scale = coeff * C / (a + 2.0)
-        elif k == "bracket_power":
-            C, a = p
-            if abs(a + 2.0) < 1e-14:
-                self.smoothQ = lambda u: coeff * C / 2.0 * np.log1p(u * u)
-            else:
-                self.smoothQ = lambda u: coeff * C * (1.0 + u * u) ** ((a + 2.0) / 2.0) / (a + 2.0)
         elif k == "rational_bracket":
             A, c, m = p
             if abs(m - 1.0) < 1e-14:
@@ -633,7 +625,7 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
     integral is truncated at the grid edge.
     """
     g = u_hat.grid
-    if g.kind != "radial" or g.dim != 3 or g.cell_bounds is None:
+    if g.kind != "radial" or g.dim != 3:
         raise DimensionMismatchError("radial_convolve_3d needs a 3-D Gauss-cell radial grid")
     bounds = g.cell_bounds
     a, b = bounds[:-1], bounds[1:]

@@ -1,28 +1,43 @@
 """Analytic potential catalog and many-body potential assembly.
 
-Every catalog term carries a closed-form radial Fourier transform; shifted
-copies contribute a phase only, so all norms are taken on the unshifted
-profile and aggregated with |coefficient| weights.
+``_CATALOG`` declares the five kinds and their parameters once:
+inverse_power (t), coulomb, yukawa (mu), log_1d and gaussian (kappa and
+width, each 1 by default).  ``PotentialTerm`` checks every term against it,
+so an unknown kind or parameter, a missing ``t`` or ``mu``, or an entry that
+is not a finite real number raises ``InvalidArgumentError`` naming it.
+Every term carries a closed-form radial Fourier transform; shifted copies
+contribute a phase only, so all norms are taken on the unshifted profile
+and aggregated with |coefficient| weights.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DivergentPartError,
-    InvalidArgumentError,
-    UnsupportedKindError,
-)
+from .errors import DivergentPartError, InvalidArgumentError, UnsupportedKindError
 from .grid import RadialProfile, sample_profile
 from .spaces import Split, SpaceIndex, _power_tail, default_norm_grid, fl_norm
 from .special import c_t_n, omega_d
 
-_KINDS = ("inverse_power", "coulomb", "yukawa", "log_1d", "gaussian", "sharp_example", "custom")
+# kind -> {parameter: default}; a default of None marks a required parameter
+_CATALOG = {
+    "inverse_power": {"t": None},
+    "coulomb": {},
+    "yukawa": {"mu": None},
+    "log_1d": {},
+    "gaussian": {"kappa": 1.0, "width": 1.0},
+}
+
+
+def _finite_real(value) -> bool:
+    """A finite int or float (an int beyond the float range is not); a bool is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -35,32 +50,43 @@ class PotentialTerm:
     coeff: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidArgumentError(f"unknown potential kind {self.kind!r}")
-        numeric = [v for v in (*self.params.values(), self.coeff, *self.shift)
-                   if isinstance(v, numbers.Real)]
-        if not all(math.isfinite(v) for v in numeric):
-            raise InvalidArgumentError(f"{self.kind} term has a non-finite param, coeff or shift")
-        if self.kind == "yukawa" and not self.params.get("mu", 0) > 0:
+        if not isinstance(self.kind, str) or self.kind not in _CATALOG:
+            raise InvalidArgumentError(
+                f"unknown potential kind {self.kind!r} (known: {', '.join(_CATALOG)})")
+        k, declared = self.kind, _CATALOG[self.kind]
+        if not (isinstance(self.params, dict) and isinstance(self.shift, (tuple, list))):
+            raise InvalidArgumentError(f"{k} params must be an object and its shift a list")
+        for name in self.params:
+            if name not in declared:
+                raise InvalidArgumentError(f"{k} has no parameter {name!r} "
+                                           f"(it takes: {', '.join(declared) or 'none'})")
+        for name, default in declared.items():
+            if default is None and name not in self.params:
+                raise InvalidArgumentError(f"{k} needs parameter {name!r}")
+        for what, value in [*((f"parameter {p!r}", v) for p, v in self.params.items()),
+                            ("coeff", self.coeff), *(("shift", v) for v in self.shift)]:
+            if not _finite_real(value):
+                raise InvalidArgumentError(
+                    f"{k} {what} must be a finite real number (got {value!r})")
+        object.__setattr__(self, "shift", tuple(self.shift))
+        if k == "yukawa" and not self.param("mu") > 0:
             raise InvalidArgumentError("yukawa needs mu > 0")
-        if self.kind == "gaussian" and self.params.get("width", 1.0) <= 0:
+        if k == "gaussian" and not self.param("width") > 0:
             raise InvalidArgumentError("gaussian needs width > 0")
 
-    def power_exponent(self, n: int) -> float | None:
-        """t with V ~ |x|^(-t), None for non-power kinds."""
-        if self.kind == "coulomb":
-            return 1.0
+    def param(self, name: str) -> float:
+        """Parameter ``name`` as a float; the catalog default when not given."""
+        return float(self.params.get(name, _CATALOG[self.kind][name]))
+
+    def power_exponent(self) -> float | None:
+        """t with V ~ |x|^(-t), None for the Gaussian."""
         if self.kind == "inverse_power":
-            return float(self.params["t"])
-        if self.kind == "log_1d":
-            return 1.0
-        if self.kind == "yukawa":
-            return 1.0
-        return None
+            return self.param("t")
+        return None if self.kind == "gaussian" else 1.0
 
     def validate_for_dim(self, n: int) -> None:
         if self.kind in ("inverse_power", "coulomb"):
-            t = 1.0 if self.kind == "coulomb" else float(self.params["t"])
+            t = self.power_exponent()
             ok = (0 < t < n) or (n == 1 and 1 < t < 2) or (t == n == 1)
             if not ok:
                 raise InvalidArgumentError(
@@ -80,36 +106,20 @@ def fourier_transform(term: PotentialTerm, n: int) -> RadialProfile:
     the returned profile is always the centered one.
     """
     term.validate_for_dim(n)
-    k, p = term.kind, term.params
+    k = term.kind
     if k in ("inverse_power", "coulomb"):
-        t = 1.0 if k == "coulomb" else float(p["t"])
+        t = term.power_exponent()
         if t == n == 1:
             return RadialProfile("log_kernel", (-2.0,))
         return RadialProfile("power", (c_t_n(t, n), t - n))
     if k == "log_1d":
         return RadialProfile("log_kernel", (-2.0,))
     if k == "yukawa":
-        mu = float(p["mu"])
+        mu = term.param("mu")
         return RadialProfile("rational_bracket",
                              (4 * math.pi / mu ** 2, 4 * math.pi ** 2 / mu ** 2, 1.0))
-    if k == "gaussian":
-        kappa = float(p.get("kappa", 1.0))
-        w = float(p.get("width", 1.0))
-        return RadialProfile("gaussian", (kappa, math.pi * w * w))
-    if k == "sharp_example":
-        delta = float(p["delta"])
-        if delta == 1.0:
-            amp = 2.0 ** n * math.pi ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0)
-            return RadialProfile("rational_bracket", (amp, 4 * math.pi ** 2, (n + 1) / 2.0))
-        raise UnsupportedKindError(
-            "transform of exp(-|x|^delta) has no closed form for delta < 1; "
-            "use the sharpness experiment's tabulated transform")
-    if k == "custom":
-        prof = p.get("profile")
-        if prof is None:
-            raise UnsupportedKindError("custom term without a profile")
-        return prof
-    raise UnsupportedKindError(k)
+    kappa, w = term.param("kappa"), term.param("width")  # gaussian
+    return RadialProfile("gaussian", (kappa, math.pi * w * w))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +150,7 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
     mask = grid.nodes <= R
     f1 = f.copy_with(np.where(mask, f.values, 0.0))
     f2 = f.copy_with(np.where(mask, 0.0, f.values))
-    t = term.power_exponent(n)
+    t = term.power_exponent()
     if prof.kind == "power" and s == 0.0:
         c = abs(prof.params[0])
         n1 = c * omega_d(n) * R ** t / t
@@ -192,16 +202,7 @@ class AdmissibleRegion:
 
 def admissible_region(term: PotentialTerm, n: int) -> AdmissibleRegion:
     term.validate_for_dim(n)
-    if term.kind == "sharp_example":
-        raise UnsupportedKindError("sharp_example is a wave function, not a potential term")
-    if term.kind == "custom":
-        prof = term.params.get("profile")
-        texp = prof.tail_exponent() if prof is not None else None
-        t_eff = None if texp is None else n + texp
-        return AdmissibleRegion(n, t_eff)
-    if term.kind == "gaussian":
-        return AdmissibleRegion(n, None)
-    return AdmissibleRegion(n, term.power_exponent(n))
+    return AdmissibleRegion(n, term.power_exponent())
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +211,7 @@ def admissible_region(term: PotentialTerm, n: int) -> AdmissibleRegion:
 
 def _whole(value, name: str) -> int:
     """``value`` as an int when it is a whole number (2 or 2.0), never truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value)):
+    if not _finite_real(value) or value != int(value):
         raise InvalidArgumentError(f"{name} must be a whole number (got {value!r})")
     return int(value)
 
@@ -268,8 +268,8 @@ class PotentialSpec:
     @staticmethod
     def from_json_dict(d: dict) -> "PotentialSpec":
         def term_of(e: dict) -> PotentialTerm:
-            return PotentialTerm(kind=e["kind"], params=dict(e.get("params", {})),
-                                 shift=tuple(e.get("shift", ())), coeff=float(e.get("coeff", 1.0)))
+            return PotentialTerm(kind=e["kind"], params=e.get("params", {}),
+                                 shift=e.get("shift", ()), coeff=e.get("coeff", 1.0))
 
         return PotentialSpec(
             n=d["n"], N=d["N"],

@@ -263,6 +263,44 @@ class TestExitCodes:
         assert spaced[0] in (0, 3)
         assert spaced == outcome(f"--s={value}")
 
+    def test_negative_list_after_a_space_parses_like_equals(self, capsys):
+        # -0.5,0.7 is not one float, but it is a value: both forms reach the range check
+        errors = []
+        for flags in (["--gammas", "-0.5,0.7"], ["--gammas=-0.5,0.7"]):
+            assert run(["verify-eigen", "--delta", "0.75", *flags]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "[InvalidArgumentError]" in errors[0] and "(0, delta) = (0, 0.75)" in errors[0]
+
+    def test_flags_are_never_joined_as_values(self):
+        argv = ["--out", "--s", "--tol", "-inf", "verify-eigen", "--gammas", "-.5", "-h"]
+        assert cli._attach_negative_values(argv) == [
+            "--out", "--s", "--tol=-inf", "verify-eigen", "--gammas=-.5", "-h"]
+
+    @pytest.mark.parametrize("command", ["norm", "decompose", "constants", "solve", "probe"])
+    @pytest.mark.parametrize("term, named", [
+        ({"kind": "custom", "params": {"profile": {"kind": "power"}}}, "kind 'custom'"),
+        ({"kind": "sharp_example", "params": {"delta": 1.0}}, "kind 'sharp_example'"),
+        ({"kind": "gaussian", "params": {"kapa": 0.05}}, "gaussian has no parameter 'kapa'"),
+        ({"kind": "inverse_power", "params": {}}, "inverse_power needs parameter 't'"),
+        ({"kind": "yukawa", "params": {"mu": "2"}}, "yukawa parameter 'mu'"),
+        ({"kind": "gaussian", "params": {"width": "2"}}, "gaussian parameter 'width'"),
+        ({"kind": "inverse_power", "params": {"t": None}}, "inverse_power parameter 't'"),
+        ({"kind": "inverse_power", "params": {"t": True}}, "inverse_power parameter 't'"),
+        ({"kind": "inverse_power", "params": {"t": [1]}}, "inverse_power parameter 't'"),
+        ({"kind": "coulomb", "coeff": None}, "coulomb coeff"),
+        ({"kind": "gaussian", "shift": ["a"]}, "gaussian shift"),
+    ], ids=["custom", "sharp_example", "kapa", "no_t", "mu_str", "width_str", "t_null",
+            "t_bool", "t_list", "coeff_null", "shift_str"])
+    def test_bad_term_is_exit_three_naming_it(self, tmp_path, capsys, command, term, named):
+        # each used to run with a default, or end in a TypeError traceback (exit 1)
+        p = tmp_path / "bad_term.json"
+        p.write_text(json.dumps({"n": 3, "N": 1, "masses": [1.0], "pairwise": [],
+                                 "additive": None, "one_particle": [{"i": 1, **term}]}))
+        assert run([command, "--spec", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure [InvalidArgumentError]: ") and named in err
+
     def test_solve_on_radial_grid_is_dimension_mismatch(self, gaussian_spec_file, capsys):
         code = run(["solve", "--spec", gaussian_spec_file, "--grid", "kind:radial,count:20,rmax:4"])
         assert code == 3

@@ -413,6 +413,15 @@ class TestSerialization:
         assert np.array_equal(np.asarray(f2.values), np.asarray(f.values))
         assert np.array_equal(f2.grid.nodes, g.nodes)
         assert np.array_equal(f2.grid.weights, g.weights)
+        assert np.array_equal(f2.grid.cell_bounds, g.cell_bounds)
+
+    def test_radial_grid_needs_cell_bounds(self):
+        g = make_radial_grid(3, 5.0, 60)
+        with pytest.raises(InvalidArgumentError, match="cell_bounds"):
+            FreqGrid(dim=3, kind="radial", nodes=g.nodes, weights=g.weights)
+        d = FreqFunction(g, np.exp(-g.nodes)).to_json_dict()
+        with pytest.raises(InvalidArgumentError, match="cell_bounds"):
+            FreqFunction.from_json_dict({**d, "cell_bounds": None})
 
     def test_old_format_radial_flag_ignored(self):
         g = make_radial_grid(3, 5.0, 60, "log-uniform")

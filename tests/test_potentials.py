@@ -7,7 +7,6 @@ import pytest
 from flbarron.errors import (
     DivergentPartError,
     InvalidArgumentError,
-    UnsupportedKindError,
 )
 from flbarron.grid import EULER_GAMMA, make_radial_grid, radial_integral, sample_profile
 from flbarron.potentials import (
@@ -47,15 +46,10 @@ class TestFourierTransform:
         assert prof(np.array([0.0]))[0] == pytest.approx(math.pi, rel=1e-14)
 
     def test_sharp_example_delta_one(self):
-        prof = fourier_transform(PotentialTerm("sharp_example", {"delta": 1.0}), 3)
-        amp, c, m = prof.params
+        amp, c, m = sharp_example_potential(1.0, 3).psi_profile.params
         assert amp == pytest.approx(8 * math.pi, rel=1e-14)
         assert c == pytest.approx(4 * math.pi ** 2, rel=1e-14)
         assert m == 2.0
-
-    def test_sharp_example_needs_closed_form(self):
-        with pytest.raises(UnsupportedKindError):
-            fourier_transform(PotentialTerm("sharp_example", {"delta": 0.5}), 3)
 
     def test_log_kernel_1d(self):
         prof = fourier_transform(PotentialTerm("inverse_power", {"t": 1.0}), 1)
@@ -141,7 +135,7 @@ class TestSharpExample:
         assert ex.eigenvalue == -0.5
         (i, term), = ex.hamiltonian.potential.one_particle
         assert i == 1
-        assert term.power_exponent(3) == 1.0
+        assert term.power_exponent() == 1.0
         # eigenvalue identity forces the attractive sign, coefficient -(n-1)/2
         assert term.coeff == pytest.approx(-1.0)
 
