@@ -79,20 +79,28 @@ def _emit(payload: dict, out: str | None, csv_rows=None, csv_header=None):
 
 
 def _load_spec(path: str) -> HamiltonianSpec:
-    with open(path) as fh:
-        return HamiltonianSpec.from_json_dict(json.load(fh))
+    return HamiltonianSpec.from_json_dict(json.loads(Path(path).read_text()))
+
+
+_GRID_KEYS = {"radial": ("kind", "count", "rmax", "scheme"), "tensor": ("kind", "extent", "count")}
 
 
 def _build_grid(desc: str, dim: int):
-    """'kind:radial,count:N,rmax:R[,scheme:S]' or 'kind:tensor,extent:X,count:N'."""
-    fields = dict(part.split(":", 1) for part in desc.split(","))
-    kind = fields.pop("kind")
+    """'kind:radial,count:N,rmax:R[,scheme:S]' or 'kind:tensor,extent:X,count:N'; a
+    part that is not key:value, or whose key is unknown or repeated, is a ValueError."""
+    parts = [part.partition(":") for part in desc.split(",")]
+    fields = {key: value for key, sep, value in parts if sep}
+    kind = fields["kind"]
+    if kind not in _GRID_KEYS:
+        raise ValueError(f"unknown grid kind {kind!r}")
+    for key, sep, value in parts:
+        if not sep or key not in _GRID_KEYS[kind] or [k for k, _, _ in parts].count(key) > 1:
+            raise ValueError(f"grid part {key + sep + value!r}: a {kind} grid takes one "
+                             f"key:value each of {', '.join(_GRID_KEYS[kind])}")
     if kind == "radial":
         return make_radial_grid(dim, float(fields["rmax"]), int(fields["count"]),
                                 fields.get("scheme", "log-uniform"))
-    if kind == "tensor":
-        return make_tensor_grid(dim, float(fields["extent"]), int(fields["count"]))
-    raise ValueError(f"unknown grid kind {kind!r}")
+    return make_tensor_grid(dim, float(fields["extent"]), int(fields["count"]))
 
 
 def _meta(args) -> dict:

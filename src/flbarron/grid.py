@@ -18,7 +18,6 @@ data in three dimensions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -191,8 +190,8 @@ def make_radial_grid(d: int, r_max: float, count: int, scheme: str = "uniform",
     """
     if d < 1:
         raise InvalidArgumentError("dimension must be >= 1")
-    if not (r_max > 0):
-        raise InvalidArgumentError("r_max must be positive")
+    if not (0 < r_max < math.inf):
+        raise InvalidArgumentError(f"r_max must be positive and finite (got {r_max})")
     if count < 8:
         raise InvalidArgumentError("count must be >= 8")
     ncells = max(count // 3, 3)
@@ -335,44 +334,6 @@ class FreqFunction:
 
     def copy_with(self, values) -> "FreqFunction":
         return FreqFunction(self.grid, np.asarray(values))
-
-    # -- serialization (bit-exact round trip through JSON) -----------------
-
-    def to_json_dict(self) -> dict:
-        g = self.grid
-        vals = np.asarray(self.values, dtype=complex).ravel()
-        d = {
-            "dim": g.dim,
-            "kind": g.kind,
-            "values": [[z.real, z.imag] for z in vals],
-        }
-        if g.kind == "radial":
-            d["nodes"] = list(map(float, g.nodes))
-            d["weights"] = list(map(float, g.weights))
-            d["cell_bounds"] = list(map(float, g.cell_bounds))
-        else:
-            d["axes"] = {"extent": g.extent, "count": g.count}
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "FreqFunction":
-        """Inverse of ``to_json_dict``; a ``radial_flag`` key (older files) is ignored."""
-        if d["kind"] == "radial":
-            grid = FreqGrid(dim=d["dim"], kind="radial",
-                            nodes=np.array(d["nodes"]), weights=np.array(d["weights"]),
-                            cell_bounds=np.array(d["cell_bounds"]))
-        else:
-            grid = FreqGrid(dim=d["dim"], kind="tensor",
-                            extent=d["axes"]["extent"], count=d["axes"]["count"])
-        vals = np.array([complex(re, im) for re, im in d["values"]])
-        return FreqFunction(grid, vals.reshape(grid.shape))
-
-    @staticmethod
-    def from_json(s: str) -> "FreqFunction":
-        return FreqFunction.from_json_dict(json.loads(s))
 
 
 def sample_profile(profile: RadialProfile, grid: FreqGrid) -> FreqFunction:

@@ -385,6 +385,8 @@ def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid: FreqGrid,
     """
     if probes < 1:
         raise InvalidArgumentError("probes must be >= 1")
+    if grid.kind != "tensor":
+        raise DimensionMismatchError("probing needs a tensor grid")
     params = dict(params or {})
     op = make_operator(op_id, OperatorPlan(spec, grid), params)
     chunk = _probe_chunk(grid)
@@ -421,6 +423,8 @@ def _probe_norms(op, grid: FreqGrid, seed: int, indices, src: SpaceIndex,
 
 def replay_probe(report_dict: dict, spec: HamiltonianSpec, grid: FreqGrid) -> float:
     """Recompute the worst probe's ratio from a serialized report."""
+    if grid.kind != "tensor":
+        raise DimensionMismatchError("probing needs a tensor grid")
     src = SpaceIndex(report_dict["src"]["s"], report_dict["src"]["p"])
     dst = SpaceIndex(report_dict["dst"]["s"], report_dict["dst"]["p"])
     params = dict(report_dict.get("params", {}))

@@ -7,7 +7,8 @@ so an unknown kind or parameter, a missing ``t`` or ``mu``, or an entry that
 is not a finite real number raises ``InvalidArgumentError`` naming it.
 Every term carries a closed-form radial Fourier transform; shifted copies
 contribute a phase only, so all norms are taken on the unshifted profile
-and aggregated with |coefficient| weights.
+and aggregated with |coefficient| weights.  ``_SPEC_KEYS`` and ``_ENTRY_KEYS``
+declare the spec file's keys once; ``from_json_dict`` reads a spec through them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,43 @@ _CATALOG = {
     "log_1d": {},
     "gaussian": {"kappa": 1.0, "width": 1.0},
 }
+
+
+# spec-file key -> (JSON type, default), _REQUIRED for a key without one; a number may be
+# any JSON scalar here, as _whole, _finite_real and PotentialTerm check it where it is used
+_REQUIRED = object()
+_REQUIRED_NUMBER = ("a number", _REQUIRED)
+_TERM_KEYS = {"kind": ("a string", _REQUIRED), "params": ("an object", {}),
+              "shift": ("a list", ()), "coeff": ("a number", 1.0)}
+_SPEC_KEYS = {"n": _REQUIRED_NUMBER, "N": _REQUIRED_NUMBER,
+              "masses": ("a list", None),  # None: mass 1 for every particle
+              "one_particle": ("a list", ()), "pairwise": ("a list", ()),
+              "additive": ("an object or null", None)}
+_ENTRY_KEYS = {"one_particle": {"i": _REQUIRED_NUMBER, **_TERM_KEYS},
+               "pairwise": {"i": _REQUIRED_NUMBER, "j": _REQUIRED_NUMBER, **_TERM_KEYS}}
+_JSON_TYPES = {"an object": dict, "a list": list, "an object or null": (dict, type(None)),
+               "a string": str, "a number": (str, numbers.Number, type(None))}
+_JSON_NAMES = {dict: "an object", list: "a list", type(None): "null"}
+
+
+def _read(d, keys: dict, path: str) -> dict:
+    """The object ``d`` at JSON path ``path`` with each key of ``keys``, absent ones
+    at their default.  A non-object, an unknown or missing key, or a value of the
+    wrong JSON type raises InvalidArgumentError naming its path."""
+    if not isinstance(d, dict):
+        got = _JSON_NAMES.get(type(d), repr(d))
+        raise InvalidArgumentError(f"{path or 'the spec'} must be an object (got {got})")
+    at = f"{path}." if path else ""
+    for key, value in d.items():
+        if key not in keys:
+            raise InvalidArgumentError(f"{at}{key}: unknown key (known: {', '.join(keys)})")
+        if not isinstance(value, _JSON_TYPES[keys[key][0]]):
+            got = _JSON_NAMES.get(type(value), repr(value))
+            raise InvalidArgumentError(f"{at}{key} must be {keys[key][0]} (got {got})")
+    for key, (_, default) in keys.items():
+        if default is _REQUIRED and key not in d:
+            raise InvalidArgumentError(f"{at}{key}: required key is missing")
+    return {key: d.get(key, default) for key, (_, default) in keys.items()}
 
 
 def _finite_real(value) -> bool:
@@ -216,6 +254,14 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+def _entry(e, keys: dict, path: str) -> tuple:
+    """(i, term), (i, j, term) or (term,): the term entry ``e`` at JSON path
+    ``path`` with the particle indices that ``keys`` declares."""
+    e = _read(e, keys, path)
+    indices = tuple(_whole(e[k], f"{path}.{k}") for k in ("i", "j") if k in keys)
+    return (*indices, PotentialTerm(e["kind"], dict(e["params"]), e["shift"], e["coeff"]))
+
+
 @dataclass
 class PotentialSpec:
     """V = sum_i V_i(x_i) + sum_{i<j} V_ij(x_i - x_j) + V_ad(x)."""
@@ -252,32 +298,16 @@ class PotentialSpec:
     def is_zero(self) -> bool:
         return not self.terms()
 
-    def to_json_dict(self) -> dict:
-        def term_dict(t: PotentialTerm) -> dict:
-            return {"kind": t.kind, "params": dict(t.params),
-                    "shift": list(t.shift), "coeff": t.coeff}
-
-        return {
-            "n": self.n,
-            "N": self.N,
-            "one_particle": [{"i": i, **term_dict(t)} for i, t in self.one_particle],
-            "pairwise": [{"i": i, "j": j, **term_dict(t)} for i, j, t in self.pairwise],
-            "additive": term_dict(self.additive) if self.additive else None,
-        }
-
     @staticmethod
     def from_json_dict(d: dict) -> "PotentialSpec":
-        def term_of(e: dict) -> PotentialTerm:
-            return PotentialTerm(kind=e["kind"], params=e.get("params", {}),
-                                 shift=e.get("shift", ()), coeff=e.get("coeff", 1.0))
-
-        return PotentialSpec(
-            n=d["n"], N=d["N"],
-            one_particle=[(_whole(e["i"], "i"), term_of(e)) for e in d.get("one_particle", [])],
-            pairwise=[(_whole(e["i"], "i"), _whole(e["j"], "j"), term_of(e))
-                      for e in d.get("pairwise", [])],
-            additive=term_of(d["additive"]) if d.get("additive") else None,
-        )
+        """The potential of a spec-file object, read through ``_SPEC_KEYS``;
+        an unknown, missing or mistyped key raises InvalidArgumentError naming its path."""
+        top = _read(d, _SPEC_KEYS, "")
+        entries = {role: [_entry(e, keys, f"{role}[{k}]") for k, e in enumerate(top[role])]
+                   for role, keys in _ENTRY_KEYS.items()}
+        ad = top["additive"]
+        return PotentialSpec(top["n"], top["N"], **entries,
+                             additive=None if ad is None else _entry(ad, _TERM_KEYS, "additive")[0])
 
 
 @dataclass
@@ -288,11 +318,12 @@ class HamiltonianSpec:
     masses: tuple
 
     def __post_init__(self):
+        for k, m in enumerate(self.masses):
+            if not (_finite_real(m) and m > 0):
+                raise InvalidArgumentError(f"masses[{k}] must be a finite number > 0 (got {m!r})")
         self.masses = tuple(float(m) for m in self.masses)
         if len(self.masses) != self.potential.N:
             raise InvalidArgumentError("need one mass per particle")
-        if not all(0 < m < math.inf for m in self.masses):
-            raise InvalidArgumentError("masses must be finite and strictly positive")
 
     @property
     def n(self) -> int:
@@ -306,15 +337,10 @@ class HamiltonianSpec:
     def dim(self) -> int:
         return self.potential.dim
 
-    def to_json_dict(self) -> dict:
-        d = self.potential.to_json_dict()
-        d["masses"] = list(self.masses)
-        return d
-
     @staticmethod
     def from_json_dict(d: dict) -> "HamiltonianSpec":
-        pot = PotentialSpec.from_json_dict(d)
-        return HamiltonianSpec(pot, tuple(d.get("masses", [1.0] * pot.N)))
+        pot, masses = PotentialSpec.from_json_dict(d), _read(d, _SPEC_KEYS, "")["masses"]
+        return HamiltonianSpec(pot, (1.0,) * pot.N if masses is None else masses)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,109 @@ class TestExitCodes:
         assert "[InvalidArgumentError]" in capsys.readouterr().err
 
 
+    def test_probe_on_radial_grid_is_dimension_mismatch(self, tmp_path, capsys):
+        # a radial grid has no extent or count: this used to end in a TypeError (exit 1)
+        p = tmp_path / "yukawa.json"
+        p.write_text(json.dumps({"n": 3, "N": 1, "one_particle": [
+            {"i": 1, "kind": "yukawa", "params": {"mu": 2.0}}]}))
+        code = run(["probe", "--spec", str(p), "--grid", "kind:radial,count:30,rmax:5",
+                    "--alpha", "2", "--beta", "0.9"])
+        assert code == 3
+        assert "[DimensionMismatchError]: probing needs a tensor grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid, named", [
+        ("kind:radial,count:30,rmax:5,shceme:uniform", "grid part 'shceme:uniform'"),
+        ("kind:tensor,extent:4,count:9,rmax:5", "grid part 'rmax:5'"),
+        ("kind:tensor,extent:4,count:9,count:11", "grid part 'count:9'"),
+        ("kind:tensor,extent:4,count", "grid part 'count'"),
+        ("kind:sphere,count:9", "unknown grid kind 'sphere'"),
+    ], ids=["misspelled", "other_kind", "repeated", "no_colon", "unknown_kind"])
+    @pytest.mark.parametrize("command", ["solve", "probe"])
+    def test_bad_grid_descriptor_is_config_error(self, gaussian_spec_file, capsys,
+                                                 command, grid, named):
+        # the first two used to run the default scheme and the last count given
+        assert run([command, "--spec", gaussian_spec_file, "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error [ValueError]: ") and named in err
+
+    def test_non_finite_rmax_is_named(self, gaussian_spec_file, capsys):
+        assert run(["solve", "--spec", gaussian_spec_file,
+                    "--grid", "kind:radial,count:30,rmax:inf"]) == 3
+        assert "r_max must be positive and finite (got inf)" in capsys.readouterr().err
+
+
+_COULOMB_TERM = {"i": 1, "kind": "coulomb"}
+
+
+class TestSpecFile:
+    """Every key of a spec file is declared once in ``potentials``; anything
+    else exits 3 naming its JSON path, before any norm is computed."""
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"n": 3, "N": 1, "one_particle": [{**_COULOMB_TERM, "coef": 0.05}]},
+         "one_particle[0].coef: unknown key"),
+        ({"n": 3, "N": 1, "one_partcle": [_COULOMB_TERM]}, "one_partcle: unknown key"),
+        ({"n": 3, "N": 2, "pairwize": [{**_COULOMB_TERM, "j": 2}]}, "pairwize: unknown key"),
+        ({"n": 3, "N": 1, "additive": {}}, "additive.kind: required key is missing"),
+        ({"n": 3, "N": 1, "additive": {"kind": "gaussian", "scale": 2.0}},
+         "additive.scale: unknown key"),
+        ({"n": 3, "N": 1, "one_particle": None}, "one_particle must be a list (got null)"),
+        ({"n": 3, "N": 1, "masses": None}, "masses must be a list (got null)"),
+        ([1], "the spec must be an object (got a list)"),
+        ({"n": 3, "N": 1, "additive": [1]}, "additive must be an object or null (got a list)"),
+        ({"n": 3, "N": 1, "one_particle": _COULOMB_TERM},
+         "one_particle must be a list (got an object)"),
+        ({"n": 3, "N": 1, "pairwise": [1]}, "pairwise[0] must be an object (got 1)"),
+        ({"n": 3, "N": 1, "one_particle": [{**_COULOMB_TERM, "params": []}]},
+         "one_particle[0].params must be an object (got a list)"),
+        ({"n": 3, "N": 1, "one_particle": [{"i": 1}]}, "one_particle[0].kind: required key"),
+        ({"n": 3, "N": 1, "one_particle": [{"kind": "coulomb"}]},
+         "one_particle[0].i: required key"),
+        ({"N": 1}, "n: required key is missing"),
+        ({"n": 3, "N": 1, "masses": ["1"]}, "masses[0] must be a finite number > 0"),
+        ({"n": 3, "N": 1, "masses": [True]}, "masses[0] must be a finite number > 0"),
+        ({"n": 3, "N": 1, "masses": ["abc"]}, "masses[0] must be a finite number > 0"),
+    ], ids=["coef", "one_partcle", "pairwize", "additive_empty", "additive_unknown_key",
+            "one_particle_null", "masses_null", "top_level_list", "additive_list",
+            "one_particle_object", "entry_not_object", "params_list", "no_kind", "no_i", "no_n",
+            "mass_str", "mass_bool", "mass_abc"])
+    def test_bad_spec_is_exit_three_naming_its_path(self, tmp_path, capsys, spec, named):
+        # each used to exit 0 with a key ignored or a string read as a number, 1 with a
+        # TypeError traceback, or 2 with a bare KeyError
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(spec))
+        assert run(["constants", "--spec", str(p), "--alpha", "2.4", "--gamma", "0.4"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure [InvalidArgumentError]: ") and named in err
+
+    def test_documented_and_perfbench_shapes_load(self, tmp_path):
+        from flbarron.potentials import _ENTRY_KEYS, _SPEC_KEYS, HamiltonianSpec
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("A spec file is JSON:"):readme.index("Exit codes:")]
+        example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        for keys in (_SPEC_KEYS, *_ENTRY_KEYS.values()):
+            assert all(f"`{key}`" in section for key in keys)
+        term = {"kind": "gaussian", "params": {}, "shift": [], "coeff": 0.5}
+        perfbench_shape = {"n": 1, "N": 2, "masses": [1.0, 1.5], "one_particle": [],
+                           "pairwise": [{"i": 1, "j": 2, **term}], "additive": None}
+        for spec in (example, perfbench_shape, {**perfbench_shape, "additive": term}):
+            ham = HamiltonianSpec.from_json_dict(spec)
+            assert ham.N == spec["N"] and ham.masses == tuple(spec["masses"])
+            p = tmp_path / "spec.json"
+            p.write_text(json.dumps(spec))
+            assert run(["--out", str(tmp_path / "o.json"), "norm", "--spec", str(p)]) == 0
+
+    def test_absent_keys_take_their_defaults(self):
+        from flbarron.potentials import HamiltonianSpec, PotentialTerm
+
+        ham = HamiltonianSpec.from_json_dict({"n": 3, "N": 2, "one_particle": [_COULOMB_TERM]})
+        assert ham.masses == (1.0, 1.0)
+        assert ham.potential.one_particle == [(1, PotentialTerm("coulomb", {}, (), 1.0))]
+        assert ham.potential.pairwise == [] and ham.potential.additive is None
+
+
 def _float_flags() -> list:
     """(subcommand, flag) for every float-typed flag the parser accepts; the
     global ones (--tol) under every subcommand."""

@@ -304,6 +304,16 @@ class TestProbing:
                                             params=params)
             assert rep.satisfied, rep.to_json_line()
 
+    def test_radial_grid_rejected_before_any_probe(self, free_ham_1d, grid_1d):
+        radial = make_radial_grid(1, 5.0, 30)
+        with pytest.raises(DimensionMismatchError, match="probing needs a tensor grid"):
+            O.empirical_operator_norm("identity", free_ham_1d, radial, SpaceIndex(0, 1),
+                                      SpaceIndex(0, 1), probes=2, seed=1)
+        rep = O.empirical_operator_norm("identity", free_ham_1d, grid_1d, SpaceIndex(0, 1),
+                                        SpaceIndex(0, 1), probes=2, seed=1)
+        with pytest.raises(DimensionMismatchError, match="probing needs a tensor grid"):
+            O.replay_probe(rep.to_json_dict(), free_ham_1d, radial)
+
     def test_json_line_round_trip(self, free_ham_1d, grid_1d):
         import json
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -187,14 +186,6 @@ class TestSharpExample:
 
 
 class TestSpecAssembly:
-    def test_json_round_trip(self, coulomb_pair_spec):
-        ham = HamiltonianSpec(coulomb_pair_spec, (1.0, 2.0))
-        d = json.loads(json.dumps(ham.to_json_dict()))
-        ham2 = HamiltonianSpec.from_json_dict(d)
-        assert ham2.masses == ham.masses
-        assert ham2.potential.pairwise[0][:2] == (1, 2)
-        assert ham2.potential.pairwise[0][2].kind == "coulomb"
-
     def test_index_validation(self):
         with pytest.raises(InvalidArgumentError):
             PotentialSpec(3, 2, one_particle=[(3, PotentialTerm("coulomb"))])
