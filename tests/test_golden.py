@@ -1,0 +1,86 @@
+"""Golden-output gate: every case of ``tests/golden/regenerate.py`` rerun
+through ``cli.run`` must reproduce the checked-in JSON and CSV byte for byte.
+
+The files pin today's outputs, defects included: they are a regression
+baseline, not a correctness oracle.  A change that means to move an output
+regenerates them and says so in CHANGES.md.
+"""
+
+import csv
+import importlib.util
+import io
+import json
+import math
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _load_cases():
+    spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _rel(a, b) -> float:
+    if a == b:
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if math.isfinite(scale) else math.inf
+
+
+def _leaves(x, path=()):
+    """(key path, leaf) pairs of parsed JSON; lists and dicts are walked."""
+    if isinstance(x, dict):
+        for k in sorted(x):
+            yield from _leaves(x[k], path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path, x
+
+
+def _csv_leaves(text: str):
+    for i, row in enumerate(csv.reader(io.StringIO(text))):
+        for j, cell in enumerate(row):
+            try:
+                cell = float(cell)
+            except ValueError:
+                pass
+            yield (f"row {i}", f"column {j}"), cell
+
+
+def _describe(name: str, want: bytes, got: bytes) -> str:
+    """The file, the key path of the largest relative difference, and that difference."""
+    parse = (lambda b: _leaves(json.loads(b))) if name.endswith(".json") else (
+        lambda b: _csv_leaves(b.decode()))
+    want_leaves, got_leaves = dict(parse(want)), dict(parse(got))
+    if want_leaves.keys() != got_leaves.keys():
+        extra = sorted(map(str, want_leaves.keys() ^ got_leaves.keys()))
+        return f"{name}: key paths differ: {extra[:5]}"
+    worst, where = -1.0, None
+    for path, a in want_leaves.items():
+        b = got_leaves[path]
+        if a == b:
+            continue
+        num = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+        diff = _rel(a, b) if num else math.inf
+        if diff > worst:
+            worst, where = diff, (path, a, b)
+    if where is None:
+        return f"{name}: same values, different bytes (formatting)"
+    path, a, b = where
+    key = ".".join(map(str, path))
+    return f"{name}: largest relative difference {worst:.3g} at {key} (golden {a!r}, now {b!r})"
+
+
+def test_cli_outputs_match_golden_bytes(tmp_path):
+    cases = _load_cases()
+    got = cases.generate(tmp_path)
+    want = {p.name: p.read_bytes() for p in GOLDEN.iterdir() if p.suffix in (".json", ".csv")}
+    assert sorted(got) == sorted(want), "golden file set differs from the cases' outputs"
+    mismatches = [_describe(name, want[name], got[name]) for name in sorted(want)
+                  if got[name] != want[name]]
+    assert not mismatches, "\n".join(mismatches)
