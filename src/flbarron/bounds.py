@@ -140,13 +140,6 @@ class BoundContext:
         elif not g < ceiling:
             raise InvalidArgumentError(f"gamma must be below s - n/alpha + 2 = {ceiling}")
 
-    @property
-    def beta(self) -> float:
-        return 1.0 + (self.s - self.gamma) / 2.0
-
-    def mu_tilde(self, rho: float = 1.0) -> float:
-        return mu_tilde(self.spec.masses, rho)
-
 
 def contraction_radius(mu_tilde_val: float, energy: float, C: float,
                        s: float, beta: float) -> float:
@@ -229,7 +222,7 @@ def eigen_certificate(ctx: BoundContext, input_norm: float, which: str = "barron
     if input_norm < 0:
         raise InvalidArgumentError("input_norm must be nonnegative")
     lam = ctx.lambda_or_rho
-    mu1 = ctx.mu_tilde(1.0)
+    mu1 = mu_tilde(ctx.spec.masses, 1.0)
     core = abs(lam + 1.0) + C
     if which == "barron":
         return mu1 * core * input_norm

@@ -78,8 +78,19 @@ def _emit(payload: dict, out: str | None, csv_rows=None, csv_header=None):
         sys.stdout.write(text + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object of a spec file, whose keys must be distinct: plain
+    ``json.loads`` would take a repeated key's last value."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise InvalidArgumentError(f"{key}: key repeated within one object of the spec file")
+    return dict(pairs)
+
+
 def _load_spec(path: str) -> HamiltonianSpec:
-    return HamiltonianSpec.from_json_dict(json.loads(Path(path).read_text()))
+    return HamiltonianSpec.from_json_dict(
+        json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys))
 
 
 _GRID_KEYS = {"radial": ("kind", "count", "rmax", "scheme"), "tensor": ("kind", "extent", "count")}

@@ -232,8 +232,9 @@ class RadialProfile:
       log_kernel       (C,)         C * (ln r + euler_gamma)
       tabulated        ()           interpolant + fitted power-law tail
 
-    ``power`` and ``log_kernel`` are the kinds singular at r = 0; the tail
-    exponent of a tabulated profile is that of its ``tail_model``.
+    ``power`` and ``log_kernel`` are the kinds singular at r = 0; the
+    ``leading_tail`` of a tabulated profile is the first term of its
+    ``tail_model``.
     """
 
     kind: str
@@ -278,31 +279,21 @@ class RadialProfile:
                 out[hi] = A * rh ** p1 + B * rh ** p2
         return out
 
-    def tail_exponent(self) -> float | None:
-        """exponent p with |f| ~ C r^p at infinity, None if unknown."""
+    def leading_tail(self) -> tuple:
+        """(C, p) with f ~ C r^p at infinity, C signed; (0.0, None) for the
+        Gaussian, whose super-polynomial tail is negligible, and (None, None)
+        when the tail is unknown."""
         k, p = self.kind, self.params
         if k in ("power", "bracket_power"):
-            return p[1]
-        if k == "rational_bracket":
-            return -2.0 * p[2]
-        if k == "gaussian":
-            return None  # super-polynomial; treated as negligible tail
-        if k == "tabulated" and self.tail_model is not None:
-            return self.tail_model[1]
-        return None
-
-    def tail_coefficient(self) -> float | None:
-        k, p = self.kind, self.params
-        if k in ("power", "bracket_power"):
-            return abs(p[0])
+            return p[0], p[1]
         if k == "rational_bracket":
             A, c, m = p
-            return abs(A) * c ** (-m)
+            return A * c ** (-m), -2.0 * m
         if k == "gaussian":
-            return 0.0
+            return 0.0, None
         if k == "tabulated" and self.tail_model is not None:
-            return abs(self.tail_model[0])
-        return None
+            return self.tail_model[:2]
+        return None, None
 
 
 def tabulated_profile(nodes, values, tail_model=None) -> RadialProfile:
@@ -655,16 +646,12 @@ def _tail_correction(kernel: RadialKernel3D, tail_profile: RadialProfile | None,
     """(2 pi / r) times the analytic s > R part of the integral; 0 without a
     power-law series for the kernel or a tail model for u."""
     series = kernel.tail_series()
-    texp = None if tail_profile is None else tail_profile.tail_exponent()
+    Ct, texp = (None, None) if tail_profile is None else tail_profile.leading_tail()
     if series is None or texp is None:
         return 0.0
-    if tail_profile.kind == "tabulated" and tail_profile.tail_model is not None:
-        A, p1, B, p2 = tail_profile.tail_model
-        terms = [(A, p1), (B, p2)]
-    else:
-        Ct = tail_profile.tail_coefficient()
-        sgn = np.sign(tail_profile(np.array([R]))[0]) or 1.0
-        terms = [] if Ct is None else [(sgn * Ct, texp)]
+    terms = [(Ct, texp)]
+    if tail_profile.kind == "tabulated":  # its tail model's second term as well
+        terms.append(tail_profile.tail_model[2:])
     corr = np.zeros_like(r)
     # integrand beyond R: (s * u(s)) * ck r^(2k+1) s^pk with u ~ Au s^pu
     for kk, (ck, pk) in enumerate(series):

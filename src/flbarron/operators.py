@@ -84,7 +84,7 @@ class OperatorPlan:
         pot, g = self.spec.potential, self.grid
         terms = pot.terms()
         if g.kind == "radial":
-            if pot.N != 1 or pot.n != 3 or g.dim != 3:
+            if terms and (pot.N != 1 or pot.n != 3 or g.dim != 3):  # V = 0 needs no convolution
                 raise UnsupportedScaleError("radial multiplication implemented for N=1, n=3")
             if any(t.shift for _, _, _, t, _ in terms):
                 raise UnsupportedScaleError("shifted terms need a tensor grid")
@@ -96,11 +96,6 @@ class OperatorPlan:
                                          i if j is None else (i, j), pot.n,
                                          np.asarray(t.shift, float) if t.shift else None))
                 for role, i, j, t, dim in terms]
-
-    @cached_property
-    def _zero_V(self) -> bool:
-        """Whether V has no terms, decided once per plan."""
-        return self.spec.potential.is_zero()
 
     @cached_property
     def complex_kernel(self) -> bool:
@@ -130,8 +125,6 @@ class OperatorPlan:
         correction.  Tensor grids use the lattice convolutions.
         """
         u = FreqFunction(self.grid, self._samples(values))
-        if self._zero_V:
-            return np.zeros_like(u.values)
         if self.grid.kind == "radial":
             total = np.zeros(len(self.grid.nodes))
             for kernel in self._kernels:

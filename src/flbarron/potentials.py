@@ -175,7 +175,7 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
     if not R > 0:
         raise InvalidArgumentError("R must be positive")
     prof = fourier_transform(term, n)
-    texp = prof.tail_exponent()
+    Ct, texp = prof.leading_tail()
     if texp is not None and not math.isinf(alpha_prime):
         if (s + texp) * alpha_prime + n >= 0:
             raise DivergentPartError(
@@ -199,8 +199,7 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
         n1 = fl_norm(f1, SpaceIndex(s, 1.0))
         n2 = fl_norm(f2, SpaceIndex(s, alpha_prime))
         if texp is not None and not math.isinf(alpha_prime):
-            tail = _power_tail(prof.tail_coefficient(), texp, alpha_prime, s, n,
-                               grid.upper_edge())
+            tail = _power_tail(Ct, texp, alpha_prime, s, n, grid.upper_edge())
             if tail is not None:
                 n2 = (n2 ** alpha_prime + tail) ** (1.0 / alpha_prime)
         method = "radius"
@@ -352,8 +351,6 @@ class SharpExample:
     """Radial model with eigenfunction exp(-|x|^delta) and known eigenvalue."""
 
     hamiltonian: HamiltonianSpec
-    delta: float
-    n: int
     eigenvalue: float
     psi_profile: RadialProfile | None  # closed form at delta = 1, else tabulated later
 
@@ -386,4 +383,4 @@ def sharp_example_potential(delta: float, n: int) -> SharpExample:
         psi = None
     pot = PotentialSpec(n=n, N=1, one_particle=terms)
     ham = HamiltonianSpec(pot, (1.0,))
-    return SharpExample(ham, delta, n, lam, psi)
+    return SharpExample(ham, lam, psi)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -44,6 +44,7 @@ from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R 
     apply_R,
     apply_T_lambda,
     apply_h0_inverse,
+    make_operator,
     project_high,
     project_low,
 )
@@ -71,16 +72,7 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": list(map(float, self.residual_history)),
-            "certificate": self.certificate,
-            "final_norms": self.final_norms,
-            "aposteriori": self.aposteriori,
-            "oracle_error": self.oracle_error,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -102,11 +94,8 @@ class EigenReport:
     blowup_norms: tuple = ()  # high-band Barron norm per blowup_gammas entry
 
     def to_json_dict(self) -> dict:
-        d = dict(self.__dict__)
-        del d["blowup_norms"]
-        d["blowup_gammas"] = list(self.blowup_gammas)
-        d["fit_window"] = list(self.fit_window)
-        return d
+        """Every field but ``blowup_norms``, which the CSV carries."""
+        return {k: v for k, v in asdict(self).items() if k != "blowup_norms"}
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +165,6 @@ def assemble_dense(spec: HamiltonianSpec, rho: float, grid) -> np.ndarray:
     M = grid.size
     if M > MAX_DENSE_SAMPLES:
         raise UnsupportedScaleError(f"dense assembly capped at {MAX_DENSE_SAMPLES} samples (got {M})")
-    if spec.potential.is_zero():
-        return np.eye(M)
     A = OperatorPlan(spec, grid).matrix(rho)
     A[np.diag_indices(M)] += 1.0
     return A
@@ -250,27 +237,21 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
     idx = SpaceIndex(abs(s), 1.0)
     plan = OperatorPlan(spec, data.grid)
     if mode == "eigen":
-        lam = energy
-        mt = mu_tilde(spec.masses, 1.0)
-        K = contraction_radius(mt, abs(lam + 1.0), C, s, beta)
-        apply_step = lambda w: project_high(w.copy_with(plan.T_lambda(w.values, lam)), K)
-        low = project_low(data, K)
-        target = project_high(data, K)
+        K = contraction_radius(mu_tilde(spec.masses, 1.0), abs(energy + 1.0), C, s, beta)
+        low, target = project_low(data, K), project_high(data, K)
+        apply_step = make_operator("pk_t_lambda", plan, {"lam": energy, "K": K})
         seed_term = apply_step(low)
     elif mode == "solve":
         rho = energy
-        mt = mu_tilde(spec.masses, rho)
-        K = contraction_radius(mt, 0.0, C, s, beta)
+        K = contraction_radius(mu_tilde(spec.masses, rho), 0.0, C, s, beta)
         u_star = solve_direct(spec, rho, data)
-        low = project_low(u_star, K)
-        target = project_high(u_star, K)
+        low, target = project_low(u_star, K), project_high(u_star, K)
+        pk_r = make_operator("pk_r", plan, {"rho": rho, "K": K})
         g0 = project_high(data.copy_with(plan.h0_inverse(data.values, rho)), K)
-        g1 = project_high(low.copy_with(plan.R(low.values, rho)), K)
-        seed_term = g0.copy_with(np.asarray(g0.values) - np.asarray(g1.values))
+        seed_term = g0.copy_with(np.asarray(g0.values) - np.asarray(pk_r(low).values))
 
-        def apply_step(w, _rho=rho, _K=K):
-            pkr = project_high(w.copy_with(plan.R(w.values, _rho)), _K)
-            return pkr.copy_with(-np.asarray(pkr.values))
+        def apply_step(w):
+            return w.copy_with(-np.asarray(pk_r(w).values))
     else:
         raise InvalidArgumentError("mode must be 'eigen' or 'solve'")
 
@@ -543,14 +524,20 @@ def tabulate_sharp_transform(nodes: np.ndarray, delta: float) -> RadialProfile:
     vals = np.empty_like(nodes)
     low = nodes <= _SEAM
     vals[low] = sharp_transform_radii(nodes[low], delta)
-    xs = np.geomspace(_SEAM / 3.0, _SEAM, 16)
-    ys = sharp_transform_radii(xs, delta)
-    wv = ys * xs ** (delta + 3)
-    Bc, Ac = np.polyfit(xs ** -delta, wv, 1)
+    Ac, Bc, _ = _tail_fit(_SEAM / 3.0, _SEAM, 16, delta)
     hi = ~low
     if hi.any():
         vals[hi] = Ac * nodes[hi] ** -(delta + 3) + Bc * nodes[hi] ** -(2 * delta + 3)
     return tabulated_profile(nodes, vals, tail_model=(Ac, -(delta + 3), Bc, -(2 * delta + 3)))
+
+
+def _tail_fit(lo: float, hi: float, count: int, delta: float):
+    """Two-term tail model |F(x)| = A x^(-delta-3) + B x^(-2 delta-3), fitted by
+    least squares on ``count`` geometric radii of [lo, hi]: (A, B, (radii, F))."""
+    xs = np.geomspace(lo, hi, count)
+    F = sharp_transform_radii(xs, delta)
+    B, A = np.polyfit(xs ** -delta, np.abs(F) * xs ** (delta + 3), 1)
+    return A, B, (xs, F)
 
 
 def _ols_slope(x: np.ndarray, y: np.ndarray):
@@ -626,22 +613,16 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
 
     # pilot fit to place the window
     seed_window = 4.0
-    xs0 = np.geomspace(seed_window, 10 * seed_window, 16)
-    ys0 = sharp_transform_radii(xs0, delta)
-    w0 = np.abs(ys0) * xs0 ** (delta + 3)
-    B0, A0 = np.polyfit(xs0 ** -delta, w0, 1)
+    A0, B0, _ = _tail_fit(seed_window, 10 * seed_window, 16, delta)
     if A0 <= 0:
         raise FitDegenerateError("pilot amplitude fit degenerate")
     xi_lo = (100.0 * abs(B0 / A0)) ** (1.0 / delta) if B0 != 0 else seed_window
     xi_lo = min(max(xi_lo, seed_window), 32.0)
 
-    xs = np.geomspace(xi_lo, 10 * xi_lo, 24)
-    ys = sharp_transform_radii(xs, delta)
+    Ac, _, (xs, ys) = _tail_fit(xi_lo, 10 * xi_lo, 24, delta)
     if np.any(ys == 0):
         raise FitDegenerateError("transform vanished inside the fit window")
     slope, ci = _ols_slope(np.log(xs), np.log(np.abs(ys)))
-    wv = np.abs(ys) * xs ** (delta + 3)
-    Bc, Ac = np.polyfit(xs ** -delta, wv, 1)
     tail_sign = int(np.sign(ys[-1]))
 
     # blow-up of the high-frequency Barron mass

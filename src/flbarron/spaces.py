@@ -12,7 +12,7 @@ which only ever shrinks when candidates are added.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,13 +102,7 @@ class NormReport:
     split_method: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "truncated": self.truncated,
-            "split_method": self.split_method,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -145,35 +139,36 @@ def fl_norm(f: FreqFunction, idx: SpaceIndex):
 
 
 def _power_tail(C: float, expo: float, p: float, s: float, n: int, R: float):
-    """tail of int_R^inf (<r>^s C r^expo)^p r^(n-1) dr (times omega_n); None if divergent.
+    """tail of int_R^inf (<r>^s |C| r^expo)^p r^(n-1) dr (times omega_n); None if
+    divergent or unknown.  (C, expo) is a profile's ``leading_tail``.
 
     Uses <r> <= sqrt(2) r for r >= 1 to stay an upper bound.
     """
-    if C is not None and C == 0.0:
+    if C == 0.0:
         return 0.0
     if C is None or expo is None:
         return None
     if math.isinf(p):
         e = s + expo
-        return None if e > 0 else C * (2.0 ** (abs(s) / 2.0)) * max(R, 1.0) ** e
+        return None if e > 0 else abs(C) * (2.0 ** (abs(s) / 2.0)) * max(R, 1.0) ** e
     e = (s + expo) * p + n
     if e >= 0:
         return None
-    amp = (C * 2.0 ** (abs(s) / 2.0)) ** p
+    amp = (abs(C) * 2.0 ** (abs(s) / 2.0)) ** p
     return omega_d(n) * amp * R ** e / (-e)
 
 
 def _power_tail_accurate(C: float, expo: float, p: float, s: float, n: int, R: float):
     """Two-term estimate of the same tail, without the bracket inflation."""
-    if C is not None and C == 0.0:
+    if C == 0.0:
         return 0.0
     if C is None or expo is None or math.isinf(p):
         return None
     e = (s + expo) * p + n
     if e >= 0:
         return None
-    lead = C ** p * omega_d(n) * R ** e / (-e)
-    corr = C ** p * omega_d(n) * (p * s / 2.0) * R ** (e - 2) / (2 - e)
+    lead = abs(C) ** p * omega_d(n) * R ** e / (-e)
+    corr = abs(C) ** p * omega_d(n) * (p * s / 2.0) * R ** (e - 2) / (2 - e)
     return lead + corr
 
 
@@ -189,15 +184,14 @@ def profile_norm_report(profile: RadialProfile, idx: SpaceIndex, n: int,
     f = sample_profile(profile, grid)
     base = fl_norm(f, idx)
     R = grid.upper_edge()
-    bound = _power_tail(profile.tail_coefficient(), profile.tail_exponent(),
-                        idx.p, idx.s, n, R)
+    tail = profile.leading_tail()
+    bound = _power_tail(*tail, idx.p, idx.s, n, R)
     if bound is None:
         return NormReport({"s": idx.s, "p": idx.p}, base, None, True)
     if math.isinf(idx.p):
         return NormReport({"s": idx.s, "p": idx.p}, max(base, bound), bound, False)
-    tail = _power_tail_accurate(profile.tail_coefficient(), profile.tail_exponent(),
-                                idx.p, idx.s, n, R)
-    value = (base ** idx.p + max(tail, 0.0)) ** (1.0 / idx.p)
+    accurate = _power_tail_accurate(*tail, idx.p, idx.s, n, R)
+    value = (base ** idx.p + max(accurate, 0.0)) ** (1.0 / idx.p)
     return NormReport({"s": idx.s, "p": idx.p}, value, bound, False)
 
 
@@ -239,7 +233,7 @@ def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
     if math.isinf(alpha):
         value = fl_norm(func, SpaceIndex(s, 1.0))
         if profile is not None:
-            texp = profile.tail_exponent()
+            _, texp = profile.leading_tail()
             if texp is not None and (s + texp) + n >= 0:
                 raise NotInSpaceError(
                     f"Barron integral diverges: tail exponent {texp} at s = {s}")
@@ -248,6 +242,12 @@ def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
         return value, Split(func, zero, "trivial", part_norms=(value, 0.0))
 
     cab_root = c_alpha_beta(alpha, idx.beta, n) ** (1.0 / alpha)
+    tail_extra = 0.0
+    if profile is not None:
+        tail_extra = _power_tail(*profile.leading_tail(), ap, s, n, g.upper_edge())
+        if tail_extra is None:
+            raise NotInSpaceError(
+                f"profile not in FL^1_{s} + FL^{ap}_{s}: every candidate split diverges")
     weighted, w = _weighted_samples(func, s)
     rmesh = g.radius_mesh().ravel()
 
@@ -258,47 +258,28 @@ def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
     lap_terms = (w * weighted ** ap)[order]
     c1 = np.cumsum(l1_terms)
     cap_tail = np.cumsum(lap_terms[::-1])[::-1] - lap_terms  # strictly above each radius
-    tail_extra = 0.0
-    truncated_tail = False
-    if profile is not None:
-        t = _power_tail(profile.tail_coefficient(), profile.tail_exponent(),
-                        ap, s, n, g.upper_edge())
-        if t is None:
-            truncated_tail = True
-        else:
-            tail_extra = t
-    best = None
-    if not truncated_tail:
-        n2 = (np.maximum(cap_tail + tail_extra, 0.0)) ** (1.0 / ap)
-        totals = c1 + cab_root * n2
-        k = int(np.argmin(totals))
-        best = (float(totals[k]), float(r_sorted[k]), float(c1[k]), float(n2[k]))
+    n2 = (np.maximum(cap_tail + tail_extra, 0.0)) ** (1.0 / ap)
+    totals = c1 + cab_root * n2
+    k = int(np.argmin(totals))
 
     # threshold split at kappa = ||<.>^s f||_{L^alpha'}
-    thresh = None
-    if not truncated_tail:
-        kappa = float(np.sum(lap_terms) + tail_extra) ** (1.0 / ap)
-        mask = weighted > kappa
-        n1t = float(np.sum((w * weighted)[mask]))
-        n2t = float((np.sum((w * weighted ** ap)[~mask]) + tail_extra) ** (1.0 / ap))
-        thresh = (n1t + cab_root * n2t, kappa, n1t, n2t)
-
-    if best is None and thresh is None:
-        raise NotInSpaceError(
-            f"profile not in FL^1_{s} + FL^{ap}_{s}: every candidate split diverges")
+    kappa = float(np.sum(lap_terms) + tail_extra) ** (1.0 / ap)
+    mask = weighted > kappa
+    n1t = float(np.sum((w * weighted)[mask]))
+    n2t = float((np.sum((w * weighted ** ap)[~mask]) + tail_extra) ** (1.0 / ap))
+    threshold_value = n1t + cab_root * n2t
 
     vals = np.asarray(func.values)
-    if thresh is not None and (best is None or thresh[0] < best[0]):
-        value, kappa, n1v, n2v = thresh
-        mask_full = weighted.reshape(vals.shape) > kappa
-        f1 = func.copy_with(np.where(mask_full, vals, 0.0))
-        f2 = func.copy_with(np.where(mask_full, 0.0, vals))
-        return value, Split(f1, f2, "threshold", part_norms=(n1v, n2v))
-    value, R, n1v, n2v = best
-    mask_full = (rmesh.reshape(vals.shape) <= R)
-    f1 = func.copy_with(np.where(mask_full, vals, 0.0))
-    f2 = func.copy_with(np.where(mask_full, 0.0, vals))
-    return value, Split(f1, f2, "radius", radius=R, part_norms=(n1v, n2v))
+    if threshold_value < float(totals[k]):
+        method, value, radius, part_norms = "threshold", threshold_value, None, (n1t, n2t)
+        keep = mask.reshape(vals.shape)
+    else:
+        method, value, radius = "radius", float(totals[k]), float(r_sorted[k])
+        part_norms = (float(c1[k]), float(n2[k]))
+        keep = rmesh.reshape(vals.shape) <= radius
+    f1 = func.copy_with(np.where(keep, vals, 0.0))
+    f2 = func.copy_with(np.where(keep, 0.0, vals))
+    return value, Split(f1, f2, method, radius=radius, part_norms=part_norms)
 
 
 # ---------------------------------------------------------------------------

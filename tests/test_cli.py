@@ -386,15 +386,20 @@ class TestSpecFile:
         ({"n": 3, "N": 1, "masses": ["1"]}, "masses[0] must be a finite number > 0"),
         ({"n": 3, "N": 1, "masses": [True]}, "masses[0] must be a finite number > 0"),
         ({"n": 3, "N": 1, "masses": ["abc"]}, "masses[0] must be a finite number > 0"),
+        # raw text: a key repeated within one object
+        ('{"n": 3, "N": 2, "N": 1, "one_particle": [{"i": 1, "kind": "coulomb", "coeff": 0.05}]}',
+         "N: key repeated within one object"),
+        ('{"n": 3, "N": 1, "one_particle": [{"i": 1, "kind": "coulomb", "coeff": 0.05, '
+         '"coeff": 1.0}]}', "coeff: key repeated within one object"),
     ], ids=["coef", "one_partcle", "pairwize", "additive_empty", "additive_unknown_key",
             "one_particle_null", "masses_null", "top_level_list", "additive_list",
             "one_particle_object", "entry_not_object", "params_list", "no_kind", "no_i", "no_n",
-            "mass_str", "mass_bool", "mass_abc"])
+            "mass_str", "mass_bool", "mass_abc", "repeated_N", "repeated_coeff"])
     def test_bad_spec_is_exit_three_naming_its_path(self, tmp_path, capsys, spec, named):
-        # each used to exit 0 with a key ignored or a string read as a number, 1 with a
-        # TypeError traceback, or 2 with a bare KeyError
+        # each used to exit 0 with a key ignored, the last of a repeated key taken or a
+        # string read as a number, 1 with a TypeError traceback, or 2 with a bare KeyError
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(spec))
+        p.write_text(spec if isinstance(spec, str) else json.dumps(spec))
         assert run(["constants", "--spec", str(p), "--alpha", "2.4", "--gamma", "0.4"]) == 3
         out, err = capsys.readouterr()
         assert out == ""

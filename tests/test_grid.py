@@ -14,6 +14,7 @@ from flbarron.grid import (
     FreqGrid,
     RadialKernel3D,
     RadialProfile,
+    _tail_correction,
     convolve,
     lattice_kernel,
     make_radial_grid,
@@ -402,10 +403,47 @@ class TestRadialConvolve3D:
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("name", ["power", "log"])
+    def test_negative_tail_coefficient_negates_the_correction(self, name):
+        # the correction reads the signed leading coefficient: the tail profile
+        # with -C gives exactly the negated correction, and negating u as well
+        # negates the whole convolution
+        kernel, u, prof = self.case(name)
+        neg = RadialProfile(prof.kind, (-prof.params[0],) + prof.params[1:])
+        R, r = u.grid.cell_bounds[-1], u.grid.nodes
+        plus = _tail_correction(kernel, prof, R, r)
+        assert np.all(plus != 0)
+        assert np.array_equal(_tail_correction(kernel, neg, R, r), -plus)
+        out = radial_convolve_3d(kernel, u, tail_profile=prof)
+        negated = radial_convolve_3d(kernel, u.copy_with(-u.values), tail_profile=neg)
+        assert np.array_equal(negated, -out)
+
     def test_needs_3d_radial_grid(self, grid_1d):
         kernel = RadialKernel3D(RadialProfile("gaussian", (1.0, 1.0)))
         with pytest.raises(DimensionMismatchError):
             radial_convolve_3d(kernel, FreqFunction(grid_1d, np.ones(grid_1d.shape)))
+
+
+class TestLeadingTail:
+    @pytest.mark.parametrize("profile", [
+        RadialProfile("power", (-1.3, -2.5)),
+        RadialProfile("bracket_power", (2.0, -3.0)),
+        RadialProfile("rational_bracket", (-4.0, 2.0, 1.5)),
+        tabulated_profile([0.5, 1.0, 2.0], [1.0, 0.5, 0.1], tail_model=(-0.7, -4.0, 0.3, -5.0)),
+    ], ids=["power", "bracket_power", "rational_bracket", "tabulated"])
+    def test_signed_tail_matches_the_profile_at_large_r(self, profile):
+        C, p = profile.leading_tail()
+        r = np.array([1e2, 1e4, 1e6, 1e8])
+        err = np.abs(profile(r) / (C * r ** p) - 1.0)
+        assert np.all(np.diff(err) <= 0) and err[-1] <= 1e-8
+
+    @pytest.mark.parametrize("profile, expected", [
+        (RadialProfile("gaussian", (1.0, 2.0)), (0.0, None)),
+        (RadialProfile("log_kernel", (-2.0,)), (None, None)),
+        (tabulated_profile([0.5, 1.0], [1.0, 0.5]), (None, None)),
+    ], ids=["gaussian", "log_kernel", "tabulated_without_model"])
+    def test_negligible_and_unknown_tails(self, profile, expected):
+        assert profile.leading_tail() == expected
 
 
 class TestSerialization:

@@ -81,6 +81,24 @@ class TestMultiplyV:
         u = random_complex(grid_1d, 2)
         out = O.apply_multiply_V(u, PotentialSpec(1, 1))
         assert np.all(out.values == 0)
+        # a free plan runs the general path: exact zeros of the input's dtype,
+        # on tensor grids (one function or a stack) and on radial grids of any dimension
+        cases = ((PotentialSpec(1, 1), grid_1d), (PotentialSpec(1, 2), make_tensor_grid(2, 4.0, 9)),
+                 (PotentialSpec(3, 1), make_radial_grid(3, 6.0, 30)),
+                 (PotentialSpec(1, 1), make_radial_grid(1, 6.0, 30)))
+        for pot, grid in cases:
+            ham = HamiltonianSpec(pot, (1.0,) * pot.N)
+            plan = O.OperatorPlan(ham, grid)
+            real = np.linspace(0.5, 1.5, grid.size).reshape(grid.shape)
+            inputs = [real]
+            if grid.kind == "tensor":
+                inputs += [real + 0.5j, np.stack([real, real])]
+            for values in inputs:
+                zero = np.zeros_like(values)
+                for got in (plan.multiply_V(values), plan.R(values, 1.3)):
+                    assert got.dtype == zero.dtype and np.array_equal(got, zero)
+            if grid.kind == "tensor":
+                assert np.array_equal(SV.assemble_dense(ham, 1.3, grid), np.eye(grid.size))
 
     def test_gaussian_product_closed_form(self, grid_1d):
         pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 1.0}))
@@ -402,19 +420,6 @@ class TestStacked:
                 method(stack, *args)
         with pytest.raises(DimensionMismatchError):
             FreqFunction(grid, stack)
-
-    def test_potential_zero_decided_once_per_plan(self, grid_1d, monkeypatch):
-        calls = []
-        is_zero = PotentialSpec.is_zero
-        monkeypatch.setattr(PotentialSpec, "is_zero",
-                            lambda self: calls.append(1) or is_zero(self))
-        pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 0.5}))
-        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid_1d)
-        u = random_complex(grid_1d, 3).values
-        for _ in range(3):
-            plan.multiply_V(u)
-            plan.R(np.stack([u, u]), 1.0)
-        assert len(calls) == 1
 
 
 class TestStackedProbing:
