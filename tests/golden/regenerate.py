@@ -60,6 +60,7 @@ CASES = {
     "decompose": ["decompose", "--spec", "readme.json", "--radius", "1.0",
                   "--alpha-prime", "3.0"],
     "norm_yukawa_s0.25_p2": ["norm", "--spec", "yukawa.json", "--s", "0.25", "--p", "2"],
+    "norm_yukawa_s-1.5_p1": ["norm", "--spec", "yukawa.json", "--s", "-1.5", "--p", "1"],
     "norm_yukawa_split": ["norm", "--spec", "yukawa.json", "--s", "-0.3", "--alpha", "3",
                           "--beta", "0.8"],
     "decompose_yukawa": ["decompose", "--spec", "yukawa.json", "--radius", "2.0",
