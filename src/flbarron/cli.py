@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import bounds as B
 from . import solver as SV
-from .errors import DimensionMismatchError, InvalidArgumentError, NonFiniteError, ToolkitError
+from .errors import InvalidArgumentError, NonFiniteError, ToolkitError
 from .grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
 from .operators import certified_bound, empirical_operator_norm, natural_spaces
 from .potentials import HamiltonianSpec, PotentialTerm, decompose_low_high, fourier_transform
@@ -93,12 +93,12 @@ def _load_spec(path: str) -> HamiltonianSpec:
         json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys))
 
 
-_GRID_KEYS = {"radial": ("kind", "count", "rmax", "scheme"), "tensor": ("kind", "extent", "count")}
+_GRID_KEYS = {"tensor": ("kind", "extent", "count")}
 
 
 def _build_grid(desc: str, dim: int):
-    """'kind:radial,count:N,rmax:R[,scheme:S]' or 'kind:tensor,extent:X,count:N'; a
-    part that is not key:value, or whose key is unknown or repeated, is a ValueError."""
+    """'kind:tensor,extent:X,count:N'; a part that is not key:value, or whose key
+    is unknown or repeated, is a ValueError."""
     parts = [part.partition(":") for part in desc.split(",")]
     fields = {key: value for key, sep, value in parts if sep}
     kind = fields["kind"]
@@ -108,9 +108,6 @@ def _build_grid(desc: str, dim: int):
         if not sep or key not in _GRID_KEYS[kind] or [k for k, _, _ in parts].count(key) > 1:
             raise ValueError(f"grid part {key + sep + value!r}: a {kind} grid takes one "
                              f"key:value each of {', '.join(_GRID_KEYS[kind])}")
-    if kind == "radial":
-        return make_radial_grid(dim, float(fields["rmax"]), int(fields["count"]),
-                                fields.get("scheme", "log-uniform"))
     return make_tensor_grid(dim, float(fields["extent"]), int(fields["count"]))
 
 
@@ -214,8 +211,6 @@ def cmd_constants(args):
 def cmd_solve(args):
     ham = _load_spec(args.spec)
     grid = _build_grid(args.grid, ham.dim)
-    if grid.kind != "tensor":
-        raise DimensionMismatchError("solve needs a tensor grid")
     r = grid.radius_mesh()
     f = FreqFunction(grid, np.exp(-math.pi * r * r))
     u, report = SV.solve_neumann(ham, args.rho, f, s=args.s, tol=args.tol)

@@ -226,22 +226,20 @@ class RadialProfile:
 
     kinds and params:
       power            (C, a)       C * r^a
-      bracket_power    (C, a)       C * (1+r^2)^(a/2)
       rational_bracket (A, c, m)    A * (1 + c r^2)^(-m)
       gaussian         (A, c)       A * exp(-c r^2)
       log_kernel       (C,)         C * (ln r + euler_gamma)
       tabulated        ()           interpolant + fitted power-law tail
 
-    ``power`` and ``log_kernel`` are the kinds singular at r = 0; the
-    ``leading_tail`` of a tabulated profile is the first term of its
-    ``tail_model``.
+    ``power`` and ``log_kernel`` are the kinds singular at r = 0;
+    ``tail_terms`` is the power-law model of every kind's tail.
     """
 
     kind: str
     params: tuple = ()
     table_nodes: np.ndarray | None = field(default=None, repr=False)
     table_values: np.ndarray | None = field(default=None, repr=False)
-    tail_model: tuple | None = None  # (A, p1, B, p2): A r^p1 + B r^p2 beyond table
+    tail_model: tuple | None = None  # ((C, p), ...): sum of C r^p beyond the table
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -250,9 +248,6 @@ class RadialProfile:
             C, a = p
             with np.errstate(divide="ignore"):
                 return C * np.where(r > 0, r, np.nan) ** a if a < 0 else C * r ** a
-        if k == "bracket_power":
-            C, a = p
-            return C * (1.0 + r * r) ** (a / 2.0)
         if k == "rational_bracket":
             A, c, m = p
             return A * (1.0 + c * r * r) ** (-m)
@@ -271,29 +266,31 @@ class RadialProfile:
         nodes, vals = self.table_nodes, self.table_values
         out = np.interp(r, nodes, vals)
         if self.tail_model is not None:
-            A, p1, B, p2 = self.tail_model
             hi = r > nodes[-1]
             if np.any(hi):
                 rh = np.asarray(r)[hi]
                 out = np.asarray(out)
-                out[hi] = A * rh ** p1 + B * rh ** p2
+                out[hi] = sum(C * rh ** p for C, p in self.tail_model)
         return out
 
-    def leading_tail(self) -> tuple:
-        """(C, p) with f ~ C r^p at infinity, C signed; (0.0, None) for the
-        Gaussian, whose super-polynomial tail is negligible, and (None, None)
-        when the tail is unknown."""
+    def tail_terms(self) -> tuple | None:
+        """Signed (C, p) pairs with f ~ sum C r^p at infinity, leading term
+        first; () for the Gaussian, whose super-polynomial tail is
+        negligible, and None when no model is known (the log kernel, a table
+        without a fitted tail)."""
         k, p = self.kind, self.params
-        if k in ("power", "bracket_power"):
-            return p[0], p[1]
+        if k == "power":
+            return (p,)
         if k == "rational_bracket":
+            # A c^-m r^-2m (1 + 1/(c r^2))^-m, expanded to second order
             A, c, m = p
-            return A * c ** (-m), -2.0 * m
+            lead = A * c ** (-m)
+            return (lead, -2.0 * m), (-lead * m / c, -2.0 * m - 2.0)
         if k == "gaussian":
-            return 0.0, None
-        if k == "tabulated" and self.tail_model is not None:
-            return self.tail_model[:2]
-        return None, None
+            return ()
+        if k == "tabulated":
+            return self.tail_model
+        return None
 
 
 def tabulated_profile(nodes, values, tail_model=None) -> RadialProfile:
@@ -643,15 +640,13 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
 
 def _tail_correction(kernel: RadialKernel3D, tail_profile: RadialProfile | None,
                      R: float, r: np.ndarray):
-    """(2 pi / r) times the analytic s > R part of the integral; 0 without a
-    power-law series for the kernel or a tail model for u."""
+    """(2 pi / r) times the analytic s > R part of the integral, from every
+    term of u's tail model; 0 without a power-law series for the kernel or a
+    tail model for u."""
     series = kernel.tail_series()
-    Ct, texp = (None, None) if tail_profile is None else tail_profile.leading_tail()
-    if series is None or texp is None:
+    terms = None if tail_profile is None else tail_profile.tail_terms()
+    if series is None or not terms:
         return 0.0
-    terms = [(Ct, texp)]
-    if tail_profile.kind == "tabulated":  # its tail model's second term as well
-        terms.append(tail_profile.tail_model[2:])
     corr = np.zeros_like(r)
     # integrand beyond R: (s * u(s)) * ck r^(2k+1) s^pk with u ~ Au s^pu
     for kk, (ck, pk) in enumerate(series):

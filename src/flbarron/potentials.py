@@ -175,15 +175,11 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
     if not R > 0:
         raise InvalidArgumentError("R must be positive")
     prof = fourier_transform(term, n)
-    Ct, texp = prof.leading_tail()
-    if texp is not None and not math.isinf(alpha_prime):
-        if (s + texp) * alpha_prime + n >= 0:
-            raise DivergentPartError(
-                f"high part not in L^{alpha_prime}: decay exponent {texp} too weak")
-    if math.isinf(alpha_prime) and texp is not None and s + texp > 0:
-        raise DivergentPartError("high part unbounded")
-
     grid = default_norm_grid(n)
+    tail = _power_tail(prof.tail_terms(), alpha_prime, s, n, grid.upper_edge())
+    if tail is None:
+        raise DivergentPartError(f"{term.kind}: high part not in FL^{alpha_prime}_{s}: "
+                                 f"the {prof.kind} transform's tail diverges or has no model")
     f = sample_profile(prof, grid)
     mask = grid.nodes <= R
     f1 = f.copy_with(np.where(mask, f.values, 0.0))
@@ -198,10 +194,8 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
     else:
         n1 = fl_norm(f1, SpaceIndex(s, 1.0))
         n2 = fl_norm(f2, SpaceIndex(s, alpha_prime))
-        if texp is not None and not math.isinf(alpha_prime):
-            tail = _power_tail(Ct, texp, alpha_prime, s, n, grid.upper_edge())
-            if tail is not None:
-                n2 = (n2 ** alpha_prime + tail) ** (1.0 / alpha_prime)
+        if tail and not math.isinf(alpha_prime):  # 0 for a negligible tail
+            n2 = (n2 ** alpha_prime + tail) ** (1.0 / alpha_prime)
         method = "radius"
     return Split(f1, f2, method, radius=R, part_norms=(float(n1), float(n2)))
 

@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteError,
     NoContractionError,
     SingularSystemError,
+    UnsupportedKindError,
     UnsupportedScaleError,
 )
 from .grid import (
@@ -525,10 +526,11 @@ def tabulate_sharp_transform(nodes: np.ndarray, delta: float) -> RadialProfile:
     low = nodes <= _SEAM
     vals[low] = sharp_transform_radii(nodes[low], delta)
     Ac, Bc, _ = _tail_fit(_SEAM / 3.0, _SEAM, 16, delta)
+    model = ((Ac, -(delta + 3)), (Bc, -(2 * delta + 3)))
     hi = ~low
     if hi.any():
-        vals[hi] = Ac * nodes[hi] ** -(delta + 3) + Bc * nodes[hi] ** -(2 * delta + 3)
-    return tabulated_profile(nodes, vals, tail_model=(Ac, -(delta + 3), Bc, -(2 * delta + 3)))
+        vals[hi] = sum(C * nodes[hi] ** p for C, p in model)
+    return tabulated_profile(nodes, vals, tail_model=model)
 
 
 def _tail_fit(lo: float, hi: float, count: int, delta: float):
@@ -555,17 +557,6 @@ def _ols_slope(x: np.ndarray, y: np.ndarray):
     return float(coef[0]), 1.96 * se
 
 
-def _profile_tail_terms(profile: RadialProfile):
-    """Two-term power model (A1, p1, A2, p2) of the profile's tail."""
-    if profile.kind == "tabulated" and profile.tail_model is not None:
-        return profile.tail_model
-    if profile.kind == "rational_bracket":
-        A, c, m = profile.params
-        lead = A * c ** (-m)
-        return (lead, -2.0 * m, -lead * m / c, -2.0 * m - 2.0)
-    raise UnsupportedScaleError("no tail model for this profile kind")
-
-
 def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
     """Barron-gamma mass in n = 3 of the band |xi| > 1: by quadrature on a
     4500-node log-uniform grid up to radius 60, plus the profile's analytic
@@ -575,11 +566,14 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
     sharp index; the complementary ball contributes an analytic-in-gamma
     constant that would mask the blow-up rate.
     """
+    terms = profile.tail_terms()
+    if terms is None:
+        raise UnsupportedKindError(f"no tail model for a {profile.kind} profile")
     r_max = 60.0
     grid = make_radial_grid(3, r_max, 3 * 1500, "log-uniform", r_min=1e-6)
     base = fl_norm(project_high(sample_profile(profile, grid), 1.0), SpaceIndex(gamma, 1.0))
     tail = 0.0
-    for (A, p) in zip(*[iter(_profile_tail_terms(profile))] * 2):
+    for A, p in terms:
         # int_R^inf <r>^gamma A r^p r^2 dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2))
         e = gamma + p + 3
         if e < 0:

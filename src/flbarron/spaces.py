@@ -138,16 +138,21 @@ def fl_norm(f: FreqFunction, idx: SpaceIndex):
     return np.array(values) if np.ndim(sums) else values[0]
 
 
-def _power_tail(C: float, expo: float, p: float, s: float, n: int, R: float):
-    """tail of int_R^inf (<r>^s |C| r^expo)^p r^(n-1) dr (times omega_n); None if
-    divergent or unknown.  (C, expo) is a profile's ``leading_tail``.
+def _power_tail(terms, p: float, s: float, n: int, R: float):
+    """Upper bound on the FL^p_s mass of a profile beyond radius R, from the
+    leading term (C, expo) of its ``tail_terms()``: omega_n times
+    int_R^inf (<r>^s |C| r^expo)^p r^(n-1) dr, or the sup beyond R when
+    p = inf.  0 for a negligible tail; None when the leading term diverges
+    or there is no tail model, the one divergence rule of every norm and
+    split.
 
     Uses <r> <= sqrt(2) r for r >= 1 to stay an upper bound.
     """
-    if C == 0.0:
-        return 0.0
-    if C is None or expo is None:
+    if terms is None:
         return None
+    if not terms:
+        return 0.0
+    C, expo = terms[0]
     if math.isinf(p):
         e = s + expo
         return None if e > 0 else abs(C) * (2.0 ** (abs(s) / 2.0)) * max(R, 1.0) ** e
@@ -158,15 +163,13 @@ def _power_tail(C: float, expo: float, p: float, s: float, n: int, R: float):
     return omega_d(n) * amp * R ** e / (-e)
 
 
-def _power_tail_accurate(C: float, expo: float, p: float, s: float, n: int, R: float):
-    """Two-term estimate of the same tail, without the bracket inflation."""
-    if C == 0.0:
+def _power_tail_accurate(terms, p: float, s: float, n: int, R: float):
+    """Two-term estimate of a finite ``_power_tail`` (p < inf), without the
+    bracket inflation."""
+    if not terms:
         return 0.0
-    if C is None or expo is None or math.isinf(p):
-        return None
+    C, expo = terms[0]
     e = (s + expo) * p + n
-    if e >= 0:
-        return None
     lead = abs(C) ** p * omega_d(n) * R ** e / (-e)
     corr = abs(C) ** p * omega_d(n) * (p * s / 2.0) * R ** (e - 2) / (2 - e)
     return lead + corr
@@ -184,13 +187,13 @@ def profile_norm_report(profile: RadialProfile, idx: SpaceIndex, n: int,
     f = sample_profile(profile, grid)
     base = fl_norm(f, idx)
     R = grid.upper_edge()
-    tail = profile.leading_tail()
-    bound = _power_tail(*tail, idx.p, idx.s, n, R)
+    tail = profile.tail_terms()
+    bound = _power_tail(tail, idx.p, idx.s, n, R)
     if bound is None:
         return NormReport({"s": idx.s, "p": idx.p}, base, None, True)
     if math.isinf(idx.p):
         return NormReport({"s": idx.s, "p": idx.p}, max(base, bound), bound, False)
-    accurate = _power_tail_accurate(*tail, idx.p, idx.s, n, R)
+    accurate = _power_tail_accurate(tail, idx.p, idx.s, n, R)
     value = (base ** idx.p + max(accurate, 0.0)) ** (1.0 / idx.p)
     return NormReport({"s": idx.s, "p": idx.p}, value, bound, False)
 
@@ -230,24 +233,19 @@ def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
     if np.all(np.asarray(func.values) == 0):
         return 0.0, Split(func, zero, "trivial", part_norms=(0.0, 0.0))
 
+    tail_extra = 0.0
+    if profile is not None:  # alpha = inf: ap = 1, the Barron tail
+        tail_extra = _power_tail(profile.tail_terms(), ap, s, n, g.upper_edge())
+        if tail_extra is None:
+            raise NotInSpaceError(f"{profile.kind} profile not in FL^1_{s} + FL^{ap}_{s}: "
+                                  "its tail diverges or has no model")
+
     if math.isinf(alpha):
-        value = fl_norm(func, SpaceIndex(s, 1.0))
-        if profile is not None:
-            _, texp = profile.leading_tail()
-            if texp is not None and (s + texp) + n >= 0:
-                raise NotInSpaceError(
-                    f"Barron integral diverges: tail exponent {texp} at s = {s}")
-            rep = profile_norm_report(profile, SpaceIndex(s, 1.0), n, grid=g)
-            value = rep.value
+        value = (fl_norm(func, SpaceIndex(s, 1.0)) if profile is None
+                 else profile_norm_report(profile, SpaceIndex(s, 1.0), n, grid=g).value)
         return value, Split(func, zero, "trivial", part_norms=(value, 0.0))
 
     cab_root = c_alpha_beta(alpha, idx.beta, n) ** (1.0 / alpha)
-    tail_extra = 0.0
-    if profile is not None:
-        tail_extra = _power_tail(*profile.leading_tail(), ap, s, n, g.upper_edge())
-        if tail_extra is None:
-            raise NotInSpaceError(
-                f"profile not in FL^1_{s} + FL^{ap}_{s}: every candidate split diverges")
     weighted, w = _weighted_samples(func, s)
     rmesh = g.radius_mesh().ravel()
 

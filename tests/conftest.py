@@ -360,4 +360,4 @@ def reference_tabulate_sharp_transform(nodes, delta: float, seam: float = 160.0)
     ys = np.array([stretched_exp_transform(x, delta) for x in xs])
     Bc, Ac = np.polyfit(xs ** -delta, ys * xs ** (delta + 3), 1)
     vals[~low] = Ac * nodes[~low] ** -(delta + 3) + Bc * nodes[~low] ** -(2 * delta + 3)
-    return vals, (Ac, -(delta + 3), Bc, -(2 * delta + 3))
+    return vals, ((Ac, -(delta + 3)), (Bc, -(2 * delta + 3)))

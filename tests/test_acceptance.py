@@ -58,7 +58,7 @@ def test_criterion_1_gamma_constants():
     def bracket_quad(gamma, n):
         from flbarron.grid import RadialProfile
 
-        prof = RadialProfile("bracket_power", (1.0, -2.0 * gamma))
+        prof = RadialProfile("rational_bracket", (1.0, 1.0, gamma))
         g = make_radial_grid(n, 1e5, 9000, "log-uniform")
         return profile_norm_report(prof, SpaceIndex(0.0, 1.0), n, grid=g).value
 

@@ -301,11 +301,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure [InvalidArgumentError]: ") and named in err
 
-    def test_solve_on_radial_grid_is_dimension_mismatch(self, gaussian_spec_file, capsys):
-        code = run(["solve", "--spec", gaussian_spec_file, "--grid", "kind:radial,count:20,rmax:4"])
-        assert code == 3
-        assert "[DimensionMismatchError]: solve needs a tensor grid" in capsys.readouterr().err
-
     def test_verify_eigen_gamma_above_delta_is_exit_three(self, capsys):
         # the default --gammas 0.90,0.95,0.99 lie above delta = 0.75
         code = run(["verify-eigen", "--delta", "0.75"])
@@ -324,35 +319,26 @@ class TestExitCodes:
         assert "[InvalidArgumentError]" in capsys.readouterr().err
 
 
-    def test_probe_on_radial_grid_is_dimension_mismatch(self, tmp_path, capsys):
-        # a radial grid has no extent or count: this used to end in a TypeError (exit 1)
-        p = tmp_path / "yukawa.json"
-        p.write_text(json.dumps({"n": 3, "N": 1, "one_particle": [
-            {"i": 1, "kind": "yukawa", "params": {"mu": 2.0}}]}))
-        code = run(["probe", "--spec", str(p), "--grid", "kind:radial,count:30,rmax:5",
-                    "--alpha", "2", "--beta", "0.9"])
-        assert code == 3
-        assert "[DimensionMismatchError]: probing needs a tensor grid" in capsys.readouterr().err
-
     @pytest.mark.parametrize("grid, named", [
-        ("kind:radial,count:30,rmax:5,shceme:uniform", "grid part 'shceme:uniform'"),
+        ("kind:tensor,extnet:4,count:9", "grid part 'extnet:4'"),
         ("kind:tensor,extent:4,count:9,rmax:5", "grid part 'rmax:5'"),
         ("kind:tensor,extent:4,count:9,count:11", "grid part 'count:9'"),
         ("kind:tensor,extent:4,count", "grid part 'count'"),
         ("kind:sphere,count:9", "unknown grid kind 'sphere'"),
-    ], ids=["misspelled", "other_kind", "repeated", "no_colon", "unknown_kind"])
+        ("kind:radial,count:30,rmax:5", "unknown grid kind 'radial'"),
+    ], ids=["misspelled", "other_kind", "repeated", "no_colon", "unknown_kind", "radial"])
     @pytest.mark.parametrize("command", ["solve", "probe"])
     def test_bad_grid_descriptor_is_config_error(self, gaussian_spec_file, capsys,
                                                  command, grid, named):
-        # the first two used to run the default scheme and the last count given
+        # the radial kind is gone: solve and probe run on tensor grids only
         assert run([command, "--spec", gaussian_spec_file, "--grid", grid]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error [ValueError]: ") and named in err
 
-    def test_non_finite_rmax_is_named(self, gaussian_spec_file, capsys):
+    def test_non_finite_extent_is_named(self, gaussian_spec_file, capsys):
         assert run(["solve", "--spec", gaussian_spec_file,
-                    "--grid", "kind:radial,count:30,rmax:inf"]) == 3
-        assert "r_max must be positive and finite (got inf)" in capsys.readouterr().err
+                    "--grid", "kind:tensor,extent:inf,count:9"]) == 3
+        assert "tensor extent must be finite and positive" in capsys.readouterr().err
 
 
 _COULOMB_TERM = {"i": 1, "kind": "coulomb"}
@@ -520,6 +506,16 @@ class TestOtherSubcommands:
                     "--radius", "1.0", "--alpha-prime", "3.0"]) == 0
         d = json.loads(out2.read_text())
         assert d["decompositions"][0]["low_fl1"] == pytest.approx(4.0, rel=1e-10)
+
+    def test_decompose_log_kernel_is_divergent(self, tmp_path, capsys):
+        # the log kernel has no tail model: its high part is no finite sum up to the grid's edge
+        p = tmp_path / "log.json"
+        p.write_text(json.dumps({"n": 1, "N": 2, "one_particle": [{"i": 1, "kind": "log_1d"}],
+                                 "pairwise": [{"i": 1, "j": 2, "kind": "coulomb"}]}))
+        assert run(["decompose", "--spec", str(p), "--radius", "1", "--alpha-prime", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure [DivergentPartError]: log_1d: ")
+        assert run(["norm", "--spec", str(p), "--alpha", "2.5"]) == 3
 
     def test_role_keys_of_every_term(self, tmp_path):
         # one spec with all three roles: j only on pairwise entries, additive

@@ -198,12 +198,12 @@ class TestSampleKernelOnLattice:
 class TestRadialIntegral:
     def test_lorentzian_1d(self):
         g = make_radial_grid(1, 1e4, 6000, "log-uniform")
-        f = sample_profile(RadialProfile("bracket_power", (1.0, -2.0)), g)
+        f = sample_profile(RadialProfile("rational_bracket", (1.0, 1.0, 1.0)), g)
         assert radial_integral(f) == pytest.approx(math.pi, rel=1e-3)
 
     def test_bracket4_3d(self):
         g = make_radial_grid(3, 1e6, 9000, "log-uniform")
-        f = sample_profile(RadialProfile("bracket_power", (1.0, -4.0)), g)
+        f = sample_profile(RadialProfile("rational_bracket", (1.0, 1.0, 2.0)), g)
         assert radial_integral(f) == pytest.approx(math.pi ** 2, rel=1e-4)
 
     def test_unit_function_truncated(self):
@@ -389,7 +389,7 @@ class TestRadialConvolve3D:
         if name == "rational_bracket":
             return RadialKernel3D(RadialProfile("rational_bracket", (0.9, 2.0, 1.5))), u, prof
         if name == "tabulated_tail":
-            tab = tabulated_profile(g.nodes, u.values, tail_model=(1.7, -4.0, -3.4, -6.0))
+            tab = tabulated_profile(g.nodes, u.values, tail_model=((1.7, -4.0), (-3.4, -6.0)))
             return power, u, tab
         raise ValueError(name)
 
@@ -418,32 +418,58 @@ class TestRadialConvolve3D:
         negated = radial_convolve_3d(kernel, u.copy_with(-u.values), tail_profile=neg)
         assert np.array_equal(negated, -out)
 
+    @pytest.mark.parametrize("name", ["power", "log"])
+    def test_every_tail_term_is_corrected(self, name):
+        # the rational tail 1.7 (1 + r^2)^-2 ~ 1.7 r^-4 - 3.4 r^-6 gives the sum of the
+        # corrections of its two terms, each taken alone as a power profile's tail
+        kernel, u, prof = self.case(name)
+        R, r = u.grid.cell_bounds[-1], u.grid.nodes
+        lead, second = RadialProfile("power", (1.7, -4.0)), RadialProfile("power", (-3.4, -6.0))
+        whole = _tail_correction(kernel, prof, R, r)
+        parts = _tail_correction(kernel, lead, R, r) + _tail_correction(kernel, second, R, r)
+        assert np.allclose(whole, parts, rtol=1e-14, atol=0.0)
+        assert not np.allclose(whole, _tail_correction(kernel, lead, R, r), rtol=1e-12, atol=0.0)
+
     def test_needs_3d_radial_grid(self, grid_1d):
         kernel = RadialKernel3D(RadialProfile("gaussian", (1.0, 1.0)))
         with pytest.raises(DimensionMismatchError):
             radial_convolve_3d(kernel, FreqFunction(grid_1d, np.ones(grid_1d.shape)))
 
 
-class TestLeadingTail:
+class TestTailTerms:
     @pytest.mark.parametrize("profile", [
         RadialProfile("power", (-1.3, -2.5)),
-        RadialProfile("bracket_power", (2.0, -3.0)),
         RadialProfile("rational_bracket", (-4.0, 2.0, 1.5)),
-        tabulated_profile([0.5, 1.0, 2.0], [1.0, 0.5, 0.1], tail_model=(-0.7, -4.0, 0.3, -5.0)),
-    ], ids=["power", "bracket_power", "rational_bracket", "tabulated"])
+        tabulated_profile([0.5, 1.0, 2.0], [1.0, 0.5, 0.1], tail_model=((-0.7, -4.0), (0.3, -5.0))),
+    ], ids=["power", "rational_bracket", "tabulated"])
     def test_signed_tail_matches_the_profile_at_large_r(self, profile):
-        C, p = profile.leading_tail()
-        r = np.array([1e2, 1e4, 1e6, 1e8])
-        err = np.abs(profile(r) / (C * r ** p) - 1.0)
-        assert np.all(np.diff(err) <= 0) and err[-1] <= 1e-8
+        terms = profile.tail_terms()
+        r = np.array([1e1, 1e2, 1e3])
+        model = sum(C * r ** p for C, p in terms)
+        err = np.abs(profile(r) / model - 1.0)
+        assert np.all(np.diff(err) <= 0) and err[-1] <= 1e-9
+        C, p = terms[0]
+        assert np.all(np.abs(profile(r) / (C * r ** p) - 1.0) <= 1.0 / r)
+
+    def test_second_term_of_rational_bracket_improves_the_order(self):
+        # leading term alone: relative error ~ r^-2; both terms: ~ r^-4
+        profile = RadialProfile("rational_bracket", (-4.0, 2.0, 1.5))
+        (C1, p1), (C2, p2) = profile.tail_terms()
+        r = np.array([10.0, 100.0])
+        exact = profile(r)
+        one = np.abs(C1 * r ** p1 / exact - 1.0)
+        two = np.abs((C1 * r ** p1 + C2 * r ** p2) / exact - 1.0)
+        assert np.all(two < one)
+        assert one[0] / one[1] == pytest.approx(1e2, rel=0.05)
+        assert two[0] / two[1] == pytest.approx(1e4, rel=0.05)
 
     @pytest.mark.parametrize("profile, expected", [
-        (RadialProfile("gaussian", (1.0, 2.0)), (0.0, None)),
-        (RadialProfile("log_kernel", (-2.0,)), (None, None)),
-        (tabulated_profile([0.5, 1.0], [1.0, 0.5]), (None, None)),
+        (RadialProfile("gaussian", (1.0, 2.0)), ()),
+        (RadialProfile("log_kernel", (-2.0,)), None),
+        (tabulated_profile([0.5, 1.0], [1.0, 0.5]), None),
     ], ids=["gaussian", "log_kernel", "tabulated_without_model"])
     def test_negligible_and_unknown_tails(self, profile, expected):
-        assert profile.leading_tail() == expected
+        assert profile.tail_terms() == expected
 
 
 class TestSerialization:

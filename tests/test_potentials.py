@@ -80,6 +80,13 @@ class TestDecomposeLowHigh:
         with pytest.raises(DivergentPartError):
             decompose_low_high(PotentialTerm("inverse_power", {"t": 1.5}), 3, 1.0, 2.0)
 
+    @pytest.mark.parametrize("alpha_prime", [2.0, math.inf])
+    def test_log_kernel_has_no_tail_model(self, alpha_prime):
+        # its transform grows like ln r: the high part is not truncated at the
+        # norm grid's edge and reported as finite
+        with pytest.raises(DivergentPartError, match="log_1d: .*log_kernel"):
+            decompose_low_high(PotentialTerm("log_1d"), 1, 1.0, alpha_prime)
+
     def test_high_part_vanishes_as_radius_grows(self):
         norms = [decompose_low_high(PotentialTerm("coulomb"), 3, R, 3.0).part_norms[1]
                  for R in (1.0, 4.0, 16.0)]

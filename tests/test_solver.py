@@ -17,6 +17,7 @@ from flbarron.errors import (
     NonConvergenceError,
     NonFiniteError,
     SingularSystemError,
+    UnsupportedKindError,
     UnsupportedScaleError,
 )
 from flbarron.grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
@@ -535,6 +536,14 @@ class TestSharpnessExperiment:
         psi = sharp_example_potential(1.0, 3).psi_profile
         assert rep.blowup_norms == tuple(SV.high_band_barron_norm(psi, g) for g in gammas)
         assert "blowup_norms" not in rep.to_json_dict()
+
+    @pytest.mark.parametrize("profile", [
+        G.RadialProfile("log_kernel", (-2.0,)),
+        G.tabulated_profile([0.5, 1.0], [1.0, 0.5]),
+    ], ids=["log_kernel", "tabulated_without_model"])
+    def test_high_band_needs_a_tail_model(self, profile):
+        with pytest.raises(UnsupportedKindError, match=f"no tail model for a {profile.kind}"):
+            SV.high_band_barron_norm(profile, 0.5)
 
     def test_small_delta_smoke(self):
         rep = SV.sharpness_experiment(0.75, 3, gammas=(0.6, 0.7), residual_cells=90)

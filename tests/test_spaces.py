@@ -36,7 +36,7 @@ class TestFlNorm:
         assert rep.value == pytest.approx(1.0, rel=1e-6)
 
     def test_lorentzian_h1(self):
-        prof = RadialProfile("bracket_power", (1.0, -2.0))
+        prof = RadialProfile("rational_bracket", (1.0, 1.0, 1.0))
         rep = profile_norm_report(prof, SpaceIndex(1.0, 2.0), 1)
         assert rep.value == pytest.approx(math.sqrt(math.pi), rel=1e-4)
 
@@ -79,7 +79,7 @@ class TestFlNorm:
 
     def test_sup_norm_is_grid_max(self):
         g = make_radial_grid(1, 10.0, 120, "uniform")
-        f = sample_profile(RadialProfile("bracket_power", (3.0, -1.0)), g)
+        f = sample_profile(RadialProfile("rational_bracket", (3.0, 1.0, 0.5)), g)
         assert fl_norm(f, SpaceIndex(1.0, math.inf)) == pytest.approx(3.0, rel=1e-12)
 
     @given(s=st.floats(-2, 2), t=st.floats(-2, 2))
