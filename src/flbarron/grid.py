@@ -157,7 +157,10 @@ class FreqGrid:
     def batch_rank(self, values) -> int:
         """0 for samples of the grid's shape, 1 for a stack of shape
         (B, *shape) of them (tensor grids only); anything else is a
-        DimensionMismatchError."""
+        DimensionMismatchError.  Radial grids hold real samples only."""
+        if self.kind == "radial" and np.iscomplexobj(values):
+            raise InvalidArgumentError(
+                f"radial grids hold real samples (got {np.asarray(values).dtype})")
         shape = np.shape(values)
         if shape == self.shape:
             return 0
@@ -339,7 +342,7 @@ def radial_integral(f: FreqFunction) -> float:
     """integral over R^d of a radial function against the grid's R^d weights."""
     if f.grid.kind != "radial":
         raise DimensionMismatchError("radial_integral needs a radial FreqFunction")
-    return float(np.sum(f.grid.trapezoid_weights() * np.real_if_close(f.values)))
+    return float(np.sum(f.grid.trapezoid_weights() * f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +487,11 @@ def convolve(kernel: LatticeKernel, u_hat: FreqFunction) -> FreqFunction:
 # piecewise quadratic through each cell's three Gauss nodes; the kernel
 # moments are computed exactly near the singular point s = r and by Gauss-7
 # where the kernel is smooth (exact far-field expansion is catastrophically
-# ill-conditioned, see the near/far split below).
+# ill-conditioned).  The Gauss-7 far field takes one of two routes: on
+# geometric cells with a power or log kernel it depends on the cell offset
+# only and is one FFT convolution (``_geometric_sum``); otherwise (uniform
+# cells, smooth kernels, and the linear first cell of a log-uniform grid) it
+# is summed directly over blocks of evaluation radii (``_direct_sum``).
 
 def _prim_int(i: int, lo, hi, q=None, log=False):
     """integral of u^i * u^q du (or u^i ln u du) on [lo, hi], lo >= 0."""
@@ -556,9 +563,11 @@ class RadialKernel3D:
         return coefs
 
 
-# Element budget of one block's temporaries: ``radial_convolve_3d`` takes
-# evaluation radii in blocks of at most this many (radius, cell, Gauss-7 point)
-# triples; ``operators.empirical_operator_norm`` stacks probes in chunks of at
+# Element budget of one block's temporaries: ``_direct_sum`` takes evaluation
+# radii in blocks of at most this many (radius, cell, Gauss-7 point) triples,
+# and ``_geometric_sum`` takes its exact near moments in chunks of a sixteenth
+# of it (its FFT far field works one node of a cell at a time instead);
+# ``operators.empirical_operator_norm`` stacks probes in chunks of at
 # most this many padded FFT samples (167 / 10 / 2 probes on 65 / 25^2 / 13^3);
 # ``solver.sharp_transform_radii`` takes (radii x terms or nodes) blocks of at
 # most this many float64.  128 KiB blocks reuse heap memory rather than raise the peak.
@@ -580,7 +589,7 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
     a, b = bounds[:-1], bounds[1:]
     c = 0.5 * (a + b)
     h = b - a
-    gvals = (g.nodes * np.real_if_close(u_hat.values)).reshape(-1, 3)
+    gvals = (g.nodes * u_hat.values).reshape(-1, 3)
     d = g.nodes.reshape(-1, 3) - c[:, None]
     V = np.stack([np.ones_like(d), d, d * d], axis=2)
     # per cell, the quadratic through its samples in powers of (s - c)
@@ -588,7 +597,26 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
     s7 = c[:, None] + 0.5 * h[:, None] * _GX7
     d7 = s7 - c[:, None]
     # that quadratic times the Gauss-7 weight at each of the cell's points
-    gq = (0.5 * h[:, None] * _GW7 * (coef[:, :1] + coef[:, 1:2] * d7 + coef[:, 2:] * d7 * d7)).ravel()
+    gq = 0.5 * h[:, None] * _GW7 * (coef[:, :1] + coef[:, 1:2] * d7 + coef[:, 2:] * d7 * d7)
+    r_all = g.nodes
+    rho = None if kernel.smoothQ is not None else _geometric_ratio(g)
+    if rho is None:
+        out = _direct_sum(kernel, r_all, a, b, coef, gq, s7)
+    else:
+        # the linear cell [0, r_min] directly, as a row block and a column
+        out = np.empty(len(r_all))
+        out[:3] = _direct_sum(kernel, r_all[:3], a, b, coef, gq, s7)
+        out[3:] = _direct_sum(kernel, r_all[3:], a[:1], b[:1], coef[:1], gq[:1], s7[:1])
+        out[3:] += _geometric_sum(kernel, rho, r_all[3:], a[1:], b[1:], coef[1:], gq[1:], s7[1:])
+    return 2.0 * np.pi / r_all * out + _tail_correction(kernel, tail_profile, bounds[-1], r_all)
+
+
+def _direct_sum(kernel: RadialKernel3D, r_all, a, b, coef, gq, s7) -> np.ndarray:
+    """int over the cells [a, b] of Q(r+s) - Q(|r-s|) times the cells' quadratics,
+    at each r: Gauss-7 where Q is smooth, exact moments near its singular points."""
+    c = 0.5 * (a + b)
+    h = b - a
+    gq = gq.ravel()
     exact = kernel.smoothQ is None
     if not exact:
         Q = kernel.smoothQ
@@ -596,8 +624,6 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
         Q = lambda u: np.multiply(np.log(u, out=u), kernel.scale, out=u)
     else:
         Q = lambda u: np.multiply(np.power(u, kernel.q, out=u), kernel.scale, out=u)
-
-    r_all = g.nodes
     out = np.empty(len(r_all))
     rows = max(1, _BLOCK_ELEMS // s7.size)
     for start in range(0, len(r_all), rows):
@@ -619,23 +645,151 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
         plus -= minus
         acc = plus.reshape(len(r), -1) @ gq
         if exact:
-            ip, jp = np.nonzero(near_p)
-            im, jm = np.nonzero(near_m)
-            rp, rm = r[ip, 0], r[im, 0]
-            # Q(r+s) on [r+a, r+b]; Q(|r-s|) split at s = r into s < r and s > r
-            row = np.concatenate([ip, im, im])
-            cell = np.concatenate([jp, jm, jm])
-            lo = np.concatenate([rp + a[jp], rm - np.minimum(b[jm], rm), np.maximum(a[jm], rm) - rm])
-            hi = np.concatenate([rp + b[jp], rm - a[jm], b[jm] - rm])
-            shift = np.concatenate([-(rp + c[jp]), rm - c[jm], rm - c[jm]])
-            counts = [len(ip), len(im), len(im)]
-            sign = np.repeat([1.0, -1.0, 1.0], counts)
-            weight = np.repeat([kernel.scale, -kernel.scale, -kernel.scale], counts)
-            k = hi > lo
-            mom = _exact_moments(shift[k], sign[k], lo[k], hi[k], kernel.q, kernel.log)
-            acc += np.bincount(row[k], weight[k] * np.einsum("pj,pj->p", coef[cell[k]], mom), len(r))
+            acc += _near_moments(kernel, r[:, 0], a, b, coef,
+                                 np.nonzero(near_p), np.nonzero(near_m))
         out[start:start + len(r)] = acc
-    return 2.0 * np.pi / r_all * out + _tail_correction(kernel, tail_profile, bounds[-1], r_all)
+    return out
+
+
+def _near_moments(kernel: RadialKernel3D, r, a, b, coef, near_p, near_m) -> np.ndarray:
+    """Per radius, the exact moments of the (row, cell) pairs ``near_p`` of
+    Q(r+s) and ``near_m`` of Q(|r-s|) against the cells' quadratics."""
+    c = 0.5 * (a + b)
+    (ip, jp), (im, jm) = near_p, near_m
+    rp, rm = r[ip], r[im]
+    # Q(r+s) on [r+a, r+b]; Q(|r-s|) split at s = r into s < r and s > r
+    row = np.concatenate([ip, im, im])
+    cell = np.concatenate([jp, jm, jm])
+    lo = np.concatenate([rp + a[jp], rm - np.minimum(b[jm], rm), np.maximum(a[jm], rm) - rm])
+    hi = np.concatenate([rp + b[jp], rm - a[jm], b[jm] - rm])
+    shift = np.concatenate([-(rp + c[jp]), rm - c[jm], rm - c[jm]])
+    counts = [len(ip), len(im), len(im)]
+    sign = np.repeat([1.0, -1.0, 1.0], counts)
+    weight = np.repeat([kernel.scale, -kernel.scale, -kernel.scale], counts)
+    k = hi > lo
+    mom = _exact_moments(shift[k], sign[k], lo[k], hi[k], kernel.q, kernel.log)
+    return np.bincount(row[k], weight[k] * np.einsum("pj,pj->p", coef[cell[k]], mom), len(r))
+
+
+def _geometric_ratio(g: FreqGrid) -> float | None:
+    """rho when the cells past the first are [lo rho^j, lo rho^(j+1)] with
+    their Gauss-3 nodes (as ``make_radial_grid(..., "log-uniform")`` builds
+    them, to 1e-12 relative), else None."""
+    bounds = g.cell_bounds
+    lo, M = bounds[1], len(bounds) - 2
+    if bounds[0] != 0.0 or M < 1:
+        return None
+    rho = (bounds[-1] / lo) ** (1.0 / M)
+    model = lo * rho ** np.arange(M)[:, None] * _cell_points(rho, _GX3)
+    if not np.allclose(g.nodes[3:].reshape(M, 3), model, rtol=1e-12, atol=0.0):
+        return None
+    return rho
+
+
+def _cell_points(rho: float, x: np.ndarray) -> np.ndarray:
+    """Gauss points ``x`` of the cell [1, rho]."""
+    return 0.5 * (1.0 + rho) + 0.5 * (rho - 1.0) * x
+
+
+def _offset_near_sets(rho: float, M: int):
+    """(near_p, near_m) over the offset m = I - J of M geometric cells: masks
+    of shape (2M - 1, 3) for m = -(M-1) .. M-1 and each node of cell I, true
+    where cell J lies within 3h of s = -r (Q(r+s)) or of s = r (Q(|r-s|)).
+    They are the coordinate tests divided by cell J's lower bound."""
+    ratio = rho ** np.arange(1 - M, M)[:, None] * _cell_points(rho, _GX3)
+    mid, reach = 0.5 * (1.0 + rho), 3.0 * (rho - 1.0)
+    return ratio + mid <= reach, np.abs(ratio - mid) <= reach
+
+
+def _geometric_sum(kernel: RadialKernel3D, rho: float, r, a, b, coef, gq, s7) -> np.ndarray:
+    """``_direct_sum`` over M geometric cells at their own nodes, for a power or log kernel.
+
+    With r = lo rho^I tau_p and s = lo rho^J sigma_k (node p of cell I,
+    Gauss-7 point k of cell J), Q(r+s) - Q(|r-s|) is scale r^q [(1+t)^q -
+    |1-t|^q] (power) or scale [log(1+t) - log|1-t|] (log) with t = rho^(J-I)
+    sigma_k / tau_p, so the far field is, per (p, k), a convolution over the
+    offset I - J, taken by FFT.  A log kernel's log r cancels only where
+    both terms are far; where one term is near, the other still carries
+    scale log r times the cell's weight sum.
+    """
+    M = len(gq)
+    near_p, near_m = _offset_near_sets(rho, M)
+    far = _offset_far_field(kernel, rho, r, gq, s7, near_p, near_m)
+    weight = gq.sum(axis=1)
+    log_terms = np.zeros(len(r))
+    # the near pairs of a block of cells I at a time, so that the exact
+    # moments' temporaries stay within _BLOCK_ELEMS / 16 pairs
+    cells = max(1, _BLOCK_ELEMS // 16 // max(1, near_p.sum(), near_m.sum()))
+    for start in range(0, M, cells):
+        pairs_p = _offset_pairs(near_p, M, start, start + cells)
+        pairs_m = _offset_pairs(near_m, M, start, start + cells)
+        if kernel.log:
+            log_terms += np.bincount(pairs_m[0], weight[pairs_m[1]], len(r))
+            log_terms -= np.bincount(pairs_p[0], weight[pairs_p[1]], len(r))
+        far += _near_moments(kernel, r, a, b, coef, pairs_p, pairs_m)
+    if kernel.log:
+        far += kernel.scale * log_terms * np.log(r)
+    return far
+
+
+def _offset_far_field(kernel: RadialKernel3D, rho: float, r, gq, s7, near_p, near_m):
+    """The far-field part of ``_geometric_sum`` at each node r: the
+    convolution over I - J of the kernel outside the near sets with gq."""
+    M = len(gq)
+    # a power of two >= 2M - 1: the circular convolution does not wrap, and
+    # numpy's FFT stays fast without loading scipy.fft (about 1.3 MB resident)
+    L = 1 << (2 * M - 2).bit_length()
+    # K t^e against gq s^-e sums to r^-e times the far field sum S: the FFT's
+    # rounding, about eps |K t^e| |gq s^-e| r^e in S, is small against S
+    # for e = 1 - q at r below u's mass (t > 1 dominates, K ~ t^(q-1)) and
+    # for e = -1 above it (t < 1 dominates, K ~ t); each radius takes the
+    # pass with the smaller bound (q = 0 for log)
+    q = 0.0 if kernel.log else kernel.q
+    powers = (1.0 - q, -1.0)
+    src = [gq * s7 ** -e for e in powers]
+    src_norm = np.array([np.linalg.norm(x) for x in src])
+    src_fft = [np.fft.rfft(x, n=L, axis=0) for x in src]
+    spec = np.empty((2, L // 2 + 1, 3), complex)
+    ker_norm2 = np.zeros(2)
+    circ = np.zeros((L, 7))
+    offset = rho ** -np.arange(1 - M, M)[:, None]
+    # one node of cell I at a time, in place, keeps the temporaries small
+    for node, tau in enumerate(_cell_points(rho, _GX3)):
+        t = offset * (_cell_points(rho, _GX7) / tau)
+        plus, minus = 1.0 + t, 1.0 - t
+        np.abs(minus, out=minus)
+        plus[near_p[:, node]] = 1.0
+        minus[near_m[:, node]] = 1.0
+        if kernel.log:
+            np.log(plus, out=plus)
+            np.log(minus, out=minus)
+        else:
+            np.power(plus, q, out=plus)
+            np.power(minus, q, out=minus)
+        plus[near_p[:, node]] = 0.0
+        minus[near_m[:, node]] = 0.0
+        plus -= minus
+        ker = minus
+        for i, e in enumerate(powers):
+            np.multiply(np.power(t, e, out=ker), plus, out=ker)
+            ker_norm2[i] += np.vdot(ker, ker)
+            circ[:M], circ[L - M + 1:] = ker[M - 1:], ker[:M - 1]
+            spec[i, :, node] = np.einsum("fq,fq->f", np.fft.rfft(circ, axis=0), src_fft[i])
+    conv = np.fft.irfft(spec, n=L, axis=1)[:, :M].reshape(2, -1)
+    bound = np.sqrt(ker_norm2) * src_norm
+    far = np.where(bound[0] * r ** powers[0] <= bound[1] * r ** powers[1],
+                   *(c * r ** (q + e) for c, e in zip(conv, powers)))
+    return kernel.scale * far
+
+
+def _offset_pairs(near: np.ndarray, M: int, start: int, stop: int):
+    """(node index 3I + p, cell J) of every pair with cell I in [start, stop)
+    that an offset mask of ``_offset_near_sets`` marks."""
+    m, p = np.nonzero(near)
+    I = np.arange(start, min(M, stop))[:, None]
+    J = I - (m + 1 - M)
+    keep = (J >= 0) & (J < M)
+    return np.broadcast_to(3 * I + p, keep.shape)[keep], J[keep]
 
 
 def _tail_correction(kernel: RadialKernel3D, tail_profile: RadialProfile | None,

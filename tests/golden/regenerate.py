@@ -7,13 +7,15 @@ take place in a scratch directory holding the spec files under the fixed
 names of ``SPECS``.
 
 Regenerate after an intended output change, and state in CHANGES.md which
-files changed and by how much:
+files changed and by how much; the script prints, for every file whose bytes
+change, the key paths that differ and the largest relative difference:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import sys
@@ -103,13 +105,28 @@ def generate(workdir: Path) -> dict:
     return outputs
 
 
+def _describe():
+    """``tests/test_golden.py``'s description of a changed file."""
+    spec = importlib.util.spec_from_file_location("test_golden", HERE.parent / "test_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._describe
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         outputs = generate(Path(tmp))
-    for old in HERE.glob("*.json"):
-        old.unlink()
-    for old in HERE.glob("*.csv"):
-        old.unlink()
+    previous = {p.name: p.read_bytes() for p in HERE.iterdir() if p.suffix in (".json", ".csv")}
+    describe = _describe()
+    for name in sorted(previous.keys() | outputs.keys()):
+        if name not in outputs:
+            sys.stdout.write(f"{name}: removed\n")
+        elif name not in previous:
+            sys.stdout.write(f"{name}: new\n")
+        elif outputs[name] != previous[name]:
+            sys.stdout.write(describe(name, previous[name], outputs[name]) + "\n")
+    for name in previous:
+        (HERE / name).unlink()
     for name, blob in outputs.items():
         (HERE / name).write_bytes(blob)
     sys.stdout.write(f"wrote {len(outputs)} files to {HERE}\n")

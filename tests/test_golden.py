@@ -53,27 +53,30 @@ def _csv_leaves(text: str):
 
 
 def _describe(name: str, want: bytes, got: bytes) -> str:
-    """The file, the key path of the largest relative difference, and that difference."""
+    """The file, the key paths whose values differ, and the largest relative
+    difference with its key path."""
     parse = (lambda b: _leaves(json.loads(b))) if name.endswith(".json") else (
         lambda b: _csv_leaves(b.decode()))
     want_leaves, got_leaves = dict(parse(want)), dict(parse(got))
     if want_leaves.keys() != got_leaves.keys():
         extra = sorted(map(str, want_leaves.keys() ^ got_leaves.keys()))
         return f"{name}: key paths differ: {extra[:5]}"
-    worst, where = -1.0, None
+    worst, where, changed = -1.0, None, []
     for path, a in want_leaves.items():
         b = got_leaves[path]
         if a == b:
             continue
+        changed.append(".".join(map(str, path)))
         num = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
         diff = _rel(a, b) if num else math.inf
         if diff > worst:
-            worst, where = diff, (path, a, b)
+            worst, where = diff, (changed[-1], a, b)
     if where is None:
         return f"{name}: same values, different bytes (formatting)"
-    path, a, b = where
-    key = ".".join(map(str, path))
-    return f"{name}: largest relative difference {worst:.3g} at {key} (golden {a!r}, now {b!r})"
+    key, a, b = where
+    listed = ", ".join(changed[:5]) + (f" and {len(changed) - 5} more" if len(changed) > 5 else "")
+    return (f"{name}: {len(changed)} value(s) differ ({listed}); largest relative difference "
+            f"{worst:.3g} at {key} (golden {a!r}, now {b!r})")
 
 
 def test_cli_outputs_match_golden_bytes(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import dawsn
 
+from flbarron import grid as grid_module
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError, UnsupportedScaleError
 from flbarron.grid import (
     MAX_TENSOR_SAMPLES,
@@ -14,6 +15,10 @@ from flbarron.grid import (
     FreqGrid,
     RadialKernel3D,
     RadialProfile,
+    _gauss3_cells,
+    _geometric_ratio,
+    _offset_near_sets,
+    _offset_pairs,
     _tail_correction,
     convolve,
     lattice_kernel,
@@ -152,6 +157,10 @@ class TestGeometry:
         radial = make_radial_grid(3, 5.0, 30)
         with pytest.raises(DimensionMismatchError):
             FreqFunction(radial, np.ones((2,) + radial.shape))
+        # radial grids hold real samples: complex ones fail where they enter
+        with pytest.raises(InvalidArgumentError, match="radial grids hold real samples"):
+            FreqFunction(radial, np.ones(radial.shape) * (1 + 1e-20j))
+        assert FreqFunction(g, np.ones((9, 9)) * 1j).values.dtype == complex
         assert [g.batch_rank(np.ones(s)) for s in ((9, 9), (1, 9, 9))] == [0, 1]
 
     def test_sample_budget(self):
@@ -391,9 +400,16 @@ class TestRadialConvolve3D:
         if name == "tabulated_tail":
             tab = tabulated_profile(g.nodes, u.values, tail_model=((1.7, -4.0), (-3.4, -6.0)))
             return power, u, tab
+        if name.startswith("sharp_t"):
+            # the sharpness example's kernels: |x|^-t in R^3 gives a log kernel
+            # at t = 1 and power kernels with q = t - 1 otherwise
+            t = float(name[len("sharp_t"):])
+            term = PotentialTerm("inverse_power", {"t": t}, coeff=-0.4)
+            return RadialKernel3D(fourier_transform(term, 3), coeff=term.coeff), u, prof
         raise ValueError(name)
 
-    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket", "tabulated_tail"])
+    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket", "tabulated_tail",
+                                      "sharp_t1", "sharp_t0.5", "sharp_t1.25", "sharp_t1.5"])
     def test_matches_per_radius_reference(self, name):
         kernel, u, tail = self.case(name)
         ref = reference_radial_convolve_3d(kernel, u, tail_profile=tail)
@@ -403,7 +419,54 @@ class TestRadialConvolve3D:
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket",
+                                      "sharp_t1", "sharp_t0.5", "sharp_t1.25", "sharp_t1.5"])
+    def test_geometric_cells_take_the_fft_route(self, name, monkeypatch):
+        # the FFT far field runs exactly for power and log kernels on geometric cells
+        kernel, u, prof = self.case(name)
+        calls = []
+        fft_sum = grid_module._geometric_sum
+        monkeypatch.setattr(grid_module, "_geometric_sum",
+                            lambda *args: calls.append(1) or fft_sum(*args))
+        radial_convolve_3d(kernel, u, tail_profile=prof)
+        assert len(calls) == (kernel.smoothQ is None)
+        uniform = make_radial_grid(3, 300.0, 450)
+        radial_convolve_3d(kernel, sample_profile(prof, uniform), tail_profile=prof)
+        assert _geometric_ratio(uniform) is None and len(calls) == (kernel.smoothQ is None)
+
     @pytest.mark.parametrize("name", ["power", "log"])
+    def test_non_geometric_cells_take_the_direct_sum(self, name):
+        # one bound moved off the geometric sequence: the direct sum runs and
+        # still matches the reference
+        kernel, u, prof = self.case(name)
+        bounds = u.grid.cell_bounds.copy()
+        bounds[40] *= 1.0 + 1e-9
+        nodes, weights = _gauss3_cells(bounds)
+        g = FreqGrid(3, "radial", nodes=nodes, weights=weights, cell_bounds=bounds)
+        assert _geometric_ratio(g) is None
+        v = sample_profile(prof, g)
+        ref = reference_radial_convolve_3d(kernel, v, tail_profile=prof)
+        out = radial_convolve_3d(kernel, v, tail_profile=prof)
+        assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("r_max, count, r_min", [
+        (8.0, 300, 1e-3), (300.0, 450, 1e-4), (300.0, 9, 1e-4), (2000.0, 240, 1e-4),
+        *[(r_max, count, 1e-4) for r_max in (800.0, 2000.0)
+          for count in sorted({20, 90, *range(120, 1801, 30)})]])
+    def test_offset_near_sets_are_the_coordinate_masks(self, r_max, count, r_min):
+        g = make_radial_grid(3, r_max, count, "log-uniform", r_min=r_min)
+        rho = _geometric_ratio(g)
+        a, b = g.cell_bounds[1:-1], g.cell_bounds[2:]
+        c, h, r = 0.5 * (a + b), b - a, g.nodes[3:, None]
+        near_p, near_m = _offset_near_sets(rho, len(a))
+        for offsets, coords in ((near_p, r + c <= 3.0 * h), (near_m, np.abs(r - c) <= 3.0 * h)):
+            mask = np.zeros_like(coords)
+            mask[_offset_pairs(offsets, len(a), 0, len(a))] = True
+            assert np.array_equal(mask, coords)
+        if count == 9:  # a coarse grid: cell ratio about 1.7e3, and Q(r+s) has near cells
+            assert rho == pytest.approx(math.sqrt(3e6)) and near_p.any()
+
+    @pytest.mark.parametrize("name", ["power", "log", "sharp_t0.5", "sharp_t1.5"])
     def test_negative_tail_coefficient_negates_the_correction(self, name):
         # the correction reads the signed leading coefficient: the tail profile
         # with -C gives exactly the negated correction, and negating u as well

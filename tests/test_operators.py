@@ -100,6 +100,20 @@ class TestMultiplyV:
             if grid.kind == "tensor":
                 assert np.array_equal(SV.assemble_dense(ham, 1.3, grid), np.eye(grid.size))
 
+    def test_complex_samples_rejected_on_radial_grids(self):
+        # the bipolar convolution is real: complex samples fail by name, with
+        # no imaginary part dropped, however small
+        grid = make_radial_grid(3, 50.0, 90, "log-uniform", r_min=1e-3)
+        pot = PotentialSpec(3, 1, one_particle=[(1, PotentialTerm("coulomb", {}))])
+        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid)
+        real = np.exp(-grid.nodes)
+        for values in (real * (1 + 1j), real + 1e-300j):
+            for apply in (plan.multiply_V, lambda v: plan.R(v, 1.3),
+                          lambda v: plan.h0_inverse(v, 1.3)):
+                with pytest.raises(InvalidArgumentError, match="radial grids hold real samples"):
+                    apply(values)
+        assert plan.multiply_V(real).dtype == float
+
     def test_gaussian_product_closed_form(self, grid_1d):
         pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 1.0}))
         xi = grid_1d.axis
