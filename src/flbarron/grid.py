@@ -406,10 +406,18 @@ class LatticeKernel:
 
 def padded_length(M: int) -> int:
     """FFT length per kernel axis of ``convolve`` on M points: wrap-around at L
-    reaches indices <= 2M-2-L, all below the kept ones (from m = (M-1)/2) iff L >= 2M-1-m."""
-    from scipy.fft import next_fast_len
-
-    return next_fast_len(2 * M - 1 - (M - 1) // 2)
+    reaches indices <= 2M-2-L, all below the kept ones (from m = (M-1)/2) iff L >= 2M-1-m.
+    L is the smallest 2-3-5-7-11-smooth length that large, as scipy.fft's
+    ``next_fast_len`` would give, without loading scipy.fft."""
+    L = 2 * M - 1 - (M - 1) // 2
+    while True:
+        rest = L
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return L
+        L += 1
 
 
 def lattice_kernel(v_hat: RadialProfile, grid: FreqGrid, structure: str, particle=None,

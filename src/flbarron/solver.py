@@ -337,6 +337,8 @@ _RULE_GRADED = 12                # ... the first one split geometrically toward 
 _RULE_MAX_PHASE = 40.0           # radians of sin(2 pi rho r) per panel the rule resolves
 _QUAD_TOL = 1e-13                # absolute and relative QUADPACK tolerance of the scalar path
 _SEAM = 160.0                    # radius beyond which the tabulated transform is its fitted tail
+_BAND_LO = 1.0                   # the blow-up norm's band _BAND_LO < |xi| < _BAND_R_MAX is
+_BAND_R_MAX = 60.0               # ... sampled from the profile, its tail model beyond
 
 
 def c1_constant(n: int, delta: float) -> float:
@@ -560,7 +562,8 @@ def _ols_slope(x: np.ndarray, y: np.ndarray):
 def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
     """Barron-gamma mass in n = 3 of the band |xi| > 1: by quadrature on a
     4500-node log-uniform grid up to radius 60, plus the profile's analytic
-    tail beyond.
+    tail beyond.  A tabulated profile is read only on (1, 60), so its table
+    needs just the nodes of ``band_table_nodes``, but must start at or below 1.
 
     This is the component of the norm that diverges as gamma approaches the
     sharp index; the complementary ball contributes an analytic-in-gamma
@@ -569,9 +572,14 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
     terms = profile.tail_terms()
     if terms is None:
         raise UnsupportedKindError(f"no tail model for a {profile.kind} profile")
-    r_max = 60.0
+    nodes = profile.table_nodes
+    if nodes is not None and nodes[0] > _BAND_LO:
+        # np.interp would clamp the band's samples below the table to its first value
+        raise InvalidArgumentError(f"tabulated profile starts at radius {float(nodes[0])!r}, "
+                                   f"above the band's low edge {_BAND_LO!r}")
+    r_max = _BAND_R_MAX
     grid = make_radial_grid(3, r_max, 3 * 1500, "log-uniform", r_min=1e-6)
-    base = fl_norm(project_high(sample_profile(profile, grid), 1.0), SpaceIndex(gamma, 1.0))
+    base = fl_norm(project_high(sample_profile(profile, grid), _BAND_LO), SpaceIndex(gamma, 1.0))
     tail = 0.0
     for A, p in terms:
         # int_R^inf <r>^gamma A r^p r^2 dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2))
@@ -579,6 +587,15 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
         if e < 0:
             tail += A * (r_max ** e / (-e) + (gamma / 2.0) * r_max ** (e - 2) / (2 - e))
     return base + omega_d(3) * tail
+
+
+def band_table_nodes(nodes: np.ndarray) -> np.ndarray:
+    """The contiguous run of the increasing ``nodes`` from the last one <= 1
+    to the first one >= 60: every node that linear interpolation on the band
+    of ``high_band_barron_norm`` reads.  Each tabulated value depends on its
+    own radius alone, so the norm on this run equals the norm on all of ``nodes``."""
+    lo = max(int(np.searchsorted(nodes, _BAND_LO, side="right")) - 1, 0)
+    return nodes[lo:int(np.searchsorted(nodes, _BAND_R_MAX)) + 1]
 
 
 def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
@@ -623,7 +640,7 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     if delta == 1.0:
         psi_prof = example.psi_profile
     else:
-        probe_nodes = np.geomspace(1e-4, 400.0, 1200)
+        probe_nodes = band_table_nodes(np.geomspace(1e-4, 400.0, 1200))
         psi_prof = tabulate_sharp_transform(probe_nodes, delta)
     norms = [high_band_barron_norm(psi_prof, g) for g in gammas]
     bx = [-math.log(delta - g) for g in gammas]

@@ -25,6 +25,7 @@ from flbarron.grid import (
     make_radial_grid,
     make_tensor_grid,
     omega_d,
+    padded_length,
     radial_convolve_3d,
     radial_integral,
     sample_kernel_on_lattice,
@@ -348,6 +349,12 @@ class TestConvolve:
             bound = 1e-13 * term.coeff * np.max(np.abs(kernel.samples)) * np.sum(np.abs(u.values))
             assert np.iscomplexobj(out) == complex_input
             assert np.max(np.abs(out - reference_direct_V(pot, u))) <= bound, M
+
+    def test_padded_length_is_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        got = [padded_length(M) for M in range(1, 4097)]
+        assert got == [next_fast_len(2 * M - 1 - (M - 1) // 2) for M in range(1, 4097)]
 
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     @settings(max_examples=20, deadline=None)

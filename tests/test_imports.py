@@ -134,6 +134,26 @@ def test_first_series_table_and_direct_solve_in_a_fresh_process():
     assert (out["dtype"], out["solve"]) == (str(u.dtype), u.tobytes().hex())
 
 
+def test_tensor_probe_loads_no_scipy_fft(tmp_path):
+    # the lattice convolution's padded FFT length is worked out without scipy.fft
+    spec = {"n": 1, "N": 1, "masses": [1.0], "one_particle": [], "pairwise": [],
+            "additive": {"kind": "gaussian", "params": {"kappa": 0.05},
+                         "shift": [], "coeff": 1.0}}
+    (tmp_path / "gauss.json").write_text(json.dumps(spec))
+    argv = ["--seed", "3", "probe", "--spec", "gauss.json", "--op", "r",
+            "--grid", "kind:tensor,extent:6,count:17", "--alpha", "inf", "--beta", "0.4",
+            "--probes", "3"]
+    out = fresh(f"""
+        import contextlib, io, json, sys
+        from flbarron import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run({argv!r})
+        print(json.dumps({{"code": code, "scipy": {SCIPY_LOADED}}}))
+    """, cwd=tmp_path)
+    assert out["code"] == 0
+    assert "scipy.fft" not in out["scipy"]
+
+
 def test_parser_reuse_matches_a_fresh_parser(tmp_path):
     spec = {"n": 1, "N": 1, "masses": [1.0], "one_particle": [], "pairwise": [],
             "additive": {"kind": "gaussian", "params": {"kappa": 0.05},

@@ -550,3 +550,44 @@ class TestSharpnessExperiment:
         assert rep.decay_exponent == pytest.approx(-(0.75 + 3), abs=0.1)
         assert rep.tail_amplitude == pytest.approx(rep.tail_amplitude_ref, rel=0.05)
         assert rep.eigenvalue == 0.0
+
+
+class TestBlowupTable:
+    """The blow-up norm reads a tabulated profile only on its band (1, 60),
+    so the experiment tabulates only the nodes that bracket the band."""
+
+    FULL = np.geomspace(1e-4, 400.0, 1200)  # the experiment's nodes before slicing
+
+    @pytest.mark.parametrize("delta, gammas", [
+        (0.5, (0.35, 0.4, 0.45, 0.5 - 0.1, 0.5 - 0.05)),
+        (0.75, (0.6, 0.65, 0.7, 0.75 - 0.1, 0.75 - 0.05))])
+    def test_band_slice_changes_no_norm(self, delta, gammas):
+        sliced = SV.band_table_nodes(self.FULL)
+        assert sliced[0] <= SV._BAND_LO < sliced[1]
+        assert sliced[-2] < SV._BAND_R_MAX <= sliced[-1]
+        assert (sliced.size, int(np.sum(self.FULL <= SV._SEAM))) == (325, 1127)
+        full = SV.tabulate_sharp_transform(self.FULL, delta)
+        part = SV.tabulate_sharp_transform(sliced, delta)
+        for g in gammas:
+            assert SV.high_band_barron_norm(part, g) == SV.high_band_barron_norm(full, g), g
+
+    def test_experiment_tabulates_only_the_band(self, monkeypatch):
+        counts = []
+        radii = SV.sharp_transform_radii
+
+        def counting(rhos, delta):
+            counts.append(np.size(rhos))
+            return radii(rhos, delta)
+
+        monkeypatch.setattr(SV, "sharp_transform_radii", counting)
+        SV.sharpness_experiment(0.75, gammas=(0.65, 0.7), residual_cells=120)
+        residual = make_radial_grid(3, 800.0, 120, "log-uniform", r_min=1e-4).nodes
+        assert int(np.sum(residual <= SV._SEAM)) == 108
+        # residual table, band table, a 16-point seam fit per table, pilot and window fits
+        assert sum(counts) == 108 + 325 + 2 * 16 + 16 + 24 == 505
+
+    def test_table_above_the_band_edge_rejected(self):
+        prof = SV.tabulate_sharp_transform(self.FULL[self.FULL > 1.0][:40], 0.75)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"starts at radius 1\.0071\d*, above the band's low edge 1\.0"):
+            SV.high_band_barron_norm(prof, 0.6)
