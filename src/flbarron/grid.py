@@ -47,20 +47,21 @@ _GX7, _GW7 = leggauss(7)
 
 @dataclass(frozen=True, eq=False)
 class FreqGrid:
-    """Frequency grid, either radial (1-D nodes + weights) or tensor lattice.
+    """Frequency grid, either radial (Gauss-3 cells) or tensor lattice.
 
-    Radial grids carry ``nodes``/``weights``/``cell_bounds``; tensor grids
+    A radial grid is its ``cell_bounds`` and derives from them, once, the
+    ``nodes``/``weights`` of three Gauss-Legendre nodes per cell; tensor grids
     carry ``extent`` (half-width X per axis) and ``count`` (odd nodes per
     axis).  ``dim`` is the ambient dimension in both cases.
     """
 
     dim: int
     kind: str  # "radial" | "tensor"
-    nodes: np.ndarray | None = field(default=None, repr=False)
-    weights: np.ndarray | None = field(default=None, repr=False)
     cell_bounds: np.ndarray | None = field(default=None, repr=False)
     extent: float | None = None
     count: int | None = None
+    nodes: np.ndarray | None = field(default=None, init=False, repr=False)
+    weights: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("radial", "tensor"):
@@ -68,13 +69,16 @@ class FreqGrid:
         if self.dim < 1:
             raise InvalidArgumentError("dim must be >= 1")
         if self.kind == "radial":
-            r = self.nodes
-            if r is None or self.weights is None or np.ndim(self.cell_bounds) != 1:
-                raise InvalidArgumentError("radial grid needs nodes, weights and cell_bounds")
-            if np.any(np.diff(r) <= 0) or r[0] < 0:
-                raise InvalidArgumentError("radial nodes must be strictly increasing, r0 >= 0")
-            if np.any(self.weights <= 0):
-                raise InvalidArgumentError("radial weights must be positive")
+            bounds = np.array(self.cell_bounds, dtype=float)  # copied: no later write moves a cell
+            if not (bounds.ndim == 1 and bounds.size >= 2 and np.all(np.isfinite(bounds))
+                    and bounds[0] >= 0 and np.all(np.diff(bounds) > 0)):
+                raise InvalidArgumentError("radial grid needs cell_bounds: finite, 1-D, strictly "
+                                           "increasing from r >= 0, with at least 2 entries")
+            mid = 0.5 * (bounds[:-1, None] + bounds[1:, None])
+            half = 0.5 * (bounds[1:, None] - bounds[:-1, None])
+            for name, value in (("cell_bounds", bounds), ("nodes", (mid + half * _GX3).ravel()),
+                                ("weights", (half * _GW3).ravel())):
+                object.__setattr__(self, name, _read_only(value))
         else:
             if self.dim > 3:
                 raise UnsupportedScaleError("tensor grids are capped at total dimension 3")
@@ -117,7 +121,7 @@ class FreqGrid:
     @cached_property
     def _radii(self) -> np.ndarray:
         if self.kind == "radial":
-            return _read_only(self.nodes.view())
+            return self.nodes
         return _read_only(np.sqrt(sum(np.ix_(*[self.axis ** 2] * self.dim))))
 
     @cached_property
@@ -174,14 +178,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _gauss3_cells(bounds: np.ndarray):
-    a, b = bounds[:-1], bounds[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * _GX3[None, :]).ravel()
-    weights = (half[:, None] * _GW3[None, :]).ravel()
-    return nodes, weights
-
-
 def make_radial_grid(d: int, r_max: float, count: int, scheme: str = "uniform",
                      r_min: float | None = None) -> FreqGrid:
     """Radial quadrature grid on [0, r_max] with ``count`` nodes (3 per cell).
@@ -208,8 +204,7 @@ def make_radial_grid(d: int, r_max: float, count: int, scheme: str = "uniform",
         bounds = np.concatenate([[0.0], geo])
     else:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-    nodes, weights = _gauss3_cells(bounds)
-    return FreqGrid(dim=d, kind="radial", nodes=nodes, weights=weights, cell_bounds=bounds)
+    return FreqGrid(dim=d, kind="radial", cell_bounds=bounds)
 
 
 def make_tensor_grid(d: int, extent: float, count: int) -> FreqGrid:
@@ -310,8 +305,7 @@ class FreqFunction:
     """Sampled Fourier transform on a FreqGrid (the universal value carrier).
 
     ``values`` has the grid's shape, or (B, *grid.shape) on tensor grids for
-    a stack of B functions that operators and norms treat slice by slice;
-    flat samples of one function are reshaped to the grid.
+    a stack of B functions that operators and norms treat slice by slice.
     """
 
     grid: FreqGrid
@@ -319,8 +313,6 @@ class FreqFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.ndim == 1 and self.values.size == self.grid.size:
-            self.values = self.values.reshape(self.grid.shape)
         self.grid.batch_rank(self.values)
 
     def copy_with(self, values) -> "FreqFunction":
@@ -525,8 +517,6 @@ class RadialKernel3D:
 
     def __init__(self, profile: RadialProfile, coeff: float = 1.0):
         k, p = profile.kind, profile.params
-        self.profile = profile
-        self.coeff = coeff
         self.q = None
         self.log = False
         self.smoothQ = None
@@ -680,16 +670,15 @@ def _near_moments(kernel: RadialKernel3D, r, a, b, coef, near_p, near_m) -> np.n
 
 
 def _geometric_ratio(g: FreqGrid) -> float | None:
-    """rho when the cells past the first are [lo rho^j, lo rho^(j+1)] with
-    their Gauss-3 nodes (as ``make_radial_grid(..., "log-uniform")`` builds
-    them, to 1e-12 relative), else None."""
+    """rho when the cells past the first are [lo rho^j, lo rho^(j+1)] (as
+    ``make_radial_grid(..., "log-uniform")`` builds them, to 1e-12 relative),
+    else None.  The grid derives each cell's Gauss-3 nodes from its bounds."""
     bounds = g.cell_bounds
     lo, M = bounds[1], len(bounds) - 2
     if bounds[0] != 0.0 or M < 1:
         return None
     rho = (bounds[-1] / lo) ** (1.0 / M)
-    model = lo * rho ** np.arange(M)[:, None] * _cell_points(rho, _GX3)
-    if not np.allclose(g.nodes[3:].reshape(M, 3), model, rtol=1e-12, atol=0.0):
+    if not np.allclose(bounds[1:], lo * rho ** np.arange(M + 1), rtol=1e-12, atol=0.0):
         return None
     return rho
 

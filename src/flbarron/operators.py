@@ -18,7 +18,6 @@ a single call (``replay_probe``) is the chunk of one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -137,9 +136,9 @@ class OperatorPlan:
             out = out.real
         return out
 
-    def R(self, values, rho: float, tail_profile: RadialProfile | None = None) -> np.ndarray:
+    def R(self, values, rho: float) -> np.ndarray:
         """R u = (H0 + rho)^{-1} (V u)."""
-        return self.h0_inverse(self.multiply_V(values, tail_profile), rho)
+        return self.h0_inverse(self.multiply_V(values), rho)
 
     def matrix(self, rho: float) -> np.ndarray:
         """Dense matrix of R on the flattened tensor grid, built with no FFT.
@@ -184,12 +183,11 @@ def apply_h0_inverse(u: FreqFunction, spec: HamiltonianSpec, rho: float) -> Freq
     return u.copy_with(OperatorPlan(spec, u.grid).h0_inverse(u.values, rho))
 
 
-def apply_multiply_V(u: FreqFunction, spec: PotentialSpec,
-                     tail_profile: RadialProfile | None = None) -> FreqFunction:
+def apply_multiply_V(u: FreqFunction, spec: PotentialSpec) -> FreqFunction:
     """F(V u) on u's grid; see ``OperatorPlan.multiply_V``."""
     # V reads no mass; unit masses complete the Hamiltonian a plan is built for
     plan = OperatorPlan(HamiltonianSpec(spec, (1.0,) * spec.N), u.grid)
-    return u.copy_with(plan.multiply_V(u.values, tail_profile))
+    return u.copy_with(plan.multiply_V(u.values))
 
 
 def apply_T_lambda(u: FreqFunction, lam: float, spec: HamiltonianSpec,
@@ -198,10 +196,9 @@ def apply_T_lambda(u: FreqFunction, lam: float, spec: HamiltonianSpec,
     return u.copy_with(OperatorPlan(spec, u.grid).T_lambda(u.values, lam, tail_profile))
 
 
-def apply_R(u: FreqFunction, rho: float, spec: HamiltonianSpec,
-            tail_profile: RadialProfile | None = None) -> FreqFunction:
+def apply_R(u: FreqFunction, rho: float, spec: HamiltonianSpec) -> FreqFunction:
     """R u = (H0 + rho)^{-1} (V u)."""
-    return u.copy_with(OperatorPlan(spec, u.grid).R(u.values, rho, tail_profile))
+    return u.copy_with(OperatorPlan(spec, u.grid).R(u.values, rho))
 
 
 def project_high(u: FreqFunction, K: float) -> FreqFunction:
@@ -255,9 +252,6 @@ class OperatorProbeReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def random_band_limited(grid: FreqGrid, seed: int, index,

@@ -513,22 +513,22 @@ def _rule_block(rho, two_pi_r, c, c_exp, c_phase, work):
         return vals, mag / np.abs(vals)
 
 
-def closed_form_sharp_transform(rho, n: int):
-    """delta = 1 closed form: 2^n pi^((n-1)/2) Gamma((n+1)/2) (1+4pi^2 rho^2)^(-(n+1)/2)."""
-    amp = 2.0 ** n * math.pi ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0)
-    return amp * (1.0 + 4.0 * math.pi ** 2 * np.asarray(rho) ** 2) ** (-(n + 1) / 2.0)
+def seam_tail_model(delta: float) -> tuple:
+    """((A, -delta-3), (B, -2 delta-3)): the two-term tail fitted on [160/3, 160]."""
+    A, B, _ = _tail_fit(_SEAM / 3.0, _SEAM, 16, delta)
+    return (A, -(delta + 3)), (B, -(2 * delta + 3))
 
 
-def tabulate_sharp_transform(nodes: np.ndarray, delta: float) -> RadialProfile:
+def tabulate_sharp_transform(nodes: np.ndarray, delta: float,
+                             tail_model: tuple | None = None) -> RadialProfile:
     """Tabulated n = 3 transform profile: ``sharp_transform_radii`` at nodes up
-    to radius 160, beyond it the two-term power model A r^(-delta-3) +
-    B r^(-2 delta-3) fitted on [160/3, 160], which is also the tail model."""
+    to radius 160, beyond it ``tail_model``, which is also the profile's tail
+    model.  Without one, ``seam_tail_model(delta)`` is fitted here."""
     nodes = np.asarray(nodes, float)
     vals = np.empty_like(nodes)
     low = nodes <= _SEAM
     vals[low] = sharp_transform_radii(nodes[low], delta)
-    Ac, Bc, _ = _tail_fit(_SEAM / 3.0, _SEAM, 16, delta)
-    model = ((Ac, -(delta + 3)), (Bc, -(2 * delta + 3)))
+    model = seam_tail_model(delta) if tail_model is None else tail_model
     hi = ~low
     if hi.any():
         vals[hi] = sum(C * nodes[hi] ** p for C, p in model)
@@ -608,8 +608,10 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     correction contributes below 1% at xi_lo (capped at 32 to stay clear of
     quadrature noise); the amplitude removes the first correction by a
     two-term extrapolation, and the blow-up slope is fitted on the diverging
-    high-frequency band of the Barron norm.  The residual runs first, so a
-    ``residual_cells`` that ``make_radial_grid`` rejects fails before any transform.
+    high-frequency band of the Barron norm.  ``residual_cells`` counts the
+    residual grid's nodes, three per cell (450 are 150 cells); a count that
+    ``make_radial_grid`` rejects fails before any transform.  At delta < 1 the
+    residual and blow-up tables share one ``seam_tail_model``.
     """
     if not (0 < delta <= 1):
         raise InvalidArgumentError("delta must lie in (0, 1] for the experiment")
@@ -618,7 +620,11 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     if not all(0 < g < delta for g in gammas):
         raise InvalidArgumentError(
             f"blow-up gammas must lie in (0, delta) = (0, {delta:g}) (got {list(gammas)})")
-    resid = sharp_example_residual(delta, ncells=residual_cells)
+    seam = None
+    if delta < 1.0:
+        _residual_grid(delta, residual_cells)  # a rejected count fails before the fit's transforms
+        seam = seam_tail_model(delta)
+    resid = sharp_example_residual(delta, ncells=residual_cells, tail_model=seam)
     example = sharp_example_potential(delta, 3)
     c1 = c1_constant(3, delta)
 
@@ -641,7 +647,7 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
         psi_prof = example.psi_profile
     else:
         probe_nodes = band_table_nodes(np.geomspace(1e-4, 400.0, 1200))
-        psi_prof = tabulate_sharp_transform(probe_nodes, delta)
+        psi_prof = tabulate_sharp_transform(probe_nodes, delta, seam)
     norms = [high_band_barron_norm(psi_prof, g) for g in gammas]
     bx = [-math.log(delta - g) for g in gammas]
     blow, blow_ci = _ols_slope(np.array(bx), np.log(np.array(norms)))
@@ -650,7 +656,7 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     if delta == 1.0:
         sample = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 25)])
         numeric = np.array([stretched_exp_transform(x, delta) for x in sample])
-        closed = closed_form_sharp_transform(sample, 3)
+        closed = example.psi_profile(sample)
         check = float(np.max(np.abs(numeric - closed) / np.abs(closed)))
 
     return EigenReport(
@@ -663,19 +669,25 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     )
 
 
-def sharp_example_residual(delta: float, ncells: int = 3 * 150) -> float:
-    """Fixed-point residual of the n = 3 sharpness example on a log-uniform
-    radial grid: the closed-form transform up to radius 2000 at delta = 1; for
-    delta < 1 the tabulated one up to radius 800, its residual measured on
-    |xi| <= 40 (see ``eigen_residual``)."""
+def sharp_example_residual(delta: float, ncells: int = 3 * 150,
+                           tail_model: tuple | None = None) -> float:
+    """Fixed-point residual of the n = 3 sharpness example on ``_residual_grid``
+    (``ncells`` nodes, three per cell): the closed-form transform at delta = 1;
+    for delta < 1 the tabulated one with ``tail_model`` as in
+    ``tabulate_sharp_transform``, its residual measured on |xi| <= 40."""
     example = sharp_example_potential(delta, 3)
+    grid = _residual_grid(delta, ncells)
     if delta == 1.0:
-        grid = make_radial_grid(3, 2000.0, ncells, "log-uniform", r_min=1e-4)
         psi_prof = example.psi_profile
         psi = sample_profile(psi_prof, grid)
         return eigen_residual(example.hamiltonian, psi, example.eigenvalue, tail_profile=psi_prof)
-    grid = make_radial_grid(3, 800.0, ncells, "log-uniform", r_min=1e-4)
-    psi_prof = tabulate_sharp_transform(grid.nodes, delta)
+    psi_prof = tabulate_sharp_transform(grid.nodes, delta, tail_model)
     psi = FreqFunction(grid, psi_prof.table_values)
     return eigen_residual(example.hamiltonian, psi, example.eigenvalue,
                           tail_profile=psi_prof, r_eval_max=40.0)
+
+
+def _residual_grid(delta: float, ncells: int) -> FreqGrid:
+    """``ncells`` log-uniform nodes up to radius 2000 at delta = 1, 800 below it."""
+    r_max = 2000.0 if delta == 1.0 else 800.0
+    return make_radial_grid(3, r_max, ncells, "log-uniform", r_min=1e-4)

@@ -182,7 +182,7 @@ def test_criterion_4_multiplier_bounds():
                                                 seed=11, certified=cert, params=params)
                 total += 1
                 if not rep.satisfied:
-                    violations.append((name, p, rep.to_json_line()))
+                    violations.append((name, p, json.dumps(rep.to_json_dict(), sort_keys=True)))
     ok = not violations
     report("4 (multiplier bounds)", ok,
            f"{total} probe sweeps x {probes} probes, {len(violations)} violations")

@@ -15,7 +15,6 @@ from flbarron.grid import (
     FreqGrid,
     RadialKernel3D,
     RadialProfile,
-    _gauss3_cells,
     _geometric_ratio,
     _offset_near_sets,
     _offset_pairs,
@@ -151,10 +150,12 @@ class TestGeometry:
     def test_stacks_only_on_tensor_grids(self):
         g = make_tensor_grid(2, 3.0, 9)
         assert FreqFunction(g, np.ones((4, 9, 9))).values.shape == (4, 9, 9)
-        assert FreqFunction(g, np.ones(81)).values.shape == (9, 9)  # flat samples of one
-        for bad in (np.ones((4, 9, 8)), np.ones((2, 4, 9, 9)), np.ones(80)):
+        # flat samples of one function are a wrong shape like any other
+        for bad in (np.ones((4, 9, 8)), np.ones((2, 4, 9, 9)), np.ones(80), np.ones(81)):
             with pytest.raises(DimensionMismatchError):
                 FreqFunction(g, bad)
+        with pytest.raises(DimensionMismatchError):
+            FreqFunction(make_tensor_grid(3, 3.0, 5), np.ones(125))
         radial = make_radial_grid(3, 5.0, 30)
         with pytest.raises(DimensionMismatchError):
             FreqFunction(radial, np.ones((2,) + radial.shape))
@@ -448,8 +449,7 @@ class TestRadialConvolve3D:
         kernel, u, prof = self.case(name)
         bounds = u.grid.cell_bounds.copy()
         bounds[40] *= 1.0 + 1e-9
-        nodes, weights = _gauss3_cells(bounds)
-        g = FreqGrid(3, "radial", nodes=nodes, weights=weights, cell_bounds=bounds)
+        g = FreqGrid(3, "radial", cell_bounds=bounds)
         assert _geometric_ratio(g) is None
         v = sample_profile(prof, g)
         ref = reference_radial_convolve_3d(kernel, v, tail_profile=prof)
@@ -545,8 +545,22 @@ class TestTailTerms:
 class TestSerialization:
     def test_radial_grid_needs_cell_bounds(self):
         g = make_radial_grid(3, 5.0, 60)
-        with pytest.raises(InvalidArgumentError, match="cell_bounds"):
-            FreqGrid(dim=3, kind="radial", nodes=g.nodes, weights=g.weights)
+        # nodes and weights are derived from the bounds, never given
+        with pytest.raises(TypeError):
+            FreqGrid(dim=3, kind="radial", nodes=g.nodes, weights=g.weights,
+                     cell_bounds=g.cell_bounds)
+        for bad in (None, [], [1.0], [[0.0, 1.0]], [-1e-3, 1.0], [0.0, 2.0, 1.0],
+                    [0.0, 1.0, 1.0], [0.0, math.nan], [0.0, math.inf]):
+            with pytest.raises(InvalidArgumentError, match="cell_bounds"):
+                FreqGrid(dim=3, kind="radial", cell_bounds=bad)
+        # the grid keeps a read-only copy: a later write to the caller's array moves no cell
+        bounds = g.cell_bounds.copy()
+        h = FreqGrid(dim=3, kind="radial", cell_bounds=bounds)
+        bounds[5] = 0.0
+        for name in ("cell_bounds", "nodes", "weights"):
+            assert np.array_equal(getattr(h, name), getattr(g, name))
+            with pytest.raises(ValueError):
+                getattr(h, name)[0] = 1.0
 
     def test_values_shape_checked(self, grid_1d):
         from flbarron.errors import DimensionMismatchError

@@ -334,7 +334,7 @@ class TestProbing:
             rep = O.empirical_operator_norm(op, gaussian_ham_1d, grid_1d, src, dst,
                                             probes=25, seed=17, certified=cert,
                                             params=params)
-            assert rep.satisfied, rep.to_json_line()
+            assert rep.satisfied, rep.to_json_dict()
 
     def test_radial_grid_rejected_before_any_probe(self, free_ham_1d, grid_1d):
         radial = make_radial_grid(1, 5.0, 30)
@@ -352,7 +352,7 @@ class TestProbing:
         rep = O.empirical_operator_norm("identity", free_ham_1d, grid_1d, SpaceIndex(0, 1),
                                         SpaceIndex(0, 1), probes=2, seed=1,
                                         certified=1.0, params={"rho": 2.0})
-        parsed = json.loads(rep.to_json_line())
+        parsed = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
         assert parsed["operator"] == "identity"
         assert parsed["params"] == {"rho": 2.0}
 

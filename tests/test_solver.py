@@ -281,6 +281,18 @@ class TestSolveDirect:
         with pytest.raises(SingularSystemError, match="numerically singular"):
             SV.solve_direct(bad, 1.0, f)
 
+    def test_complex_rhs_of_a_real_system_keeps_its_imaginary_part(self, gaussian_ham_1d,
+                                                                     grid_1d):
+        f = random_complex(grid_1d, 5)
+        A = SV.assemble_dense(gaussian_ham_1d, 1.0, grid_1d)
+        assert not np.iscomplexobj(A)
+        b = np.asarray(SV.apply_h0_inverse(f, gaussian_ham_1d, 1.0).values).ravel()
+        ref = np.linalg.solve(A, b)
+        u = SV.solve_direct(gaussian_ham_1d, 1.0, f)
+        assert np.iscomplexobj(u.values)
+        assert np.max(np.abs(u.values.imag)) >= 0.1 * np.max(np.abs(ref))
+        assert np.max(np.abs(u.values.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_caller_matrix_is_not_overwritten(self, gaussian_ham_1d, gauss_rhs, order):
         # a Fortran-ordered matrix is the one LAPACK could factor in place
@@ -360,10 +372,10 @@ class TestEigenResidual:
 
 class TestTransformMachinery:
     def test_delta_one_matches_closed_form(self):
+        closed = sharp_example_potential(1.0, 3).psi_profile
         for rho in (0.0, 0.5, 3.0):
             num = SV.stretched_exp_transform(rho, 1.0, 3)
-            assert num == pytest.approx(float(SV.closed_form_sharp_transform(rho, 3)),
-                                        rel=1e-9)
+            assert num == pytest.approx(float(closed(rho)), rel=1e-9)
 
     def test_c1_value_hydrogen(self):
         assert abs(SV.c1_constant(3, 1.0)) == pytest.approx(1 / (2 * math.pi ** 3),
@@ -583,8 +595,8 @@ class TestBlowupTable:
         SV.sharpness_experiment(0.75, gammas=(0.65, 0.7), residual_cells=120)
         residual = make_radial_grid(3, 800.0, 120, "log-uniform", r_min=1e-4).nodes
         assert int(np.sum(residual <= SV._SEAM)) == 108
-        # residual table, band table, a 16-point seam fit per table, pilot and window fits
-        assert sum(counts) == 108 + 325 + 2 * 16 + 16 + 24 == 505
+        # residual table, band table, one 16-point seam fit they share, pilot and window fits
+        assert sum(counts) == 108 + 325 + 16 + 16 + 24 == 489
 
     def test_table_above_the_band_edge_rejected(self):
         prof = SV.tabulate_sharp_transform(self.FULL[self.FULL > 1.0][:40], 0.75)
