@@ -185,7 +185,8 @@ def make_radial_grid(d: int, r_max: float, count: int, scheme: str = "uniform",
     ``uniform`` uses equal cells; ``log-uniform`` uses geometric cells from
     ``r_min`` (default r_max * 1e-8) preceded by one linear cell [0, r_min],
     so the quadrature is still exact for cubics on the whole of [0, r_max].
-    The requested count is rounded down to a multiple of 3.
+    The count is rounded down to a multiple of 3, but at least three cells
+    are built, so a count of 8 gives 9 nodes.
     """
     if d < 1:
         raise InvalidArgumentError("dimension must be >= 1")
@@ -393,7 +394,6 @@ class LatticeKernel:
     sizes: tuple
     samples: np.ndarray = field(repr=False)
     fft: np.ndarray = field(repr=False)
-    complex_kernel: bool
 
 
 def padded_length(M: int) -> int:
@@ -448,8 +448,7 @@ def lattice_kernel(v_hat: RadialProfile, grid: FreqGrid, structure: str, particl
         raise InvalidArgumentError(f"unknown convolution structure {structure!r}")
     kernel = kernel.reshape([M if ax in axes else 1 for ax in range(d)])
     sizes = (padded_length(M),) * len(axes)
-    return LatticeKernel(grid, axes, sizes, kernel, np.fft.fftn(kernel, s=sizes, axes=axes),
-                         np.iscomplexobj(kernel))
+    return LatticeKernel(grid, axes, sizes, kernel, np.fft.fftn(kernel, s=sizes, axes=axes))
 
 
 def convolve(kernel: LatticeKernel, u_hat: FreqFunction) -> FreqFunction:
@@ -459,6 +458,8 @@ def convolve(kernel: LatticeKernel, u_hat: FreqFunction) -> FreqFunction:
     Returns the "same" central part of the linear convolution (exact from
     FFTs of ``padded_length(M)`` per axis): out[a] = sum_j kernel[j] * u[a - j + m],
     m = (M-1)/2 per kernel axis.  A stack of functions is convolved slice by slice in one pass.
+    The result is real when both u's samples and the kernel's samples are,
+    the one place an FFT result is turned back into real numbers.
     """
     g = u_hat.grid
     kg = kernel.grid
@@ -473,7 +474,7 @@ def convolve(kernel: LatticeKernel, u_hat: FreqFunction) -> FreqFunction:
     m = (g.count - 1) // 2
     for ax in reversed(axes):
         out = np.fft.ifft(out, axis=ax)[(slice(None),) * ax + (slice(m, m + g.count),)]
-    if not (np.iscomplexobj(u) or kernel.complex_kernel):
+    if not (np.iscomplexobj(u) or np.iscomplexobj(kernel.samples)):
         out = out.real
     return u_hat.copy_with(out)
 

@@ -96,12 +96,6 @@ class OperatorPlan:
                                          np.asarray(t.shift, float) if t.shift else None))
                 for role, i, j, t, dim in terms]
 
-    @cached_property
-    def complex_kernel(self) -> bool:
-        """Whether F(V u) of a real u can be complex: some term is shifted
-        (shifted terms need a tensor grid, so radial plans answer False)."""
-        return self.grid.kind == "tensor" and any(k.complex_kernel for _, k in self._kernels)
-
     def _samples(self, values) -> np.ndarray:
         values = np.asarray(values)
         self.grid.batch_rank(values)
@@ -129,11 +123,9 @@ class OperatorPlan:
             for kernel in self._kernels:
                 total = total + radial_convolve_3d(kernel, u, tail_profile=tail_profile)
             return total
-        out = np.zeros(u.values.shape, dtype=complex)
+        out = np.zeros_like(u.values)
         for coeff, kernel in self._kernels:
             out = out + coeff * np.asarray(convolve(kernel, u).values)
-        if not (np.iscomplexobj(u.values) or self.complex_kernel):
-            out = out.real
         return out
 
     def R(self, values, rho: float) -> np.ndarray:
@@ -153,7 +145,7 @@ class OperatorPlan:
             raise DimensionMismatchError("dense oracle needs a tensor grid")
         denom = self._resolvent_symbol(rho).reshape(-1, 1)
         M, d, m = g.count, g.dim, (g.count - 1) // 2
-        total = np.zeros((2 * M - 1,) * d, dtype=complex if self.complex_kernel else float)
+        total = np.zeros((2 * M - 1,) * d)  # a shifted term's complex samples upcast it
         for coeff, kernel in self._kernels:
             padded = np.zeros(total.shape, dtype=kernel.samples.dtype)
             padded[tuple(slice(m, m + M) if ax in kernel.axes else slice(M - 1, M)

@@ -4,10 +4,10 @@ The solver iterates u_{k+1} = (H0 + rho)^{-1} f - R u_k, whose fixed point
 solves (H + rho) u = f on the grid; the certified contraction factor is
 q = mu~_rho * C(V).  A dense direct solve of the same discrete operator
 serves as the oracle.  The sharpness experiments tabulate the transform of
-exp(-|x|^delta) in n = 3 (for 0 < delta < 1 by a convergent series at large
-radii and a fixed Gauss-Legendre rule at small ones, otherwise by oscillatory
-quadrature), fit its tail decay and amplitude, and measure the Barron
-blow-up rate of its diverging high-frequency mass.
+exp(-|x|^delta) in n = 3 (by a convergent series at large radii and a fixed
+Gauss-Legendre rule at small ones, by oscillatory quadrature where neither
+counts), fit its tail decay and amplitude, and measure the Barron blow-up
+rate of its diverging high-frequency mass.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     NonConvergenceError,
     NonFiniteError,
     NoContractionError,
+    NotInSpaceError,
     SingularSystemError,
     UnsupportedKindError,
     UnsupportedScaleError,
@@ -50,7 +51,7 @@ from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R 
     project_low,
 )
 from .potentials import HamiltonianSpec, sharp_example_potential
-from .spaces import SpaceIndex, fl_norm
+from .spaces import SpaceIndex, _power_tail, fl_norm
 from .special import omega_d
 
 MAX_DENSE_SAMPLES = 4096  # dense oracle cap: I + R is assembled as an M x M matrix
@@ -176,15 +177,19 @@ def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
     """Dense factorization oracle for u + R u = (H0 + rho)^(-1) f.
 
     The matrix shares the discretization of the iteration exactly; a
-    precomputed ``matrix`` from assemble_dense is reused when given.
+    precomputed ``matrix`` from assemble_dense is reused when given.  It is
+    factored in its own dtype: a complex right-hand side of a real system
+    is solved as two real columns, its real and imaginary parts, so the
+    result is complex exactly when I + R or f is.
     """
     from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
     g = f.grid
     A = assemble_dense(spec, rho, g) if matrix is None else matrix
     b = np.asarray(apply_h0_inverse(f, spec, rho).values).ravel()
-    if np.iscomplexobj(b) and not np.iscomplexobj(A):
-        A = A.astype(complex)
+    split = np.iscomplexobj(b) and not np.iscomplexobj(A)
+    if split:
+        b = b.view(float).reshape(-1, 2)  # (re, im) columns, a view of b
     # one LU, of a copy (the residual check reads A), for the solve and gecon's estimate
     lange, gecon = get_lapack_funcs(("lange", "gecon"), (A,))
     lu, piv = lu_factor(A, check_finite=False)
@@ -192,15 +197,13 @@ def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
     cond = 1.0 / rcond if rcond > 0 else math.inf
     if not cond <= 1e12:
         raise SingularSystemError(f"I + R numerically singular (cond = {cond:.3e})")
-    x = lu_solve((lu, piv), b.astype(A.dtype), check_finite=False)
+    x = lu_solve((lu, piv), b, check_finite=False)
     resid = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
     if resid > 1e-10:
         raise SingularSystemError(f"direct solve residual {resid:.3e} > 1e-10")
-    vals = x.reshape(g.shape)
-    if not np.iscomplexobj(f.values) and np.iscomplexobj(vals) and np.max(
-            np.abs(vals.imag)) < 1e-13 * max(np.max(np.abs(vals.real)), 1e-300):
-        vals = vals.real
-    return FreqFunction(g, vals)
+    if split:
+        x = x[:, 0] + 1j * x[:, 1]
+    return FreqFunction(g, x.reshape(g.shape))
 
 
 def oracle_error(u_iter: FreqFunction, u_direct: FreqFunction, s: float = 0.0) -> float:
@@ -297,9 +300,8 @@ def _diff_norm(a: FreqFunction, b: FreqFunction, idx: SpaceIndex) -> float:
 
 def _ball_weight_l2(grid: FreqGrid, s: float, K: float) -> float:
     """L^2 norm of <xi>^s restricted to |xi| <= K, by the grid quadrature."""
-    r = grid.radius_mesh()
-    w = grid.trapezoid_weights()
-    return float(np.sqrt(np.sum(np.where(r <= K, w * (1 + r * r) ** s, 0.0))))
+    w = grid.trapezoid_weights().ravel() * grid.bracket_power(2.0 * s)
+    return float(np.sqrt(np.sum(np.where(grid.radius_mesh().ravel() <= K, w, 0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,7 @@ def stretched_exp_transform(rho: float, delta: float, n: int = 3) -> float:
 def sharp_transform_radii(rhos, delta: float) -> np.ndarray:
     """n = 3 transform of exp(-|x|^delta) at every radius of ``rhos``, in blocks of radii.
 
-    For 0 < delta < 1 two vectorised methods are tried per radius:
+    Two vectorised methods are tried per radius:
 
     - the series F(rho) = sum_{k>=1} (-1)^(k+1) sin(pi k delta/2)
       Gamma(k delta + 2) / k! (2 pi rho)^(-k delta) / (2 pi^2 rho^3), the
@@ -405,15 +407,13 @@ def sharp_transform_radii(rhos, delta: float) -> np.ndarray:
       panel spans more than _RULE_MAX_PHASE radians of sin(2 pi rho r).
 
     Each radius takes the counting method with the smaller first-order
-    rounding estimate; radii that neither covers, and every radius for
-    delta >= 1, go through the scalar quadrature ``stretched_exp_transform``.
+    rounding estimate; radii that neither covers go through the scalar
+    quadrature ``stretched_exp_transform``.
     """
     _check_delta(delta)
     rhos = np.asarray(rhos, dtype=float)
     if not np.all((rhos >= 0) & (rhos < np.inf)):
         raise InvalidArgumentError("rho must be finite and >= 0 at every radius")
-    if delta >= 1:
-        return np.array([stretched_exp_transform(float(r), delta) for r in rhos])
     series = _series_table(delta)
     rule, max_phase = _rule_table(delta)
     vals, err = np.empty_like(rhos), np.empty_like(rhos)
@@ -567,7 +567,9 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
 
     This is the component of the norm that diverges as gamma approaches the
     sharp index; the complementary ball contributes an analytic-in-gamma
-    constant that would mask the blow-up rate.
+    constant that would mask the blow-up rate.  Where the tail's leading
+    term diverges (gamma >= delta for the sharp example) the profile is not
+    in B^gamma and NotInSpaceError is raised.
     """
     terms = profile.tail_terms()
     if terms is None:
@@ -578,14 +580,16 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
         raise InvalidArgumentError(f"tabulated profile starts at radius {float(nodes[0])!r}, "
                                    f"above the band's low edge {_BAND_LO!r}")
     r_max = _BAND_R_MAX
+    if _power_tail(terms, 1.0, gamma, 3, r_max) is None:
+        raise NotInSpaceError(f"{profile.kind} profile not in B^{gamma}: its tail diverges")
     grid = make_radial_grid(3, r_max, 3 * 1500, "log-uniform", r_min=1e-6)
     base = fl_norm(project_high(sample_profile(profile, grid), _BAND_LO), SpaceIndex(gamma, 1.0))
     tail = 0.0
     for A, p in terms:
-        # int_R^inf <r>^gamma A r^p r^2 dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2))
+        # int_R^inf <r>^gamma A r^p r^2 dr with <r>^gamma ~ r^gamma (1 + gamma/(2 r^2)),
+        # finite for every term once the leading one is
         e = gamma + p + 3
-        if e < 0:
-            tail += A * (r_max ** e / (-e) + (gamma / 2.0) * r_max ** (e - 2) / (2 - e))
+        tail += A * (r_max ** e / (-e) + (gamma / 2.0) * r_max ** (e - 2) / (2 - e))
     return base + omega_d(3) * tail
 
 

@@ -313,8 +313,7 @@ def embedding_constant(src: tuple, dst: tuple, n: int) -> float:
 def epsilon_ball_integral(k: float, n: int) -> float:
     """int_{|xi|<=k} <xi>^(-n) d xi by radial quadrature."""
     grid = make_radial_grid(n, float(k), 3000, "log-uniform", r_min=min(1e-8 * k, 1e-8))
-    r = grid.nodes
-    return float(np.sum(grid.trapezoid_weights() * (1 + r * r) ** (-n / 2.0)))
+    return float(np.sum(grid.trapezoid_weights() * grid.bracket_power(-n)))
 
 
 def counterexample_norm(k: float, s1: float, alpha1: float, s2: float, alpha2: float, n: int):

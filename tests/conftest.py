@@ -340,24 +340,3 @@ def reference_radial_convolve_3d(kernel, u_hat, tail_profile=None):
 
     r_arr = np.asarray(r_eval, dtype=float)
     return 2.0 * np.pi / r_arr * out + _tail_correction(kernel, tail_profile, bounds[-1], r_arr)
-
-
-# ---------------------------------------------------------------------------
-# reference tabulation of the sharp transform: one quadrature per radius
-# ---------------------------------------------------------------------------
-
-def reference_tabulate_sharp_transform(nodes, delta: float, seam: float = 160.0):
-    """(table values, tail model) of the n = 3 sharp-example profile with one
-    scalar ``stretched_exp_transform`` call per node below the seam and per
-    seam-fit point."""
-    from flbarron.solver import stretched_exp_transform
-
-    nodes = np.asarray(nodes, float)
-    vals = np.empty_like(nodes)
-    low = nodes <= seam
-    vals[low] = [stretched_exp_transform(r, delta) for r in nodes[low]]
-    xs = np.geomspace(seam / 3.0, seam, 16)
-    ys = np.array([stretched_exp_transform(x, delta) for x in xs])
-    Bc, Ac = np.polyfit(xs ** -delta, ys * xs ** (delta + 3), 1)
-    vals[~low] = Ac * nodes[~low] ** -(delta + 3) + Bc * nodes[~low] ** -(2 * delta + 3)
-    return vals, ((Ac, -(delta + 3)), (Bc, -(2 * delta + 3)))

@@ -199,15 +199,28 @@ class TestOperatorPlan:
 
     @pytest.mark.parametrize("case", PLAN_CASES)
     def test_complex_kernel_only_for_shifted_terms(self, case):
+        # real samples give float64 outputs unless a shifted term's kernel is complex
         spec, grid = plan_case(case, 0.1, 1.0, 5)
         plan = O.OperatorPlan(spec, grid)
-        assert plan.complex_kernel == (case == "shifted1d")
-        assert SV.assemble_dense(spec, 1.0, grid).dtype == (complex if plan.complex_kernel else float)
+        u = random_complex(grid, 3).values.real
+        want = np.complex128 if case == "shifted1d" else np.float64
+        for out in (plan.multiply_V(u), plan.R(u, 1.0), SV.assemble_dense(spec, 1.0, grid)):
+            assert out.dtype == want
 
     def test_radial_plan_has_real_kernels(self):
         pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
         grid = make_radial_grid(3, 6.0, 30)
-        assert O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid).complex_kernel is False
+        plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid)
+        u = np.exp(-grid.nodes ** 2)
+        assert plan.multiply_V(u).dtype == plan.R(u, 1.0).dtype == np.float64
+
+    def test_zero_potential_keeps_the_input_dtype(self, free_ham_1d, grid_1d):
+        plan = O.OperatorPlan(free_ham_1d, grid_1d)
+        u = random_complex(grid_1d, 4).values
+        for values, dtype in ((u, np.complex128), (u.real, np.float64)):
+            out = plan.multiply_V(values)
+            assert out.dtype == dtype and not np.any(out)
+            assert plan.R(values, 1.0).dtype == dtype
 
     def test_rejects_values_of_another_shape(self, gaussian_ham_1d, grid_1d):
         plan = O.OperatorPlan(gaussian_ham_1d, grid_1d)

@@ -16,6 +16,7 @@ from flbarron.errors import (
     NoContractionError,
     NonConvergenceError,
     NonFiniteError,
+    NotInSpaceError,
     SingularSystemError,
     UnsupportedKindError,
     UnsupportedScaleError,
@@ -37,7 +38,6 @@ from conftest import (
     reference_direct_V,
     reference_R,
     reference_symbol,
-    reference_tabulate_sharp_transform,
 )
 
 
@@ -282,14 +282,25 @@ class TestSolveDirect:
             SV.solve_direct(bad, 1.0, f)
 
     def test_complex_rhs_of_a_real_system_keeps_its_imaginary_part(self, gaussian_ham_1d,
-                                                                     grid_1d):
+                                                                     grid_1d, monkeypatch):
+        import scipy.linalg
+
+        factored = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def recording(a, *args, **kwargs):
+            factored.append(np.asarray(a).dtype)
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
         f = random_complex(grid_1d, 5)
         A = SV.assemble_dense(gaussian_ham_1d, 1.0, grid_1d)
         assert not np.iscomplexobj(A)
         b = np.asarray(SV.apply_h0_inverse(f, gaussian_ham_1d, 1.0).values).ravel()
         ref = np.linalg.solve(A, b)
         u = SV.solve_direct(gaussian_ham_1d, 1.0, f)
-        assert np.iscomplexobj(u.values)
+        assert factored == [np.float64]  # the real I + R, never a complex copy
+        assert u.values.dtype == np.complex128
         assert np.max(np.abs(u.values.imag)) >= 0.1 * np.max(np.abs(ref))
         assert np.max(np.abs(u.values.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -474,12 +485,11 @@ class TestSharpTransformRadii:
         assert np.array_equal(split, whole)
         assert np.array_equal(SV.sharp_transform_radii(radii[perm], delta), whole[perm])
 
-    def test_delta_one_table_equals_per_radius_quadrature(self):
-        nodes = np.geomspace(1e-4, 400.0, 120)
-        prof = SV.tabulate_sharp_transform(nodes, 1.0)
-        vals, model = reference_tabulate_sharp_transform(nodes, 1.0)
-        assert np.array_equal(prof.table_values, vals)
-        assert prof.tail_model == model
+    def test_delta_one_table_equals_closed_form(self):
+        radii = np.concatenate([[0.0], np.geomspace(1e-4, 400.0, 3000)])
+        closed = sharp_example_potential(1.0, 3).psi_profile(radii)
+        values = SV.sharp_transform_radii(radii, 1.0)
+        assert np.max(np.abs(values - closed) / np.abs(closed)) <= 2e-15
 
     def test_quadrature_only_where_neither_method_counts(self, monkeypatch):
         calls = []
@@ -490,15 +500,14 @@ class TestSharpTransformRadii:
             return scalar(rho, delta, n)
 
         monkeypatch.setattr(SV, "stretched_exp_transform", counted)
-        for delta in (0.5, 0.75, 0.9):
+        for delta in (0.5, 0.75, 0.9, 1.0):
             SV.sharp_transform_radii(np.geomspace(1e-4, 400.0, 200), delta)
+        SV.sharp_transform_radii(np.array([0.0, 0.5, 2.0]), 1.0)
         assert calls == []
-        SV.sharp_transform_radii(np.array([0.5, 2.0]), 1.0)
-        assert calls == [0.5, 2.0]
         # delta = 0.3 at rho = 1e-3: the series cancels too much and the rule
         # would span too many oscillations per panel
         assert SV.sharp_transform_radii(np.array([1e-3]), 0.3)[0] == scalar(1e-3, 0.3)
-        assert calls == [0.5, 2.0, 1e-3]
+        assert calls == [1e-3]
 
     @pytest.mark.parametrize("delta", [0.5, 0.75, 0.9])
     def test_zero_radius_is_the_integral(self, delta):
@@ -556,6 +565,17 @@ class TestSharpnessExperiment:
     def test_high_band_needs_a_tail_model(self, profile):
         with pytest.raises(UnsupportedKindError, match=f"no tail model for a {profile.kind}"):
             SV.high_band_barron_norm(profile, 0.5)
+
+    @pytest.mark.parametrize("delta, gamma", [(0.75, 0.76), (1.0, 1.0)])
+    def test_high_band_outside_the_space_raises(self, delta, gamma):
+        # gamma >= delta: the tail's leading term |xi|^(-delta-3) is not integrable
+        if delta == 1.0:
+            profile = sharp_example_potential(1.0, 3).psi_profile
+        else:
+            profile = SV.tabulate_sharp_transform(SV.band_table_nodes(TestBlowupTable.FULL),
+                                                  delta)
+        with pytest.raises(NotInSpaceError, match=f"{profile.kind} profile not in B\\^{gamma}"):
+            SV.high_band_barron_norm(profile, gamma)
 
     def test_small_delta_smoke(self):
         rep = SV.sharpness_experiment(0.75, 3, gammas=(0.6, 0.7), residual_cells=90)
