@@ -332,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
            "--beta": dict(type=float, default=None),
            "--gamma": dict(type=float, default=0.5),
            "--p": dict(type=float, default=1.0),
-           "--probes": dict(type=int, default=20),
+           "--probes": dict(type=int, default=20,
+                            help="budget of forward applications to one function; the "
+                                 "power method starts from min(3, PROBES) random probes"),
            "--rho": dict(type=float, default=1.0),
            "--lam": dict(type=float, default=0.0),
            "--K": dict(type=float, default=0.0)})

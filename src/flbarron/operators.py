@@ -5,19 +5,21 @@ multiplication is the structured convolution; the fixed-point operator and
 the solver operator are compositions of the two.  An ``OperatorPlan`` builds
 the symbol and the potential's kernels once per (spec, grid), so loops that
 apply an operator many times reuse them.  ``OPERATORS`` holds each op id's
-application, certificate and natural spaces; ``empirical_operator_norm``
-probes any of them with random band-limited inputs and compares the measured
-ratio against the certified bound.
+application, its adjoint, certificate and natural spaces;
+``empirical_operator_norm`` estimates the discrete norm of any of them by the
+p-norm power method, started from random band-limited inputs, and compares
+the largest ratio an explicit input attains against the certified bound.
 
 On tensor grids the plan's methods also take a stack of inputs, values of
 shape (B, *grid.shape), and act on each slice exactly as on that slice
-alone.  Probing draws, applies and norms its probes a stacked chunk at a
-time, each chunk holding at most ``grid._BLOCK_ELEMS`` padded FFT samples;
-a single call (``replay_probe``) is the chunk of one.
+alone.  The power method moves its start probes as one stack; a replay
+(``replay_probe``) moves the stack of one start probe and gets the same
+iterate bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -31,18 +33,16 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .grid import (
-    _BLOCK_ELEMS,
     FreqFunction,
     FreqGrid,
     RadialKernel3D,
     RadialProfile,
     convolve,
     lattice_kernel,
-    padded_length,
     radial_convolve_3d,
 )
 from .potentials import HamiltonianSpec, PotentialSpec, fourier_transform
-from .spaces import SpaceIndex, fl_norm
+from .spaces import SpaceIndex, conjugate, fl_norm
 
 
 class OperatorPlan:
@@ -226,7 +226,12 @@ def sobolev_products(u: FreqFunction):
 
 @dataclass
 class OperatorProbeReport:
-    """Outcome of an empirical operator-norm probe run."""
+    """Outcome of an empirical operator-norm probe run.
+
+    ``empirical`` is attained by the iterate ``worst_step`` steps of the
+    power method from start probe ``worst_probe``; ``applications`` counts
+    the forward applications of the operator to one function.
+    """
 
     operator: str
     src: dict
@@ -236,6 +241,8 @@ class OperatorProbeReport:
     probes: int
     seed: int
     worst_probe: int = -1
+    worst_step: int = 0
+    applications: int = 0
     params: dict = field(default_factory=dict)
 
     @property
@@ -244,6 +251,11 @@ class OperatorProbeReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def _band(grid: FreqGrid) -> np.ndarray:
+    """The probes' support |xi| <= 0.8 * extent, as a mask of the grid's shape."""
+    return grid.radius_mesh() <= 0.8 * grid.extent
 
 
 def random_band_limited(grid: FreqGrid, seed: int, index,
@@ -255,10 +267,12 @@ def random_band_limited(grid: FreqGrid, seed: int, index,
     amplitudes, over the whole grid from its own generator seeded with
     (seed, k), so a probe does not depend on the stack it is drawn in.
     Keeping 20% headroom below the grid edge bounds the convolution
-    truncation error below the probe comparison tolerance.
+    truncation error below the probe comparison tolerance; the power method
+    of ``empirical_operator_norm`` keeps its iterates on the same band, so
+    the bound holds for every input it norms.
     """
     indices = np.atleast_1d(index)
-    inband = np.flatnonzero(grid.radius_mesh() <= 0.8 * grid.extent)
+    inband = np.flatnonzero(_band(grid))
     phases = np.empty((len(indices), len(inband)))
     amp = np.empty_like(phases)
     for row, k in enumerate(indices):
@@ -274,10 +288,12 @@ def random_band_limited(grid: FreqGrid, seed: int, index,
 
 
 # ---------------------------------------------------------------------------
-# operator registry: op id -> (apply(plan, u, par), certificate(spec, s, beta,
-# C, par), spaces(s, sigma, beta) -> (src s, dst s)), par holding rho / lam / K.
-# Each row is one mapping statement, e.g. (H0+rho)^-1 : B^s -> B^(s+2); rows
-# name project_high and the plan methods when called, not when built.
+# operator registry: op id -> (apply(plan, u, par), adjoint(plan, v, par),
+# certificate(spec, s, beta, C, par), spaces(s, sigma, beta) -> (src s, dst s)),
+# par holding rho / lam / K.  Each row is one mapping statement, e.g.
+# (H0+rho)^-1 : B^s -> B^(s+2); the adjoint is taken in the plain inner
+# product sum u conj(v) of the samples.  Rows name project_high and the plan
+# methods when called, not when built.
 # ---------------------------------------------------------------------------
 
 def _lifted_spaces(s, sigma, beta):
@@ -285,35 +301,67 @@ def _lifted_spaces(s, sigma, beta):
 
 
 def _projected(base: str) -> tuple:
-    """P_K after ``base``: the base certificate times (1+K^2)^(e/2), hi -> hi."""
-    apply, certificate, spaces = OPERATORS[base]
+    """P_K after ``base``, adjoint base^* P_K: the base certificate times
+    (1+K^2)^(e/2), hi -> hi."""
+    apply, adjoint, certificate, spaces = OPERATORS[base]
 
     def projected_certificate(spec, s, beta, C, par):
         e = abs(s) - s - 2.0 + 2.0 * beta
         return certificate(spec, s, beta, C, par) * (1.0 + par["K"] * par["K"]) ** (e / 2.0)
 
     return (lambda plan, u, par: project_high(apply(plan, u, par), par["K"]),
+            lambda plan, v, par: adjoint(plan, project_high(v, par["K"]), par),
             projected_certificate,
             lambda s, sigma, beta: (spaces(s, sigma, beta)[0],) * 2)
 
 
-OPERATORS = {
-    "identity": (lambda plan, u, par: u, None, None),
-    "project": (lambda plan, u, par: project_high(u, par["K"]), None, None),
+def _identity(plan, u, par):
+    return u
+
+
+def _project(plan, u, par):
+    return project_high(u, par["K"])
+
+
+def _h0_inv(plan, u, par):
+    return u.copy_with(plan.h0_inverse(u.values, par["rho"]))
+
+
+def _multiply_v(plan, u, par):
+    return u.copy_with(plan.multiply_V(u.values))
+
+
+def _r_adjoint(plan, v, par):
+    """R^* = V (H0+rho)^-1: the lattice convolutions are Hermitian and the
+    resolvent is real."""
+    return v.copy_with(plan.multiply_V(plan.h0_inverse(v.values, par["rho"])))
+
+
+def _t_lambda_adjoint(plan, v, par):
+    """T_lambda^* = (lambda+1)(H0+I)^-1 - V (H0+I)^-1."""
+    w = plan.h0_inverse(v.values, 1.0)
+    return v.copy_with((par["lam"] + 1.0) * w - plan.multiply_V(w))
+
+
+OPERATORS = {  # identity, P_K, (H0+rho)^-1 and V are their own adjoints
+    "identity": (_identity, _identity, None, None),
+    "project": (_project, _project, None, None),
     "h0_inv": (
-        lambda plan, u, par: u.copy_with(plan.h0_inverse(u.values, par["rho"])),
+        _h0_inv, _h0_inv,
         lambda spec, s, beta, C, par: mu_tilde(spec.masses, par["rho"]),
         lambda s, sigma, beta: (s, s + 2.0)),
     "multiply_v": (
-        lambda plan, u, par: u.copy_with(plan.multiply_V(u.values)),
+        _multiply_v, _multiply_v,
         lambda spec, s, beta, C, par: C,
         lambda s, sigma, beta: (abs(s) + 2 * sigma * beta, s - 2 * (1 - sigma) * beta)),
     "t_lambda": (
         lambda plan, u, par: u.copy_with(plan.T_lambda(u.values, par["lam"])),
+        _t_lambda_adjoint,
         lambda spec, s, beta, C, par: mu_tilde(spec.masses, 1.0) * (abs(par["lam"] + 1.0) + C),
         _lifted_spaces),
     "r": (
         lambda plan, u, par: u.copy_with(plan.R(u.values, par["rho"])),
+        _r_adjoint,
         lambda spec, s, beta, C, par: mu_tilde(spec.masses, par["rho"]) * C,
         _lifted_spaces),
 }
@@ -348,72 +396,118 @@ def make_operator(op_id: str, plan: OperatorPlan, params: dict):
 def natural_spaces(op_id: str, s: float, alpha: float, beta: float,
                    p: float) -> tuple[SpaceIndex, SpaceIndex]:
     """(src, dst) of the operator's mapping statement at (s, alpha, beta) in FL^p."""
-    src_s, dst_s = _registry(op_id, 2, "natural spaces")(s, sigma_exponent(alpha, p), beta)
+    src_s, dst_s = _registry(op_id, 3, "natural spaces")(s, sigma_exponent(alpha, p), beta)
     return SpaceIndex(src_s, p), SpaceIndex(dst_s, p)
+
+
+# A step that raises no start probe's ratio by more than this, relative, ends the power method.
+_RISE = 1e-3
 
 
 def empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid: FreqGrid,
                             src: SpaceIndex, dst: SpaceIndex, probes: int, seed: int,
                             certified: float = math.inf,
                             params: dict | None = None) -> OperatorProbeReport:
-    """Max over random band-limited probes on the tensor ``grid`` of
-    ||op u||_dst / ||u||_src.
+    """Largest ||op u||_dst / ||u||_src over the iterates of the p-norm power
+    method on the tensor ``grid``, a lower bound on the operator's discrete
+    norm from the band-limited inputs to dst.
 
-    ``params`` carries rho / lam / K as the operator needs them; the report
-    keeps them as given, so ``replay_probe`` can rebuild the worst probe.
+    The method starts from random band-limited probes 0 .. min(3, probes) - 1
+    and moves them as one stack; it stops after a step that raises no
+    probe's ratio by more than ``_RISE`` relative, or before a step that
+    would exceed ``probes`` forward applications in total.  ``params``
+    carries rho / lam / K as the operator needs them; the report keeps them
+    as given, so ``replay_probe`` can rebuild the attaining input.
     """
     if probes < 1:
         raise InvalidArgumentError("probes must be >= 1")
     if grid.kind != "tensor":
         raise DimensionMismatchError("probing needs a tensor grid")
     params = dict(params or {})
-    op = make_operator(op_id, OperatorPlan(spec, grid), params)
-    chunk = _probe_chunk(grid)
-    worst = -1.0
-    worst_idx = -1
-    for start in range(0, probes, chunk):
-        indices = range(start, min(start + chunk, probes))
-        norms = _probe_norms(op, grid, seed, indices, src, dst)
-        for k, denom, num in zip(indices, *norms):
-            if denom != 0.0 and num / denom > worst:
-                worst, worst_idx = num / denom, k
+    start = range(min(3, probes))
+    steps = _power_method(op_id, OperatorPlan(spec, grid), _op_params(params), src, dst,
+                          random_band_limited(grid, seed, start))
+    worst, worst_idx, worst_step, applied, last = -1.0, -1, 0, 0, None
+    for step, ratios in enumerate(steps):
+        applied += len(start)
+        for k, ratio in zip(start, ratios):
+            if ratio > worst:
+                worst, worst_idx, worst_step = float(ratio), k, step
+        if applied + len(start) > probes or (last is not None
+                                            and not np.any(ratios > last * (1.0 + _RISE))):
+            break
+        last = ratios
     return OperatorProbeReport(
         operator=op_id,
         src={"s": src.s, "p": src.p}, dst={"s": dst.s, "p": dst.p},
         empirical=float(worst), certified=float(certified),
-        probes=probes, seed=seed, worst_probe=worst_idx,
-        params=params,
+        probes=probes, seed=seed, worst_probe=worst_idx, worst_step=worst_step,
+        applications=applied, params=params,
     )
 
 
-def _probe_chunk(grid: FreqGrid) -> int:
-    """Probes per stacked chunk: as many as keep the chunk's padded FFT within
-    ``grid._BLOCK_ELEMS`` samples, and at least one."""
-    return max(1, _BLOCK_ELEMS // padded_length(grid.count) ** grid.dim)
+def _power_method(op_id: str, plan: OperatorPlan, par: dict, src: SpaceIndex,
+                  dst: SpaceIndex, u: FreqFunction):
+    """The p-norm power method (Boyd 1974; Higham, Numer. Math. 62, 1992)
+    from the stack ``u``: yields the array of its slices' ratios
+    ||op u_k||_dst / ||u_k||_src (nan where ||u_k||_src = 0), then moves
+    every slice one step, without end; the caller decides when to stop.
+
+    In the weighted coordinates x = a_src u, where ||u||_idx = ||a u||_p, the
+    operator is B = diag(a_dst) op diag(a_src)^-1; a step is y = B x, then
+    x = dual_q(B^* dual_p(y)) with q the conjugate of src's p, the input
+    restricted to the probes' band before its dual map.
+    """
+    apply = _registry(op_id, 0, "application")
+    adjoint = OPERATORS[op_id][1]
+    g = plan.grid
+    band = _band(g).ravel()
+    a_src, a_dst = _norm_weights(g, src), _norm_weights(g, dst)
+    while True:
+        v = apply(plan, u, par)
+        denom = fl_norm(u, src)
+        yield np.divide(fl_norm(v, dst), denom, out=np.full(len(denom), np.nan),
+                        where=denom > 0)
+        y = a_dst * v.values.reshape(len(denom), -1)
+        z = adjoint(plan, u.copy_with((a_dst * _dual(y, dst.p)).reshape(u.values.shape)), par)
+        z = np.where(band, z.values.reshape(len(denom), -1) / a_src, 0.0)
+        u = u.copy_with((_dual(z, conjugate(src.p)) / a_src).reshape(u.values.shape))
 
 
-def _probe_norms(op, grid: FreqGrid, seed: int, indices, src: SpaceIndex,
-                 dst: SpaceIndex) -> tuple:
-    """(||u_k||_src, ||op u_k||_dst) for the probes k in ``indices``, drawn,
-    applied and normed as one stack."""
-    u = random_band_limited(grid, seed, indices)
-    return fl_norm(u, src), fl_norm(op(u), dst)
+def _norm_weights(grid: FreqGrid, idx: SpaceIndex) -> np.ndarray:
+    """a with ||u||_idx = ||a u||_p over the flattened grid: w^(1/p) <xi>^s,
+    or <xi>^s when p = inf."""
+    a = grid.bracket_power(idx.s)
+    return a if math.isinf(idx.p) else a * grid.trapezoid_weights().ravel() ** (1.0 / idx.p)
+
+
+def _dual(y: np.ndarray, p: float) -> np.ndarray:
+    """Per row of ``y``, a vector x with sum y conj(x) = ||y||_p ||x||_p'
+    (p' the conjugate of p): phase(y) (|y| / max|y|)^(p-1), the phase alone
+    when p = 1, and only the first node of largest |y| when p = inf."""
+    mag = np.abs(y)
+    phase = np.divide(y, mag, out=np.zeros_like(y), where=mag > 0)
+    if math.isinf(p):
+        return np.where(np.arange(y.shape[-1]) == np.argmax(mag, axis=-1)[:, None], phase, 0.0)
+    top = mag.max(axis=-1, keepdims=True)
+    return phase * np.divide(mag, top, out=np.zeros_like(mag), where=top > 0) ** (p - 1.0)
 
 
 def replay_probe(report_dict: dict, spec: HamiltonianSpec, grid: FreqGrid) -> float:
-    """Recompute the worst probe's ratio from a serialized report."""
+    """Recompute the ratio of the report's attaining input: start probe
+    ``worst_probe`` moved ``worst_step`` steps by the power method."""
     if grid.kind != "tensor":
         raise DimensionMismatchError("probing needs a tensor grid")
     src = SpaceIndex(report_dict["src"]["s"], report_dict["src"]["p"])
     dst = SpaceIndex(report_dict["dst"]["s"], report_dict["dst"]["p"])
-    params = dict(report_dict.get("params", {}))
-    op = make_operator(report_dict["operator"], OperatorPlan(spec, grid), params)
-    (denom,), (num,) = _probe_norms(op, grid, report_dict["seed"], [report_dict["worst_probe"]],
-                                    src, dst)
-    return float(num) / float(denom)
+    u = random_band_limited(grid, report_dict["seed"], [report_dict["worst_probe"]])
+    steps = _power_method(report_dict["operator"], OperatorPlan(spec, grid),
+                          _op_params(report_dict.get("params")), src, dst, u)
+    (ratio,) = next(itertools.islice(steps, report_dict["worst_step"], None))
+    return float(ratio)
 
 
 def certified_bound(op_id: str, spec: HamiltonianSpec, s: float, alpha: float,
                     beta: float, C: float, params: dict | None = None) -> float:
     """The paper-side certificate matching each operator id at (s, alpha, beta)."""
-    return _registry(op_id, 1, "certificate")(spec, s, beta, C, _op_params(params))
+    return _registry(op_id, 2, "certificate")(spec, s, beta, C, _op_params(params))

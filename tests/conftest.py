@@ -234,9 +234,11 @@ def reference_random_band_limited(grid, seed: int, index: int, band: float = 0.8
 def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid, src, dst,
                                       probes: int, seed: int, certified: float = math.inf,
                                       params: dict | None = None):
-    """operators.empirical_operator_norm as a per-probe loop: draw probe k,
-    skip it if ||u||_src = 0, and keep the first k of the largest
-    ||op u||_dst / ||u||_src (worst_probe -1 if every denominator is 0)."""
+    """The random-probe floor of operators.empirical_operator_norm, as a
+    per-probe loop: draw probe k, skip it if ||u||_src = 0, and keep the
+    first k of the largest ||op u||_dst / ||u||_src (worst_probe -1 if every
+    denominator is 0).  The power method starts from probes 0, 1, 2 and
+    only ever raises its ratio, so with ``probes`` <= 3 it gives this report."""
     from flbarron.operators import OperatorPlan, OperatorProbeReport, make_operator
     from flbarron.spaces import fl_norm
 
@@ -254,7 +256,7 @@ def reference_empirical_operator_norm(op_id: str, spec: HamiltonianSpec, grid, s
     return OperatorProbeReport(
         operator=op_id, src={"s": src.s, "p": src.p}, dst={"s": dst.s, "p": dst.p},
         empirical=float(worst), certified=float(certified), probes=probes, seed=seed,
-        worst_probe=worst_idx, params=params)
+        worst_probe=worst_idx, applications=probes, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +342,53 @@ def reference_radial_convolve_3d(kernel, u_hat, tail_profile=None):
 
     r_arr = np.asarray(r_eval, dtype=float)
     return 2.0 * np.pi / r_arr * out + _tail_correction(kernel, tail_profile, bounds[-1], r_arr)
+
+
+# ---------------------------------------------------------------------------
+# dense operator matrices: the registry's operators applied to unit vectors
+# ---------------------------------------------------------------------------
+
+def dense_matrix(op, grid, columns=None) -> np.ndarray:
+    """Matrix of ``op`` (FreqFunction -> FreqFunction) on the flattened
+    tensor grid: column j is op applied to the unit vector at flat node
+    ``columns[j]`` (every node by default), built 64 columns at a time."""
+    assert grid.size <= 4096, "dense matrices stay at 4096 samples or fewer"
+    cols = np.arange(grid.size) if columns is None else np.asarray(columns)
+    out = np.empty((grid.size, len(cols)), dtype=complex)
+    for start in range(0, len(cols), 64):
+        chunk = cols[start:start + 64]
+        units = np.zeros((len(chunk), grid.size), dtype=complex)
+        units[np.arange(len(chunk)), chunk] = 1.0
+        image = op(FreqFunction(grid, units.reshape((len(chunk),) + grid.shape)))
+        out[:, start:start + len(chunk)] = np.asarray(image.values).reshape(len(chunk), -1).T
+    return out
+
+
+def band_matrix(op_id: str, spec: HamiltonianSpec, grid, params: dict | None = None):
+    """(A, band): the operator's dense matrix on the columns of the probes'
+    band |xi| <= 0.8 * extent, and those columns' flat node indices."""
+    from flbarron.operators import OperatorPlan, make_operator
+
+    band = np.flatnonzero(reference_geometry(grid)[1].ravel() <= 0.8 * grid.extent)
+    op = make_operator(op_id, OperatorPlan(spec, grid), dict(params or {}))
+    return dense_matrix(op, grid, band), band
+
+
+def dense_band_norm(A: np.ndarray, band: np.ndarray, grid, src, dst) -> float:
+    """Exact discrete norm from the band in src to dst of the operator whose
+    band_matrix is (A, band): with a = w^(1/p) <xi>^s (<xi>^s at p = inf),
+    the weighted matrix diag(a_dst) A diag(a_src)^-1 has its largest column
+    sum at p = 1, its largest singular value at p = 2 and its largest row
+    sum at p = inf."""
+    assert src.p == dst.p and src.p in (1.0, 2.0, math.inf)
+    _, r, w = reference_geometry(grid)
+    r, w = r.ravel(), w.ravel()
+
+    def weights(idx):
+        a = (1.0 + r * r) ** (idx.s / 2.0)
+        return a if math.isinf(idx.p) else a * w ** (1.0 / idx.p)
+
+    Bw = weights(dst)[:, None] * A / weights(src)[band]
+    if src.p == 2.0:
+        return float(np.linalg.norm(Bw, 2))
+    return float(np.abs(Bw).sum(axis=0 if src.p == 1.0 else 1).max())

@@ -135,23 +135,31 @@ def test_first_series_table_and_direct_solve_in_a_fresh_process():
 
 
 def test_tensor_probe_loads_no_scipy_fft(tmp_path):
-    # the lattice convolution's padded FFT length is worked out without scipy.fft
-    spec = {"n": 1, "N": 1, "masses": [1.0], "one_particle": [], "pairwise": [],
-            "additive": {"kind": "gaussian", "params": {"kappa": 0.05},
-                         "shift": [], "coeff": 1.0}}
-    (tmp_path / "gauss.json").write_text(json.dumps(spec))
-    argv = ["--seed", "3", "probe", "--spec", "gauss.json", "--op", "r",
-            "--grid", "kind:tensor,extent:6,count:17", "--alpha", "inf", "--beta", "0.4",
-            "--probes", "3"]
+    # the lattice convolution's padded FFT length is worked out without
+    # scipy.fft, and the power method's adjoints need no scipy.sparse
+    gauss = {"n": 1, "N": 1, "masses": [1.0], "one_particle": [], "pairwise": [],
+             "additive": {"kind": "gaussian", "params": {"kappa": 0.05},
+                          "shift": [], "coeff": 1.0}}
+    yukawa = {"n": 3, "N": 1, "masses": [1.0], "pairwise": [], "additive": None,
+              "one_particle": [{"i": 1, "kind": "yukawa", "params": {"mu": 2.0},
+                                "shift": [], "coeff": 1.0}]}
+    (tmp_path / "gauss.json").write_text(json.dumps(gauss))
+    (tmp_path / "yukawa.json").write_text(json.dumps(yukawa))
+    runs = [["--seed", "3", "probe", "--spec", "gauss.json", "--op", "r",
+             "--grid", "kind:tensor,extent:6,count:17", "--alpha", "inf", "--beta", "0.4",
+             "--probes", "3"],
+            ["--seed", "3", "probe", "--spec", "yukawa.json", "--op", "r",
+             "--grid", "kind:tensor,extent:5,count:9", "--alpha", "2", "--beta", "0.9"]]
     out = fresh(f"""
         import contextlib, io, json, sys
         from flbarron import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.run({argv!r})
-        print(json.dumps({{"code": code, "scipy": {SCIPY_LOADED}}}))
+            codes = [cli.run(argv) for argv in {runs!r}]
+        print(json.dumps({{"codes": codes, "scipy": {SCIPY_LOADED}}}))
     """, cwd=tmp_path)
-    assert out["code"] == 0
+    assert out["codes"] == [0, 0]
     assert "scipy.fft" not in out["scipy"]
+    assert not [m for m in out["scipy"] if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
 
 
 def test_parser_reuse_matches_a_fresh_parser(tmp_path):

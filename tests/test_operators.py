@@ -9,13 +9,15 @@ from flbarron import bounds as B
 from flbarron import operators as O
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError
 from flbarron import solver as SV
-from flbarron.grid import (_BLOCK_ELEMS, FreqFunction, RadialProfile, convolve, lattice_kernel,
-                           make_radial_grid, make_tensor_grid)
+from flbarron.grid import FreqFunction, convolve, make_radial_grid, make_tensor_grid
 from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
 from flbarron.spaces import SpaceIndex, fl_norm
 
 from conftest import (
     PLAN_CASES,
+    band_matrix,
+    dense_band_norm,
+    dense_matrix,
     plan_case,
     random_complex,
     reference_empirical_operator_norm,
@@ -450,51 +452,130 @@ class TestStacked:
 
 
 class TestStackedProbing:
-    """empirical_operator_norm in stacked chunks against the per-probe loop."""
+    """empirical_operator_norm moves its start probes as one stack."""
 
     @pytest.mark.parametrize("op", sorted(O.OPERATORS))
     @pytest.mark.parametrize("case", ["gauss1d_additive", "pair2d", "shifted2d"])
     def test_equals_per_probe_loop(self, op, case):
+        # a budget of the start stack alone takes no power-method step
         spec, grid = _stacked_case(case, 0.4, 1.0)
-        probes = O._probe_chunk(grid) + 3  # a full chunk, then a partial one
         for src, dst in ((SpaceIndex(0.0, 1.0), SpaceIndex(0.5, 1.0)),
                          (SpaceIndex(-0.5, 2.0), SpaceIndex(0.0, 2.0))):
-            kwargs = dict(probes=probes, seed=23, certified=2.0,
-                          params={"rho": 1.3, "lam": -0.4, "K": 2.0})
-            got = O.empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
-            ref = reference_empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
-            assert got.to_json_dict() == ref.to_json_dict()
-            if got.worst_probe >= 0:
-                assert O.replay_probe(got.to_json_dict(), spec, grid) == got.empirical
+            for probes in (1, 3):
+                kwargs = dict(probes=probes, seed=23, certified=2.0,
+                              params={"rho": 1.3, "lam": -0.4, "K": 2.0})
+                got = O.empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
+                ref = reference_empirical_operator_norm(op, spec, grid, src, dst, **kwargs)
+                assert got.to_json_dict() == ref.to_json_dict()
+                if got.worst_probe >= 0:
+                    assert O.replay_probe(got.to_json_dict(), spec, grid) == got.empirical
 
     def test_ties_keep_the_first_probe(self, free_ham_1d, grid_1d):
-        # identity between equal spaces: every ratio is exactly 1
-        kwargs = dict(probes=2 * O._probe_chunk(grid_1d) + 1, seed=4)
+        # identity between equal spaces: every ratio is exactly 1, so the
+        # first step rises by nothing and ends the run
         got = O.empirical_operator_norm("identity", free_ham_1d, grid_1d, SpaceIndex(0.3, 2.0),
-                                        SpaceIndex(0.3, 2.0), **kwargs)
-        ref = reference_empirical_operator_norm("identity", free_ham_1d, grid_1d,
-                                                SpaceIndex(0.3, 2.0), SpaceIndex(0.3, 2.0),
-                                                **kwargs)
-        assert got.to_json_dict() == ref.to_json_dict()
-        assert (got.empirical, got.worst_probe) == (1.0, 0)
+                                        SpaceIndex(0.3, 2.0), probes=200, seed=4)
+        assert (got.empirical, got.worst_probe, got.worst_step) == (1.0, 0, 0)
+        assert got.applications == 6
 
     def test_zero_denominators_are_skipped(self, free_ham_1d, grid_1d, monkeypatch):
         src = SpaceIndex(0.0, 1.0)
         norm = O.fl_norm
         monkeypatch.setattr(O, "fl_norm", lambda f, idx: norm(f, idx) * (idx != src))
         rep = O.empirical_operator_norm("identity", free_ham_1d, grid_1d, src,
-                                        SpaceIndex(0.0, 2.0), probes=O._probe_chunk(grid_1d) + 1,
-                                        seed=1)
+                                        SpaceIndex(0.0, 2.0), probes=200, seed=1)
         assert (rep.empirical, rep.worst_probe) == (-1.0, -1)
 
-    def test_probe_chunks_stay_within_one_block(self):
-        # 65, 25^2 and 13^3 pad to 98, 40^2 and 20^3 FFT samples per probe
-        prof = RadialProfile("gaussian", (1.0, 1.0))
-        for d, M, chunk in ((1, 65, 167), (2, 25, 10), (3, 13, 2)):
-            grid = make_tensor_grid(d, 5.0, M)
-            padded = math.prod(lattice_kernel(prof, grid, "additive").sizes)
-            assert O._probe_chunk(grid) == chunk
-            assert chunk * padded <= _BLOCK_ELEMS < (chunk + 1) * padded
+
+class TestAdjoints:
+    """Each registry row's adjoint, in the inner product sum u conj(v), is
+    the conjugate transpose of the dense matrix of its application."""
+
+    @pytest.mark.parametrize("op", sorted(O.OPERATORS))
+    @pytest.mark.parametrize("case", PLAN_CASES + ("shifted2d",))
+    def test_adjoint_is_conjugate_transpose(self, op, case):
+        spec, grid = _stacked_case(case, 0.4, 1.3)
+        plan = O.OperatorPlan(spec, grid)
+        par = O._op_params({"rho": 1.3, "lam": -0.4, "K": 2.0})
+        apply, adjoint = O.OPERATORS[op][:2]
+        A = dense_matrix(lambda u: apply(plan, u, par), grid)
+        tol = 1e-12 * np.abs(A).max()
+        # on stacks of unit vectors: the whole adjoint matrix
+        assert np.abs(dense_matrix(lambda v: adjoint(plan, v, par), grid) - A.conj().T).max() <= tol
+        # on one function
+        v = random_complex(grid, 7)
+        got = np.asarray(adjoint(plan, v, par).values).ravel()
+        assert np.abs(got - A.conj().T @ v.values.ravel()).max() <= tol * np.abs(v.values).sum()
+
+
+def _estimator_cases():
+    """label -> (spec, grid, s, alpha, beta): four of criterion 4's
+    configurations, each within the dense matrices' 4096 samples."""
+    gauss = PotentialSpec(1, 1, additive=PotentialTerm("gaussian", {"kappa": 0.8}))
+    invp = PotentialSpec(1, 1, one_particle=[(1, PotentialTerm("inverse_power", {"t": 0.5}))])
+    pair = PotentialSpec(1, 2, pairwise=[(1, 2, PotentialTerm("inverse_power", {"t": 0.5},
+                                                              coeff=0.5))])
+    yuk = PotentialSpec(3, 1, one_particle=[(1, PotentialTerm("yukawa", {"mu": 2.0}))])
+    return {
+        "gauss1d": (HamiltonianSpec(gauss, (1.0,)), make_tensor_grid(1, 8.0, 65),
+                    0.0, math.inf, 0.4),
+        "invpow1d": (HamiltonianSpec(invp, (2.0,)), make_tensor_grid(1, 8.0, 65), -0.25, 1.5, 0.6),
+        "pair2d": (HamiltonianSpec(pair, (1.0, 1.5)), make_tensor_grid(2, 6.0, 25), 0.0, 1.5, 0.5),
+        "yukawa3d": (HamiltonianSpec(yuk, (1.0,)), make_tensor_grid(3, 5.0, 13), 0.0, 2.0, 0.9),
+    }
+
+
+class TestPowerMethod:
+    """The power method's estimate against the dense exact norm over the
+    probes' band, the certificate and the 200-probe floor."""
+
+    PARAMS = {"rho": 1.3, "lam": -0.4, "K": 2.0}
+
+    def run(self, case, op, p):
+        """(report, spec, grid, src, dst) of criterion 4's probe run at p."""
+        spec, grid, s, alpha, beta = _estimator_cases()[case]
+        C = B.big_C_V(spec.potential, s, alpha, beta)
+        cert = O.certified_bound(op, spec, s, alpha, beta, C, self.PARAMS)
+        src, dst = O.natural_spaces(op, s, alpha, beta, p)
+        rep = O.empirical_operator_norm(op, spec, grid, src, dst, probes=200, seed=11,
+                                        certified=cert, params=self.PARAMS)
+        return rep, spec, grid, src, dst
+
+    @pytest.mark.parametrize("op", ["multiply_v", "t_lambda", "h0_inv", "r", "pk_t_lambda", "pk_r"])
+    @pytest.mark.parametrize("case", ["gauss1d", "invpow1d", "pair2d", "yukawa3d"])
+    def test_between_exact_norm_and_certificate(self, case, op):
+        spec, grid = _estimator_cases()[case][:2]
+        A, band = band_matrix(op, spec, grid, self.PARAMS)  # one matrix for every p
+        for p in (1.0, 2.0, math.inf):
+            rep, spec, grid, src, dst = self.run(case, op, p)
+            exact = dense_band_norm(A, band, grid, src, dst)
+            assert 0.9 * exact <= rep.empirical <= exact * (1.0 + 1e-12), p
+            assert rep.satisfied, rep.to_json_dict()
+            floor = reference_empirical_operator_norm(op, spec, grid, src, dst, probes=200,
+                                                      seed=11, params=self.PARAMS)
+            # where both attain the exact norm (h0_inv at xi = 0) they may differ by rounding
+            assert rep.empirical >= floor.empirical * (1.0 - 1e-14), p
+            assert O.replay_probe(rep.to_json_dict(), spec, grid) == rep.empirical
+            assert rep.applications <= rep.probes and rep.applications % 3 == 0
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("op", ["multiply_v", "r", "pk_t_lambda"])
+    def test_other_p_within_certificate(self, op, p):
+        rep, spec, grid, src, dst = self.run("gauss1d", op, p)
+        assert rep.satisfied, rep.to_json_dict()
+        floor = reference_empirical_operator_norm(op, spec, grid, src, dst, probes=200, seed=11,
+                                                  params=self.PARAMS)
+        assert rep.empirical >= floor.empirical
+        assert O.replay_probe(rep.to_json_dict(), spec, grid) == rep.empirical
+
+    def test_budget_caps_the_steps(self):
+        spec, grid, s, alpha, beta = _estimator_cases()["pair2d"]
+        src, dst = O.natural_spaces("multiply_v", s, alpha, beta, 2.0)
+        for probes in (4, 6, 10):
+            rep = O.empirical_operator_norm("multiply_v", spec, grid, src, dst, probes=probes,
+                                            seed=11)
+            assert rep.applications == 3 * (probes // 3)
+            assert O.replay_probe(rep.to_json_dict(), spec, grid) == rep.empirical
 
 
 class TestRegistry:

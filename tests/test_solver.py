@@ -258,14 +258,19 @@ class TestSolveDirect:
             "gaussian", {"kappa": kappa_star})), (1.0,))
         with pytest.raises(SingularSystemError):
             SV.solve_direct(bad, 1.0, f)
-        # condition number grows as the coupling approaches the singular value
+        # below kappa* the direct solve succeeds (its condition estimate stays
+        # below 1e12) and solves I + frac R, whose condition number grows
+        # as the coupling approaches the singular value
+        b = np.asarray(f.values).ravel() / (2 * math.pi ** 2 * grid.axis ** 2 + 1)
         conds = []
         for frac in (0.5, 0.9, 0.99):
             ham_f = HamiltonianSpec(PotentialSpec(1, 1, additive=PotentialTerm(
                 "gaussian", {"kappa": frac * kappa_star})), (1.0,))
-            Af = np.eye(M) + frac * A / 1.0 if False else None
-            conds.append(np.linalg.cond(np.eye(M) + frac * A))
-        assert conds[0] < conds[1] < conds[2]
+            A_f = np.eye(M) + frac * kappa_star * A  # R is linear in kappa
+            u = np.asarray(SV.solve_direct(ham_f, 1.0, f).values).ravel()
+            assert np.max(np.abs(A_f @ u - b)) <= 1e-10 * np.max(np.abs(b))
+            conds.append(np.linalg.cond(A_f))
+        assert conds[0] < conds[1] < conds[2] < 1e12
 
     def test_singular_coupling_detected_above_1024_samples(self):
         # the same kappa* construction on a 33 x 33 grid (M = 1089): the
