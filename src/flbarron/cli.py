@@ -29,7 +29,12 @@ from . import bounds as B
 from . import solver as SV
 from .errors import InvalidArgumentError, NonFiniteError, ToolkitError
 from .grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
-from .operators import certified_bound, empirical_operator_norm, natural_spaces
+from .operators import (
+    MAX_DENSE_SAMPLES,
+    certified_bound,
+    empirical_operator_norm,
+    natural_spaces,
+)
 from .potentials import HamiltonianSpec, PotentialTerm, decompose_low_high, fourier_transform
 from .spaces import (
     SpaceIndex,
@@ -98,16 +103,19 @@ _GRID_KEYS = {"tensor": ("kind", "extent", "count")}
 
 def _build_grid(desc: str, dim: int):
     """'kind:tensor,extent:X,count:N'; a part that is not key:value, or whose key
-    is unknown or repeated, is a ValueError."""
+    is unknown or repeated, and a missing key are ValueErrors."""
     parts = [part.partition(":") for part in desc.split(",")]
     fields = {key: value for key, sep, value in parts if sep}
-    kind = fields["kind"]
+    kind = fields.get("kind")
     if kind not in _GRID_KEYS:
-        raise ValueError(f"unknown grid kind {kind!r}")
+        raise ValueError("grid has no key 'kind'" if kind is None else f"unknown grid kind {kind!r}")
+    takes = f"a {kind} grid takes one key:value each of {', '.join(_GRID_KEYS[kind])}"
     for key, sep, value in parts:
         if not sep or key not in _GRID_KEYS[kind] or [k for k, _, _ in parts].count(key) > 1:
-            raise ValueError(f"grid part {key + sep + value!r}: a {kind} grid takes one "
-                             f"key:value each of {', '.join(_GRID_KEYS[kind])}")
+            raise ValueError(f"grid part {key + sep + value!r}: {takes}")
+    for key in _GRID_KEYS[kind]:
+        if key not in fields:
+            raise ValueError(f"grid has no key {key!r}: {takes}")
     return make_tensor_grid(dim, float(fields["extent"]), int(fields["count"]))
 
 
@@ -214,7 +222,7 @@ def cmd_solve(args):
     r = grid.radius_mesh()
     f = FreqFunction(grid, np.exp(-math.pi * r * r))
     u, report = SV.solve_neumann(ham, args.rho, f, s=args.s, tol=args.tol)
-    if grid.size <= SV.MAX_DENSE_SAMPLES:
+    if grid.size <= MAX_DENSE_SAMPLES:
         u_direct = SV.solve_direct(ham, args.rho, f)
         report.oracle_error = SV.oracle_error(u, u_direct, s=args.s)
     payload = {"meta": _meta(args), "report": report.to_json_dict()}

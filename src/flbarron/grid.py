@@ -209,9 +209,7 @@ def make_radial_grid(d: int, r_max: float, count: int, scheme: str = "uniform",
 
 
 def make_tensor_grid(d: int, extent: float, count: int) -> FreqGrid:
-    """Uniform symmetric lattice on [-extent, extent]^d, odd count per axis."""
-    if count % 2 == 0:
-        count += 1
+    """Uniform symmetric lattice on [-extent, extent]^d; ``count`` per axis must be odd."""
     return FreqGrid(dim=d, kind="tensor", extent=float(extent), count=int(count))
 
 

@@ -44,6 +44,8 @@ from .grid import (
 from .potentials import HamiltonianSpec, PotentialSpec, fourier_transform
 from .spaces import SpaceIndex, conjugate, fl_norm
 
+MAX_DENSE_SAMPLES = 4096  # dense oracle cap: I + R is assembled as an M x M matrix
+
 
 class OperatorPlan:
     """The frequency-side operators of one Hamiltonian on one grid.
@@ -54,10 +56,17 @@ class OperatorPlan:
     padded FFT (tensor grids) or its bipolar primitive (radial grids).  The
     methods act on sample arrays of the grid's shape, or on tensor grids on
     stacks (B, *grid.shape) of them; build one plan per (spec, grid) and
-    reuse it for every application.
+    reuse it for every application.  The grid must fit the spec, a tensor
+    grid of dimension n*N or a radial grid for N = 1; any other raises
+    DimensionMismatchError when the plan is built.
     """
 
     def __init__(self, spec: HamiltonianSpec, grid: FreqGrid):
+        if grid.kind == "radial":
+            if spec.N != 1:
+                raise DimensionMismatchError(f"radial grids only for N = 1 (got N = {spec.N})")
+        elif grid.dim != spec.dim:
+            raise DimensionMismatchError(f"grid dim {grid.dim} != n*N = {spec.dim}")
         self.spec = spec
         self.grid = grid
 
@@ -65,16 +74,11 @@ class OperatorPlan:
     def symbol(self) -> np.ndarray:
         """h(xi) at every grid node."""
         spec, grid = self.spec, self.grid
-        n, N = spec.n, spec.N
         if grid.kind == "radial":
-            if N != 1:
-                raise DimensionMismatchError("radial symbol only for N = 1")
             return 2.0 * math.pi ** 2 * grid.nodes ** 2 / spec.masses[0] + 1.0
-        if grid.dim != n * N:
-            raise DimensionMismatchError(f"grid dim {grid.dim} != n*N = {n * N}")
         ax2 = grid.axis ** 2
-        return sum(np.ix_(*[(2.0 * math.pi ** 2 / spec.masses[i]) * ax2
-                            for i in range(N) for _ in range(n)]), np.ones(grid.shape))
+        return sum(np.ix_(*[(2.0 * math.pi ** 2 / mass) * ax2
+                            for mass in spec.masses for _ in range(spec.n)]), np.ones(grid.shape))
 
     @cached_property
     def _kernels(self) -> list:
@@ -83,14 +87,12 @@ class OperatorPlan:
         pot, g = self.spec.potential, self.grid
         terms = pot.terms()
         if g.kind == "radial":
-            if terms and (pot.N != 1 or pot.n != 3 or g.dim != 3):  # V = 0 needs no convolution
+            if terms and (pot.n != 3 or g.dim != 3):  # V = 0 needs no convolution
                 raise UnsupportedScaleError("radial multiplication implemented for N=1, n=3")
             if any(t.shift for _, _, _, t, _ in terms):
                 raise UnsupportedScaleError("shifted terms need a tensor grid")
             return [RadialKernel3D(fourier_transform(t, dim), coeff=t.coeff)
                     for _, _, _, t, dim in terms]
-        if g.dim != pot.dim:
-            raise DimensionMismatchError(f"grid dim {g.dim} != n*N = {pot.dim}")
         return [(t.coeff, lattice_kernel(fourier_transform(t, dim), g, role,
                                          i if j is None else (i, j), pot.n,
                                          np.asarray(t.shift, float) if t.shift else None))
@@ -133,7 +135,8 @@ class OperatorPlan:
         return self.h0_inverse(self.multiply_V(values), rho)
 
     def matrix(self, rho: float) -> np.ndarray:
-        """Dense matrix of R on the flattened tensor grid, built with no FFT.
+        """Dense matrix of I + R on the flattened tensor grid, built with no
+        FFT, for grids of at most MAX_DENSE_SAMPLES samples.
 
         Convolution is block-Toeplitz: the terms' samples, zero-padded to
         2M-1 per axis (a delta at M-1 off a kernel's axes) and summed with
@@ -143,6 +146,9 @@ class OperatorPlan:
         g = self.grid
         if g.kind != "tensor":
             raise DimensionMismatchError("dense oracle needs a tensor grid")
+        if g.size > MAX_DENSE_SAMPLES:
+            raise UnsupportedScaleError(
+                f"dense assembly capped at {MAX_DENSE_SAMPLES} samples (got {g.size})")
         denom = self._resolvent_symbol(rho).reshape(-1, 1)
         M, d, m = g.count, g.dim, (g.count - 1) // 2
         total = np.zeros((2 * M - 1,) * d)  # a shifted term's complex samples upcast it
@@ -155,6 +161,7 @@ class OperatorPlan:
         A = total[tuple(offsets.reshape((1,) * ax + (M,) + (1,) * (d - 1) + (M,) + (1,) * (d - 1 - ax))
                         for ax in range(d))].reshape(g.size, g.size)
         A /= denom
+        A[np.diag_indices(g.size)] += 1.0
         return A
 
     def quad_form(self, u, v) -> float:

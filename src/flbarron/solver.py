@@ -44,8 +44,6 @@ from .grid import (
 from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R here
     OperatorPlan,
     apply_R,
-    apply_T_lambda,
-    apply_h0_inverse,
     make_operator,
     project_high,
     project_low,
@@ -54,8 +52,7 @@ from .potentials import HamiltonianSpec, sharp_example_potential
 from .spaces import SpaceIndex, _power_tail, fl_norm
 from .special import omega_d
 
-MAX_DENSE_SAMPLES = 4096  # dense oracle cap: I + R is assembled as an M x M matrix
-MAX_ITER = 400            # Neumann iterations before NonConvergenceError
+MAX_ITER = 400  # Neumann iterations before NonConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +159,8 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
 
 
 def assemble_dense(spec: HamiltonianSpec, rho: float, grid) -> np.ndarray:
-    """Dense matrix of I + R on the flattened tensor grid; R's part is
-    ``OperatorPlan.matrix``, which the iteration applies by FFT."""
-    M = grid.size
-    if M > MAX_DENSE_SAMPLES:
-        raise UnsupportedScaleError(f"dense assembly capped at {MAX_DENSE_SAMPLES} samples (got {M})")
-    A = OperatorPlan(spec, grid).matrix(rho)
-    A[np.diag_indices(M)] += 1.0
-    return A
+    """Dense matrix of I + R on the flattened tensor grid: ``OperatorPlan.matrix``."""
+    return OperatorPlan(spec, grid).matrix(rho)
 
 
 def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
@@ -177,16 +168,17 @@ def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
     """Dense factorization oracle for u + R u = (H0 + rho)^(-1) f.
 
     The matrix shares the discretization of the iteration exactly; a
-    precomputed ``matrix`` from assemble_dense is reused when given.  It is
-    factored in its own dtype: a complex right-hand side of a real system
-    is solved as two real columns, its real and imaginary parts, so the
-    result is complex exactly when I + R or f is.
+    precomputed ``matrix`` from ``OperatorPlan.matrix`` is reused when
+    given.  It is factored in its own dtype: a complex right-hand side of a
+    real system is solved as two real columns, its real and imaginary
+    parts, so the result is complex exactly when I + R or f is.
     """
     from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
     g = f.grid
-    A = assemble_dense(spec, rho, g) if matrix is None else matrix
-    b = np.asarray(apply_h0_inverse(f, spec, rho).values).ravel()
+    plan = OperatorPlan(spec, g)
+    A = plan.matrix(rho) if matrix is None else matrix
+    b = plan.h0_inverse(f.values, rho).ravel()
     split = np.iscomplexobj(b) and not np.iscomplexobj(A)
     if split:
         b = b.view(float).reshape(-1, 2)  # (re, im) columns, a view of b
@@ -248,7 +240,7 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
     elif mode == "solve":
         rho = energy
         K = contraction_radius(mu_tilde(spec.masses, rho), 0.0, C, s, beta)
-        u_star = solve_direct(spec, rho, data)
+        u_star = solve_direct(spec, rho, data, matrix=plan.matrix(rho))
         low, target = project_low(u_star, K), project_high(u_star, K)
         pk_r = make_operator("pk_r", plan, {"rho": rho, "K": K})
         g0 = project_high(data.copy_with(plan.h0_inverse(data.values, rho)), K)
@@ -319,8 +311,8 @@ def eigen_residual(spec: HamiltonianSpec, psi: FreqFunction, lam: float,
     """
     if np.all(np.asarray(psi.values) == 0):
         return 0.0
-    t_psi = apply_T_lambda(psi, lam, spec, tail_profile=tail_profile)
-    resid = t_psi.copy_with(np.asarray(t_psi.values) - np.asarray(psi.values))
+    t_psi = OperatorPlan(spec, psi.grid).T_lambda(psi.values, lam, tail_profile)
+    resid = psi.copy_with(t_psi - np.asarray(psi.values))
     if r_eval_max is None:
         return fl_norm(resid, SpaceIndex(0.0, 1.0))
     restricted = project_low(resid, r_eval_max)

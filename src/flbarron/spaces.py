@@ -207,15 +207,10 @@ def default_norm_grid(n: int) -> FreqGrid:
 # sum-space norm with constructive splits
 # ---------------------------------------------------------------------------
 
-def _as_radial_function(f, n: int, grid: FreqGrid | None):
-    if isinstance(f, RadialProfile):
-        g = grid if grid is not None else default_norm_grid(n)
-        return sample_profile(f, g), f
-    return f, None
-
-
-def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
-    """Certified upper bound on ||f||_{s,alpha;beta} and the achieving split.
+def split_norm(profile: RadialProfile, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
+    """Certified upper bound on ||f||_{s,alpha;beta} of the radial profile f,
+    sampled on ``grid`` (``default_norm_grid(n)`` when None), and the
+    achieving split.
 
     Candidates: every indicator split f*1_{|xi|<=R} + f*1_{|xi|>R} at grid
     radii R (part norms get analytic tails when the profile decay is
@@ -224,8 +219,8 @@ def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
     trivial.
     """
     idx.validate(n)
-    func, profile = _as_radial_function(f, n, grid)
-    g = func.grid
+    g = grid if grid is not None else default_norm_grid(n)
+    func = sample_profile(profile, g)
     s, alpha = idx.s, idx.alpha
     ap = idx.alpha_prime
     zero = func.copy_with(np.zeros_like(func.values))
@@ -233,16 +228,14 @@ def split_norm(f, idx: SplitIndex, n: int, grid: FreqGrid | None = None):
     if np.all(np.asarray(func.values) == 0):
         return 0.0, Split(func, zero, "trivial", part_norms=(0.0, 0.0))
 
-    tail_extra = 0.0
-    if profile is not None:  # alpha = inf: ap = 1, the Barron tail
-        tail_extra = _power_tail(profile.tail_terms(), ap, s, n, g.upper_edge())
-        if tail_extra is None:
-            raise NotInSpaceError(f"{profile.kind} profile not in FL^1_{s} + FL^{ap}_{s}: "
-                                  "its tail diverges or has no model")
+    # the profile's mass beyond the grid in FL^ap_s; at alpha = inf, ap = 1: the Barron tail
+    tail_extra = _power_tail(profile.tail_terms(), ap, s, n, g.upper_edge())
+    if tail_extra is None:
+        raise NotInSpaceError(f"{profile.kind} profile not in FL^1_{s} + FL^{ap}_{s}: "
+                              "its tail diverges or has no model")
 
     if math.isinf(alpha):
-        value = (fl_norm(func, SpaceIndex(s, 1.0)) if profile is None
-                 else profile_norm_report(profile, SpaceIndex(s, 1.0), n, grid=g).value)
+        value = profile_norm_report(profile, SpaceIndex(s, 1.0), n, grid=g).value
         return value, Split(func, zero, "trivial", part_norms=(value, 0.0))
 
     cab_root = c_alpha_beta(alpha, idx.beta, n) ** (1.0 / alpha)

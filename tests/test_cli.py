@@ -326,7 +326,10 @@ class TestExitCodes:
         ("kind:tensor,extent:4,count", "grid part 'count'"),
         ("kind:sphere,count:9", "unknown grid kind 'sphere'"),
         ("kind:radial,count:30,rmax:5", "unknown grid kind 'radial'"),
-    ], ids=["misspelled", "other_kind", "repeated", "no_colon", "unknown_kind", "radial"])
+        ("kind:tensor,extent:4", "grid has no key 'count'"),
+        ("extent:4,count:9", "grid has no key 'kind'"),
+    ], ids=["misspelled", "other_kind", "repeated", "no_colon", "unknown_kind", "radial",
+            "no_count", "no_kind"])
     @pytest.mark.parametrize("command", ["solve", "probe"])
     def test_bad_grid_descriptor_is_config_error(self, gaussian_spec_file, capsys,
                                                  command, grid, named):
@@ -339,6 +342,12 @@ class TestExitCodes:
         assert run(["solve", "--spec", gaussian_spec_file,
                     "--grid", "kind:tensor,extent:inf,count:9"]) == 3
         assert "tensor extent must be finite and positive" in capsys.readouterr().err
+
+    def test_even_count_is_named(self, gaussian_spec_file, capsys):
+        # an even count is rejected, not rounded up to the next odd one
+        assert run(["solve", "--spec", gaussian_spec_file,
+                    "--grid", "kind:tensor,extent:8,count:128"]) == 3
+        assert "tensor axis count must be odd" in capsys.readouterr().err
 
 
 _COULOMB_TERM = {"i": 1, "kind": "coulomb"}

@@ -178,6 +178,15 @@ class TestOperatorPlan:
     COUNTS = {"gauss1d_additive": 33, "invpow1d": 33, "pair2d": 11, "mixed2d": 11,
               "shifted1d": 33, "coulomb3d": 7}
 
+    def test_grid_must_fit_the_spec(self):
+        # checked when the plan is built, before any symbol or kernel
+        pair = HamiltonianSpec(PotentialSpec(1, 2, additive=PotentialTerm("gaussian")), (1.0, 1.0))
+        with pytest.raises(DimensionMismatchError, match=r"grid dim 3 != n\*N = 2"):
+            O.OperatorPlan(pair, make_tensor_grid(3, 4.0, 9))
+        pair3d = HamiltonianSpec(PotentialSpec(3, 2), (1.0, 1.0))
+        with pytest.raises(DimensionMismatchError, match="radial grids only for N = 1"):
+            O.OperatorPlan(pair3d, make_radial_grid(3, 6.0, 30))
+
     @pytest.mark.parametrize("complex_input", [False, True])
     @pytest.mark.parametrize("case", PLAN_CASES)
     @given(coeff=st.floats(0.01, 2.0), mass=st.floats(0.2, 5.0), rho=st.floats(0.05, 10.0),

@@ -22,7 +22,13 @@ from flbarron.errors import (
     UnsupportedScaleError,
 )
 from flbarron.grid import FreqFunction, make_radial_grid, make_tensor_grid, sample_profile
-from flbarron.operators import OperatorPlan, apply_R, project_high
+from flbarron.operators import (
+    MAX_DENSE_SAMPLES,
+    OperatorPlan,
+    apply_h0_inverse,
+    apply_R,
+    project_high,
+)
 from flbarron.potentials import (
     HamiltonianSpec,
     PotentialSpec,
@@ -71,8 +77,6 @@ class TestSolveNeumann:
     def test_fixed_point_stationary(self, gaussian_ham_1d, gauss_rhs):
         tol = 1e-11
         u, rep = SV.solve_neumann(gaussian_ham_1d, 1.0, gauss_rhs, tol=tol)
-        from flbarron.operators import apply_h0_inverse
-
         b = apply_h0_inverse(gauss_rhs, gaussian_ham_1d, 1.0)
         once_more = b.copy_with(np.asarray(b.values)
                                 - np.asarray(apply_R(u, 1.0, gaussian_ham_1d).values))
@@ -159,13 +163,19 @@ class TestKernelReuse:
         ham = HamiltonianSpec(pot, (1.0, 2.0))
         grid = make_tensor_grid(2, 6.0, 15)
         r = grid.radius_mesh()
-        u, rep = SV.solve_neumann(ham, 1.0, FreqFunction(grid, np.exp(-math.pi * r * r)),
-                                  alpha=1.5, beta=0.5)
+        f = FreqFunction(grid, np.exp(-math.pi * r * r))
+        u, rep = SV.solve_neumann(ham, 1.0, f, alpha=1.5, beta=0.5)
         assert rep.iterations > 2
         assert sorted(calls) == ["gaussian", "power"]
-        calls.clear()
-        SV.assemble_dense(ham, 1.0, grid)
-        assert sorted(calls) == ["gaussian", "power"]
+        # the solve-mode series factors the dense I + R of its own plan
+        for run in (lambda: SV.assemble_dense(ham, 1.0, grid),
+                    lambda: SV.solve_direct(ham, 1.0, f),
+                    lambda: SV.bootstrap_series(ham, "solve", f, s=0.0, alpha=1.5,
+                                                beta=0.5, energy=1.0),
+                    lambda: SV.eigen_residual(ham, f, 0.5)):
+            calls.clear()
+            run()
+            assert sorted(calls) == ["gaussian", "power"]
 
     COUNTS = {"gauss1d_additive": 17, "invpow1d": 17, "pair2d": 7, "mixed2d": 7,
               "shifted1d": 17, "coulomb3d": 3}
@@ -279,7 +289,7 @@ class TestSolveDirect:
         r = grid.radius_mesh()
         f = FreqFunction(grid, np.exp(-math.pi * r * r))
         unit = HamiltonianSpec(PotentialSpec(2, 1, additive=PotentialTerm("gaussian")), (1.0,))
-        eigs = np.linalg.eigvals(OperatorPlan(unit, grid).matrix(1.0))
+        eigs = np.linalg.eigvals(OperatorPlan(unit, grid).matrix(1.0)) - 1.0  # those of R
         kappa_star = -1.0 / eigs[np.argmax(np.abs(eigs))].real
         bad = HamiltonianSpec(PotentialSpec(2, 1, additive=PotentialTerm(
             "gaussian", {"kappa": kappa_star})), (1.0,))
@@ -301,7 +311,7 @@ class TestSolveDirect:
         f = random_complex(grid_1d, 5)
         A = SV.assemble_dense(gaussian_ham_1d, 1.0, grid_1d)
         assert not np.iscomplexobj(A)
-        b = np.asarray(SV.apply_h0_inverse(f, gaussian_ham_1d, 1.0).values).ravel()
+        b = np.asarray(apply_h0_inverse(f, gaussian_ham_1d, 1.0).values).ravel()
         ref = np.linalg.solve(A, b)
         u = SV.solve_direct(gaussian_ham_1d, 1.0, f)
         assert factored == [np.float64]  # the real I + R, never a complex copy
@@ -341,7 +351,7 @@ class TestBootstrap:
         assert rep.final_norms["reconstruction_error"] <= 1e-6 * max(high, 1e-12)
 
     def test_solve_mode_above_dense_cap_rejected(self, gaussian_ham_1d):
-        grid = make_tensor_grid(1, 8.0, SV.MAX_DENSE_SAMPLES + 1)
+        grid = make_tensor_grid(1, 8.0, MAX_DENSE_SAMPLES + 1)
         f = FreqFunction(grid, np.exp(-math.pi * grid.radius_mesh() ** 2))
         with pytest.raises(UnsupportedScaleError):
             SV.bootstrap_series(gaussian_ham_1d, "solve", f, s=0.0, alpha=math.inf,

@@ -94,8 +94,8 @@ class TestFlNorm:
 class TestSplitNorm:
     def test_zero_function(self):
         g = make_radial_grid(3, 10.0, 90, "uniform")
-        f = FreqFunction(g, np.zeros_like(g.nodes))
-        value, split = split_norm(f, SplitIndex(0.0, 2.0, 1.0), 3)
+        prof = RadialProfile("gaussian", (0.0, 1.0))
+        value, split = split_norm(prof, SplitIndex(0.0, 2.0, 1.0), 3, grid=g)
         assert value == 0.0
         assert split.method == "trivial"
 
