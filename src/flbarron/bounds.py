@@ -43,12 +43,6 @@ def sigma_exponent(alpha: float, p: float) -> float:
 # potential aggregation constants
 # ---------------------------------------------------------------------------
 
-def term_sum_norm(term, n: int, s: float, alpha: float, beta: float) -> float:
-    """Certified upper bound on ||f||_{s,alpha;beta} for one unshifted term."""
-    value, _ = split_norm(fourier_transform(term, n), SplitIndex(s, alpha, beta), n)
-    return value
-
-
 def big_C_V(spec: PotentialSpec, s: float, alpha: float, beta: float) -> float:
     """The multiplier-norm constant
 
@@ -67,7 +61,7 @@ def big_C_V(spec: PotentialSpec, s: float, alpha: float, beta: float) -> float:
                 raise InadmissibleTermError(
                     f"{role.replace('_', '-')} term {term.kind} at {where} "
                     f"inadmissible at (s={s}, alpha={alpha})", term=(i, j, term.kind))
-            norm = term_sum_norm(term, dim, s, alpha, beta)
+            norm, _ = split_norm(fourier_transform(term, dim), SplitIndex(s, alpha, beta), dim)
         weight = 2.0 ** abs(s) if role == "pairwise" else 2.0 ** (abs(s) / 2.0)
         total += weight * abs(term.coeff) * norm
     return total

@@ -70,8 +70,7 @@ class FreqGrid:
             raise InvalidArgumentError("dim must be >= 1")
         if self.kind == "radial":
             bounds = np.array(self.cell_bounds, dtype=float)  # copied: no later write moves a cell
-            if not (bounds.ndim == 1 and bounds.size >= 2 and np.all(np.isfinite(bounds))
-                    and bounds[0] >= 0 and np.all(np.diff(bounds) > 0)):
+            if not _is_radius_run(bounds, 2):
                 raise InvalidArgumentError("radial grid needs cell_bounds: finite, 1-D, strictly "
                                            "increasing from r >= 0, with at least 2 entries")
             mid = 0.5 * (bounds[:-1, None] + bounds[1:, None])
@@ -229,7 +228,9 @@ class RadialProfile:
       tabulated        ()           interpolant + fitted power-law tail
 
     ``power`` and ``log_kernel`` are the kinds singular at r = 0;
-    ``tail_terms`` is the power-law model of every kind's tail.
+    ``tail_terms`` is the power-law model of every kind's tail.  A table is
+    checked when it is built: nodes as ``check_table_nodes`` needs them, one
+    real, finite value per node and finite tail terms, else InvalidArgumentError.
     """
 
     kind: str
@@ -237,6 +238,22 @@ class RadialProfile:
     table_nodes: np.ndarray | None = field(default=None, repr=False)
     table_values: np.ndarray | None = field(default=None, repr=False)
     tail_model: tuple | None = None  # ((C, p), ...): sum of C r^p beyond the table
+
+    def __post_init__(self):
+        if self.kind != "tabulated":
+            return
+        nodes = check_table_nodes(self.table_nodes)
+        values = np.asarray(self.table_values)
+        if (np.iscomplexobj(values) or values.shape != nodes.shape
+                or not np.all(np.isfinite(values))):
+            raise InvalidArgumentError(f"table values must be one real, finite value per node "
+                                       f"(got {values.dtype} of shape {values.shape} "
+                                       f"for {nodes.size} nodes)")
+        if self.tail_model is not None and not all(
+                math.isfinite(C) and math.isfinite(p) for C, p in self.tail_model):
+            raise InvalidArgumentError(f"tail_model terms must be finite (got {self.tail_model!r})")
+        object.__setattr__(self, "table_nodes", nodes)
+        object.__setattr__(self, "table_values", np.asarray(values, float))
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -290,9 +307,24 @@ class RadialProfile:
         return None
 
 
+def _is_radius_run(a: np.ndarray, min_size: int) -> bool:
+    """Whether ``a`` is 1-D, at least ``min_size`` finite radii strictly increasing from r >= 0."""
+    return bool(a.ndim == 1 and a.size >= min_size and np.all(np.isfinite(a))
+                and a[0] >= 0 and np.all(np.diff(a) > 0))
+
+
+def check_table_nodes(nodes) -> np.ndarray:
+    """``nodes`` as floats, checked as a table's interpolation needs them."""
+    nodes = np.asarray(nodes, float)
+    if not _is_radius_run(nodes, 1):
+        raise InvalidArgumentError("table nodes must be finite, 1-D, strictly increasing "
+                                   "from r >= 0, with at least 1 entry")
+    return nodes
+
+
 def tabulated_profile(nodes, values, tail_model=None) -> RadialProfile:
-    return RadialProfile(kind="tabulated", table_nodes=np.asarray(nodes, float),
-                         table_values=np.asarray(values, float), tail_model=tail_model)
+    return RadialProfile(kind="tabulated", table_nodes=nodes, table_values=values,
+                         tail_model=tail_model)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,8 @@ class OperatorPlan:
     def T_lambda(self, values, lam: float,
                  tail_profile: RadialProfile | None = None) -> np.ndarray:
         """T_lambda u = (lambda+1)(H0+I)^{-1} u - (H0+I)^{-1}(V u)."""
+        if not math.isfinite(lam):
+            raise InvalidArgumentError(f"lam must be finite (got {lam!r})")
         vu = self.multiply_V(values, tail_profile)
         return (lam + 1.0) * self.h0_inverse(values, 1.0) - self.h0_inverse(vu, 1.0)
 

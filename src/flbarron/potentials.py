@@ -288,9 +288,6 @@ class PotentialSpec:
                 + ([("additive", None, None, self.additive, self.dim)]
                    if self.additive is not None else []))
 
-    def is_zero(self) -> bool:
-        return not self.terms()
-
     @staticmethod
     def from_json_dict(d: dict) -> "PotentialSpec":
         """The potential of a spec-file object, read through ``_SPEC_KEYS``;
@@ -346,7 +343,7 @@ class SharpExample:
 
     hamiltonian: HamiltonianSpec
     eigenvalue: float
-    psi_profile: RadialProfile | None  # closed form at delta = 1, else tabulated later
+    psi_profile: RadialProfile | None  # the closed-form transform; None where none exists
 
 
 def sharp_example_potential(delta: float, n: int) -> SharpExample:

@@ -37,6 +37,7 @@ from .grid import (
     FreqFunction,
     FreqGrid,
     RadialProfile,
+    check_table_nodes,
     make_radial_grid,
     sample_profile,
     tabulated_profile,
@@ -48,7 +49,7 @@ from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R 
     project_high,
     project_low,
 )
-from .potentials import HamiltonianSpec, sharp_example_potential
+from .potentials import HamiltonianSpec, SharpExample, sharp_example_potential
 from .spaces import SpaceIndex, _power_tail, fl_norm
 from .special import omega_d
 
@@ -115,7 +116,7 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     plan = OperatorPlan(spec, f.grid)
     b = f.copy_with(plan.h0_inverse(f.values, rho))
     idx = SpaceIndex(s, 1.0)
-    if spec.potential.is_zero():
+    if not spec.potential.terms():
         report = SolveReport(True, 1, [0.0], {"q": 0.0, "K": None},
                              {"B_s+2": fl_norm(b, SpaceIndex(s + 2.0, 1.0)),
                               "H^1": fl_norm(b, SpaceIndex(1.0, 2.0))},
@@ -124,14 +125,13 @@ def solve_neumann(spec: HamiltonianSpec, rho: float, f: FreqFunction, s: float =
     if q >= 1.0:
         raise NoContractionError(
             f"q = {q:.6g} >= 1: no global contraction, use the projected series", q=q)
-    u = b.copy_with(np.zeros_like(np.asarray(b.values)))
+    u = b.copy_with(np.zeros_like(b.values))
     history = []
     converged = False
     for k in range(1, MAX_ITER + 1):
-        u_next = b.copy_with(np.asarray(b.values) - plan.R(u.values, rho))
-        diff = u_next.copy_with(np.asarray(u_next.values) - np.asarray(u.values))
+        u_next = b.copy_with(b.values - plan.R(u.values, rho))
         try:
-            resid = fl_norm(diff, idx)
+            resid = _diff_norm(u_next, u, idx)
         except NonFiniteError as exc:
             raise NonFiniteError(f"solver.solve_neumann: update {k} is not finite ({exc})") from exc
         history.append(resid)
@@ -200,9 +200,8 @@ def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
 
 def oracle_error(u_iter: FreqFunction, u_direct: FreqFunction, s: float = 0.0) -> float:
     idx = SpaceIndex(s, 1.0)
-    diff = u_iter.copy_with(np.asarray(u_iter.values) - np.asarray(u_direct.values))
-    denom = fl_norm(u_direct, idx)
-    return fl_norm(diff, idx) / denom if denom > 0 else fl_norm(diff, idx)
+    err, denom = _diff_norm(u_iter, u_direct, idx), fl_norm(u_direct, idx)
+    return err / denom if denom > 0 else err
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +243,23 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
         low, target = project_low(u_star, K), project_high(u_star, K)
         pk_r = make_operator("pk_r", plan, {"rho": rho, "K": K})
         g0 = project_high(data.copy_with(plan.h0_inverse(data.values, rho)), K)
-        seed_term = g0.copy_with(np.asarray(g0.values) - np.asarray(pk_r(low).values))
+        seed_term = g0.copy_with(g0.values - pk_r(low).values)
 
         def apply_step(w):
-            return w.copy_with(-np.asarray(pk_r(w).values))
+            return w.copy_with(-pk_r(w).values)
     else:
         raise InvalidArgumentError("mode must be 'eigen' or 'solve'")
 
     low_norm = fl_norm(low, idx)
     term = seed_term
-    partial = term.copy_with(np.asarray(term.values).copy())
+    partial = term.copy_with(term.values.copy())
     term_norms = [fl_norm(term, idx)]
     errors = [_diff_norm(target, partial, idx)]
     for _ in range(_SERIES_MAX_TERMS - 1):
         term = apply_step(term)
         tn = fl_norm(term, idx)
         term_norms.append(tn)
-        partial = partial.copy_with(np.asarray(partial.values) + np.asarray(term.values))
+        partial = partial.copy_with(partial.values + term.values)
         errors.append(_diff_norm(target, partial, idx))
         if tn <= _SERIES_TOL * max(low_norm, 1e-300):
             break
@@ -287,7 +286,7 @@ def bootstrap_series(spec: HamiltonianSpec, mode: str, data: FreqFunction, s: fl
 
 
 def _diff_norm(a: FreqFunction, b: FreqFunction, idx: SpaceIndex) -> float:
-    return fl_norm(a.copy_with(np.asarray(a.values) - np.asarray(b.values)), idx)
+    return fl_norm(a.copy_with(a.values - b.values), idx)
 
 
 def _ball_weight_l2(grid: FreqGrid, s: float, K: float) -> float:
@@ -309,14 +308,11 @@ def eigen_residual(spec: HamiltonianSpec, psi: FreqFunction, lam: float,
     the convolution still uses the whole grid; tabulated transforms carry
     noise at extreme radii that would otherwise floor the measurement.
     """
-    if np.all(np.asarray(psi.values) == 0):
-        return 0.0
     t_psi = OperatorPlan(spec, psi.grid).T_lambda(psi.values, lam, tail_profile)
-    resid = psi.copy_with(t_psi - np.asarray(psi.values))
-    if r_eval_max is None:
-        return fl_norm(resid, SpaceIndex(0.0, 1.0))
-    restricted = project_low(resid, r_eval_max)
-    return fl_norm(restricted, SpaceIndex(0.0, 1.0))
+    resid = psi.copy_with(t_psi - psi.values)
+    if r_eval_max is not None:
+        resid = project_low(resid, r_eval_max)
+    return fl_norm(resid, SpaceIndex(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +512,7 @@ def tabulate_sharp_transform(nodes: np.ndarray, delta: float,
     """Tabulated n = 3 transform profile: ``sharp_transform_radii`` at nodes up
     to radius 160, beyond it ``tail_model``, which is also the profile's tail
     model.  Without one, ``seam_tail_model(delta)`` is fitted here."""
-    nodes = np.asarray(nodes, float)
+    nodes = check_table_nodes(nodes)
     vals = np.empty_like(nodes)
     low = nodes <= _SEAM
     vals[low] = sharp_transform_radii(nodes[low], delta)
@@ -606,8 +602,8 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     two-term extrapolation, and the blow-up slope is fitted on the diverging
     high-frequency band of the Barron norm.  ``residual_cells`` counts the
     residual grid's nodes, three per cell (450 are 150 cells); a count that
-    ``make_radial_grid`` rejects fails before any transform.  At delta < 1 the
-    residual and blow-up tables share one ``seam_tail_model``.
+    ``make_radial_grid`` rejects fails before any transform.  Without a closed-form
+    profile (delta < 1) the residual and blow-up tables share one ``seam_tail_model``.
     """
     if not (0 < delta <= 1):
         raise InvalidArgumentError("delta must lie in (0, 1] for the experiment")
@@ -616,12 +612,13 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     if not all(0 < g < delta for g in gammas):
         raise InvalidArgumentError(
             f"blow-up gammas must lie in (0, delta) = (0, {delta:g}) (got {list(gammas)})")
+    example = sharp_example_potential(delta, 3)
+    closed = example.psi_profile
     seam = None
-    if delta < 1.0:
-        _residual_grid(delta, residual_cells)  # a rejected count fails before the fit's transforms
+    if closed is None:
+        _residual_grid(example, residual_cells)  # a rejected count fails before any transform
         seam = seam_tail_model(delta)
     resid = sharp_example_residual(delta, ncells=residual_cells, tail_model=seam)
-    example = sharp_example_potential(delta, 3)
     c1 = c1_constant(3, delta)
 
     # pilot fit to place the window
@@ -639,21 +636,20 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
     tail_sign = int(np.sign(ys[-1]))
 
     # blow-up of the high-frequency Barron mass
-    if delta == 1.0:
-        psi_prof = example.psi_profile
-    else:
-        probe_nodes = band_table_nodes(np.geomspace(1e-4, 400.0, 1200))
-        psi_prof = tabulate_sharp_transform(probe_nodes, delta, seam)
+    psi_prof = closed
+    if psi_prof is None:
+        psi_prof = tabulate_sharp_transform(band_table_nodes(np.geomspace(1e-4, 400.0, 1200)),
+                                            delta, seam)
     norms = [high_band_barron_norm(psi_prof, g) for g in gammas]
     bx = [-math.log(delta - g) for g in gammas]
     blow, blow_ci = _ols_slope(np.array(bx), np.log(np.array(norms)))
 
     check = None
-    if delta == 1.0:
+    if closed is not None:
         sample = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 25)])
         numeric = np.array([stretched_exp_transform(x, delta) for x in sample])
-        closed = example.psi_profile(sample)
-        check = float(np.max(np.abs(numeric - closed) / np.abs(closed)))
+        exact = closed(sample)
+        check = float(np.max(np.abs(numeric - exact) / np.abs(exact)))
 
     return EigenReport(
         delta=delta, n=3, eigenvalue=example.eigenvalue, residual=resid,
@@ -668,22 +664,19 @@ def sharpness_experiment(delta: float, n: int = 3, gammas=(0.90, 0.95, 0.99),
 def sharp_example_residual(delta: float, ncells: int = 3 * 150,
                            tail_model: tuple | None = None) -> float:
     """Fixed-point residual of the n = 3 sharpness example on ``_residual_grid``
-    (``ncells`` nodes, three per cell): the closed-form transform at delta = 1;
-    for delta < 1 the tabulated one with ``tail_model`` as in
+    (``ncells`` nodes, three per cell) with the example's closed-form profile;
+    without one, the transform tabulated with ``tail_model`` as in
     ``tabulate_sharp_transform``, its residual measured on |xi| <= 40."""
     example = sharp_example_potential(delta, 3)
-    grid = _residual_grid(delta, ncells)
-    if delta == 1.0:
-        psi_prof = example.psi_profile
-        psi = sample_profile(psi_prof, grid)
-        return eigen_residual(example.hamiltonian, psi, example.eigenvalue, tail_profile=psi_prof)
-    psi_prof = tabulate_sharp_transform(grid.nodes, delta, tail_model)
-    psi = FreqFunction(grid, psi_prof.table_values)
-    return eigen_residual(example.hamiltonian, psi, example.eigenvalue,
-                          tail_profile=psi_prof, r_eval_max=40.0)
+    grid = _residual_grid(example, ncells)
+    psi_prof, r_eval_max = example.psi_profile, None
+    if psi_prof is None:
+        psi_prof, r_eval_max = tabulate_sharp_transform(grid.nodes, delta, tail_model), 40.0
+    return eigen_residual(example.hamiltonian, sample_profile(psi_prof, grid), example.eigenvalue,
+                          tail_profile=psi_prof, r_eval_max=r_eval_max)
 
 
-def _residual_grid(delta: float, ncells: int) -> FreqGrid:
-    """``ncells`` log-uniform nodes up to radius 2000 at delta = 1, 800 below it."""
-    r_max = 2000.0 if delta == 1.0 else 800.0
+def _residual_grid(example: SharpExample, ncells: int) -> FreqGrid:
+    """``ncells`` log-uniform nodes up to radius 2000, 800 for a tabulated profile."""
+    r_max = 800.0 if example.psi_profile is None else 2000.0
     return make_radial_grid(3, r_max, ncells, "log-uniform", r_min=1e-4)

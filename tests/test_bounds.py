@@ -157,18 +157,21 @@ class TestBigCV:
     def test_role_weights_at_negative_s(self):
         # 2^{|s|/2} on V_i and V_ad, 2^{|s|} on V_ij: s = -0.5 tells the weights apart
         from flbarron.potentials import fourier_transform
-        from flbarron.spaces import SpaceIndex, profile_norm_report
+        from flbarron.spaces import SpaceIndex, SplitIndex, profile_norm_report, split_norm
 
         s, alpha, beta = -0.5, 3.0, 0.9
+
+        def sum_norm(t):
+            return split_norm(fourier_transform(t, 1), SplitIndex(s, alpha, beta), 1)[0]
+
         one = [(1, PotentialTerm("gaussian", {"kappa": 0.1})),
                (3, PotentialTerm("inverse_power", {"t": 0.3}, coeff=-0.05))]
         pair = [(2, 3, PotentialTerm("gaussian", {"kappa": 0.05, "width": 0.7}))]
         ad = PotentialTerm("gaussian", {"kappa": 0.02}, coeff=-1.5)
         pot = PotentialSpec(1, 3, one_particle=one, pairwise=pair, additive=ad)
         half, full = 2.0 ** 0.25, 2.0 ** 0.5
-        expected = (sum(half * abs(t.coeff) * B.term_sum_norm(t, 1, s, alpha, beta) for _, t in one)
-                    + sum(full * abs(t.coeff) * B.term_sum_norm(t, 1, s, alpha, beta)
-                          for _, _, t in pair)
+        expected = (sum(half * abs(t.coeff) * sum_norm(t) for _, t in one)
+                    + sum(full * abs(t.coeff) * sum_norm(t) for _, _, t in pair)
                     + half * 1.5 * profile_norm_report(fourier_transform(ad, 3),
                                                        SpaceIndex(s, 1.0), 3).value)
         assert B.big_C_V(pot, s, alpha, beta) == pytest.approx(expected, rel=1e-14)
@@ -223,6 +226,23 @@ class TestCoercivity:
         assert 0 < eps1 < eps2
         with pytest.raises(InvalidArgumentError):
             B.coercivity_margin(ham, 0.0, math.inf, 1.0, rho=0.5, frak_C=1.0)
+
+    def test_margin_interior_minimum_matches_brute_force(self):
+        # heavy mass: A = 2 pi^2 / 50 < t frak_C, so the worst z has w = z^2 > 0
+        pot = PotentialSpec(1, 1, additive=PotentialTerm("gaussian"))
+        ham = HamiltonianSpec(pot, (50.0,))
+        s, alpha, gamma, t = 0.0, math.inf, 1.0, 0.5
+        frak, A = B.frak_C_V(pot, s, alpha, gamma), 2 * math.pi ** 2 / 50.0
+        rho = 2.0 * B.coercivity_rho(ham, s, alpha, gamma)
+        eps = B.coercivity_margin(ham, s, alpha, gamma, rho)  # frak_C from the spec
+        assert eps == B.coercivity_margin(ham, s, alpha, gamma, rho, frak_C=frak)
+        assert t * frak / (A - eps) > 1.0
+        # eps is the minimum over w >= 0 of (A w - frak_C (1+w)^t + rho) / (1 + w)
+        w = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 400001)])
+        ratio = (A * w - frak * (1.0 + w) ** t + rho) / (1.0 + w)
+        k = int(np.argmin(ratio))
+        assert 1.0 < w[k] < 100.0
+        assert eps * (1 - 1e-12) <= ratio[k] <= eps * (1 + 1e-8)
 
 
 class TestContractionRadius:

@@ -542,6 +542,41 @@ class TestTailTerms:
         assert profile.tail_terms() == expected
 
 
+class TestTabulatedProfileChecks:
+    @pytest.mark.parametrize("nodes", [
+        [3.0, 1.0, 2.0], [1.0, 1.0, 2.0], [0.5, math.nan, 2.0], [0.5, 1.0, math.inf],
+        [-0.5, 1.0, 2.0], [[0.5, 1.0, 2.0]], [], 1.0,
+    ], ids=["unsorted", "repeated", "nan", "inf", "negative", "2d", "empty", "scalar"])
+    def test_bad_nodes_rejected(self, nodes):
+        values = np.ones(np.size(nodes))
+        for build in (lambda: tabulated_profile(nodes, values),
+                      lambda: RadialProfile("tabulated", table_nodes=nodes, table_values=values)):
+            with pytest.raises(InvalidArgumentError, match="table nodes"):
+                build()
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0],
+                                        [1.0, -math.inf, 3.0], [[1.0, 2.0, 3.0]], None,
+                                        [1.0, 2.0 + 1e-3j, 3.0]],
+                             ids=["short", "long", "nan", "inf", "2d", "missing", "complex"])
+    def test_bad_values_rejected(self, values):
+        for build in (lambda: tabulated_profile([1.0, 2.0, 3.0], values),
+                      lambda: RadialProfile("tabulated", table_nodes=[1.0, 2.0, 3.0],
+                                            table_values=values)):
+            with pytest.raises(InvalidArgumentError, match="table values"):
+                build()
+
+    @pytest.mark.parametrize("tail", [((math.nan, -4.0),), ((1.0, -4.0), (1.0, math.inf))])
+    def test_non_finite_tail_term_rejected(self, tail):
+        with pytest.raises(InvalidArgumentError, match="tail_model"):
+            tabulated_profile([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], tail_model=tail)
+
+    def test_accepted_table_interpolates_between_its_nodes(self):
+        # r + 1 tabulated; on the same table with nodes [3, 1, 2] np.interp would read 4.0
+        prof = tabulated_profile([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
+        assert prof(1.5) == 2.5
+        assert prof.table_nodes.dtype == prof.table_values.dtype == np.float64
+
+
 class TestSerialization:
     def test_radial_grid_needs_cell_bounds(self):
         g = make_radial_grid(3, 5.0, 60)

@@ -10,7 +10,12 @@ from flbarron import operators as O
 from flbarron.errors import DimensionMismatchError, InvalidArgumentError
 from flbarron import solver as SV
 from flbarron.grid import FreqFunction, convolve, make_radial_grid, make_tensor_grid
-from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
+from flbarron.potentials import (
+    HamiltonianSpec,
+    PotentialSpec,
+    PotentialTerm,
+    sharp_example_potential,
+)
 from flbarron.spaces import SpaceIndex, fl_norm
 
 from conftest import (
@@ -156,6 +161,24 @@ class TestTLambdaAndR:
         out = O.apply_T_lambda(u, 0.0, free_ham_1d)
         ref = O.apply_h0_inverse(u, free_ham_1d, 1.0)
         assert np.allclose(out.values, ref.values, rtol=1e-14)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lam_rejected_before_any_convolution(self, lam, gaussian_ham_1d, grid_1d,
+                                                             monkeypatch):
+        calls = []
+        for name in ("convolve", "radial_convolve_3d"):
+            monkeypatch.setattr(O, name, lambda *a, **k: calls.append(a))
+        u = random_complex(grid_1d, 8)
+        radial = make_radial_grid(3, 10.0, 30)
+        sharp = sharp_example_potential(1.0, 3)
+        plans = [O.OperatorPlan(gaussian_ham_1d, grid_1d),
+                 O.OperatorPlan(sharp.hamiltonian, radial)]
+        for apply in (lambda: plans[0].T_lambda(u.values, lam),
+                      lambda: O.apply_T_lambda(u, lam, gaussian_ham_1d),
+                      lambda: plans[1].T_lambda(np.ones(radial.shape), lam, sharp.psi_profile)):
+            with pytest.raises(InvalidArgumentError, match="lam must be finite"):
+                apply()
+        assert calls == [] and all("_kernels" not in vars(plan) for plan in plans)
 
     def test_free_r_is_zero(self, free_ham_1d, grid_1d):
         u = random_complex(grid_1d, 7)

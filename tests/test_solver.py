@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -395,6 +396,29 @@ class TestEigenResidual:
         psi = FreqFunction(grid_1d, np.zeros(grid_1d.shape))
         assert SV.eigen_residual(free_ham_1d, psi, 0.0) == 0.0
 
+    @pytest.mark.parametrize("case", ["radial_N2", "tensor_1d_for_two_particles"])
+    def test_zero_samples_on_a_grid_that_does_not_fit_raise(self, case, grid_1d):
+        # zero samples take the general path, so the plan's grid check applies to them
+        if case == "radial_N2":
+            spec, g = PotentialSpec(3, 2), make_radial_grid(3, 10.0, 30)
+        else:
+            spec, g = PotentialSpec(1, 2), grid_1d
+        ham = HamiltonianSpec(spec, (1.0, 1.0))
+        with pytest.raises(DimensionMismatchError):
+            SV.eigen_residual(ham, FreqFunction(g, np.zeros(g.shape)), 0.0)
+
+    def test_closed_form_is_read_from_the_example_profile(self, monkeypatch):
+        # without its closed-form profile, delta = 1 takes the tabulated path
+        delta, ncells = 1.0, 120
+        ex = sharp_example_potential(delta, 3)
+        bare = dataclasses.replace(ex, psi_profile=None)
+        monkeypatch.setattr(SV, "sharp_example_potential", lambda d, n: bare)
+        g = make_radial_grid(3, 800.0, ncells, "log-uniform", r_min=1e-4)
+        prof = SV.tabulate_sharp_transform(g.nodes, delta)
+        expected = SV.eigen_residual(ex.hamiltonian, sample_profile(prof, g), ex.eigenvalue,
+                                     tail_profile=prof, r_eval_max=40.0)
+        assert SV.sharp_example_residual(delta, ncells=ncells) == expected
+
 
 class TestTransformMachinery:
     def test_delta_one_matches_closed_form(self):
@@ -632,6 +656,16 @@ class TestBlowupTable:
         assert int(np.sum(residual <= SV._SEAM)) == 108
         # residual table, band table, one 16-point seam fit they share, pilot and window fits
         assert sum(counts) == 108 + 325 + 16 + 16 + 24 == 489
+
+    @pytest.mark.parametrize("nodes", [[0.5, 70.0, 2.0, 30.0], [0.5, 2.0, 2.0, 30.0],
+                                       [0.5, math.nan, 30.0], [-1.0, 2.0, 30.0]],
+                             ids=["unsorted", "repeated", "nan", "negative"])
+    def test_bad_nodes_rejected_before_any_transform(self, nodes, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SV, "sharp_transform_radii", lambda rhos, delta: calls.append(rhos))
+        with pytest.raises(InvalidArgumentError, match="table nodes"):
+            SV.tabulate_sharp_transform(nodes, 0.75, tail_model=((1.0, -3.75), (0.0, -4.5)))
+        assert calls == []
 
     def test_table_above_the_band_edge_rejected(self):
         prof = SV.tabulate_sharp_transform(self.FULL[self.FULL > 1.0][:40], 0.75)

@@ -91,6 +91,24 @@ class TestFlNorm:
         assert fl_norm(f, SpaceIndex(t, 1.0)) <= fl_norm(f, SpaceIndex(s, 1.0)) * (1 + 1e-12)
 
 
+class TestProfileNormReport:
+    @pytest.mark.parametrize("profile, s, bound", [
+        # <r> 3 (1 + r^2)^(-1/2) = 3 on the grid; beyond it <r> <= sqrt(2) r bounds it by 3 sqrt(2)
+        (RadialProfile("rational_bracket", (3.0, 1.0, 0.5)), 1.0, 3.0 * math.sqrt(2.0)),
+        # a Gaussian's tail is negligible, so the grid's sup is the norm
+        (RadialProfile("gaussian", (3.0, 0.3)), 0.0, 0.0),
+    ], ids=["tail_bound_wins", "grid_sup_wins"])
+    def test_sup_norm_is_the_larger_of_grid_sup_and_tail_bound(self, profile, s, bound):
+        g = make_radial_grid(3, 10.0, 120, "uniform")
+        idx = SpaceIndex(s, math.inf)
+        base = fl_norm(sample_profile(profile, g), idx)
+        rep = profile_norm_report(profile, idx, 3, grid=g)
+        assert base == pytest.approx(3.0, rel=1e-3)
+        assert rep.tail_bound == pytest.approx(bound, rel=1e-15) and not rep.truncated
+        assert rep.value == max(base, rep.tail_bound)
+        assert rep.space == {"s": s, "p": math.inf}
+
+
 class TestSplitNorm:
     def test_zero_function(self):
         g = make_radial_grid(3, 10.0, 90, "uniform")
