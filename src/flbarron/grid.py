@@ -243,8 +243,11 @@ class RadialProfile:
         if self.kind != "tabulated":
             return
         nodes = check_table_nodes(self.table_nodes)
-        values = np.asarray(self.table_values)
-        if (np.iscomplexobj(values) or values.shape != nodes.shape
+        try:
+            values = np.asarray(self.table_values)
+        except ValueError:  # ragged
+            values = np.asarray(None)
+        if (values.dtype.kind not in "biuf" or values.shape != nodes.shape
                 or not np.all(np.isfinite(values))):
             raise InvalidArgumentError(f"table values must be one real, finite value per node "
                                        f"(got {values.dtype} of shape {values.shape} "
@@ -315,8 +318,11 @@ def _is_radius_run(a: np.ndarray, min_size: int) -> bool:
 
 def check_table_nodes(nodes) -> np.ndarray:
     """``nodes`` as floats, checked as a table's interpolation needs them."""
-    nodes = np.asarray(nodes, float)
-    if not _is_radius_run(nodes, 1):
+    try:
+        nodes = np.asarray(nodes, float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        nodes = None
+    if nodes is None or not _is_radius_run(nodes, 1):
         raise InvalidArgumentError("table nodes must be finite, 1-D, strictly increasing "
                                    "from r >= 0, with at least 1 entry")
     return nodes

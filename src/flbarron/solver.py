@@ -53,7 +53,7 @@ from .potentials import HamiltonianSpec, SharpExample, sharp_example_potential
 from .spaces import SpaceIndex, _power_tail, fl_norm
 from .special import omega_d
 
-MAX_ITER = 400  # Neumann iterations before NonConvergenceError
+MAX_ITER = 400  # Neumann iterations before NonConvergenceError, and the GMRES step cap
 
 
 # ---------------------------------------------------------------------------
@@ -165,37 +165,91 @@ def assemble_dense(spec: HamiltonianSpec, rho: float, grid) -> np.ndarray:
 
 def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
                  matrix: np.ndarray | None = None) -> FreqFunction:
-    """Dense factorization oracle for u + R u = (H0 + rho)^(-1) f.
+    """Dense oracle for u + R u = (H0 + rho)^(-1) f, by GMRES on I + R.
 
     The matrix shares the discretization of the iteration exactly; a
     precomputed ``matrix`` from ``OperatorPlan.matrix`` is reused when
-    given.  It is factored in its own dtype: a complex right-hand side of a
-    real system is solved as two real columns, its real and imaginary
-    parts, so the result is complex exactly when I + R or f is.
+    given, and only read.  A complex right-hand side of a real system is
+    solved as two real systems, its real and imaginary parts, so the
+    result is complex exactly when I + R or f is.
     """
-    from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-
     g = f.grid
     plan = OperatorPlan(spec, g)
-    A = plan.matrix(rho) if matrix is None else matrix
+    # one memory layout, so C- and Fortran-ordered input give the same bits
+    A = np.ascontiguousarray(plan.matrix(rho) if matrix is None else matrix)
     b = plan.h0_inverse(f.values, rho).ravel()
-    split = np.iscomplexobj(b) and not np.iscomplexobj(A)
-    if split:
-        b = b.view(float).reshape(-1, 2)  # (re, im) columns, a view of b
-    # one LU, of a copy (the residual check reads A), for the solve and gecon's estimate
-    lange, gecon = get_lapack_funcs(("lange", "gecon"), (A,))
-    lu, piv = lu_factor(A, check_finite=False)
-    rcond, _ = gecon(lu, lange("I", A.T))  # ||A||_1 = ||A.T||_inf, A.T needs no copy
-    cond = 1.0 / rcond if rcond > 0 else math.inf
+    if np.iscomplexobj(b) and not np.iscomplexobj(A):
+        x = _gmres(A, np.ascontiguousarray(b.real)) + 1j * _gmres(A, np.ascontiguousarray(b.imag))
+    else:
+        x = _gmres(A, b)
+    return FreqFunction(g, x.reshape(g.shape))
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.einsum("i,i->", v.conj(), v).real)
+
+
+def _gmres(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b by full GMRES from x = 0 (Saad & Schultz 1986).
+
+    A is applied by ``np.einsum`` and each new basis vector orthogonalized
+    by two passes of classical Gram-Schmidt with einsum reductions, so no
+    BLAS call, and no BLAS thread count, touches x.  The iteration stops
+    once the least-squares residual of the Hessenberg system is at most
+    1e-14 ||b||, after at most min(MAX_ITER, M) steps.  Raises
+    SingularSystemError when the 2-norm condition number of the Hessenberg
+    matrix (a lower bound on cond_2(A)) is above 1e12 or not finite, or
+    when the relative residual ||A x - b|| / ||b|| is above 1e-10;
+    NonFiniteError when A or b is not finite.
+    """
+    beta = _norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b)
+    steps = min(MAX_ITER, b.size)
+    dtype = np.result_type(A, b)
+    V = np.empty((steps + 1, b.size), dtype)  # the Krylov basis, one vector a row
+    T = np.zeros((steps, steps), dtype)  # the Hessenberg matrix after the Givens rotations
+    rotations = []
+    g = [beta]  # beta e_1 after the rotations; |g[-1]| is the residual norm
+    V[0] = b / beta
+    for k in range(steps):
+        w = np.einsum("ij,j->i", A, V[k])
+        h = np.zeros(k + 1, dtype)  # column k of the Hessenberg matrix, above h_next
+        for _ in range(2):
+            proj = np.einsum("kj,j->k", V[:k + 1], w.conj()).conj()
+            w -= np.einsum("kj,k->j", V[:k + 1], proj)
+            h += proj
+        h_next = _norm(w)
+        if not math.isfinite(h_next):
+            raise NonFiniteError(f"solver.solve_direct: GMRES step {k + 1} is not finite")
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s.conjugate() * h[i]
+        # the rotation that zeroes h_next, which is real and >= 0
+        a = h[k]
+        r = math.hypot(abs(a), h_next)
+        phase = a / abs(a) if a != 0 else 1.0
+        c, s = (abs(a) / r, phase * h_next / r) if r > 0 else (1.0, 0.0)
+        h[k] = c * a + s * h_next
+        T[:k + 1, k] = h
+        rotations.append((c, s))
+        g.append(-s.conjugate() * g[k])
+        g[k] = c * g[k]
+        if abs(g[k + 1]) <= 1e-14 * beta:
+            break
+        V[k + 1] = w / h_next
+    m = len(rotations)
+    # T[:m, :m] has the singular values of the (m + 1) x m Hessenberg matrix
+    cond = np.linalg.cond(T[:m, :m])
     if not cond <= 1e12:
         raise SingularSystemError(f"I + R numerically singular (cond = {cond:.3e})")
-    x = lu_solve((lu, piv), b, check_finite=False)
-    resid = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
+    y = np.zeros(m, dtype)
+    for i in range(m - 1, -1, -1):
+        y[i] = (g[i] - np.sum(T[i, i + 1:m] * y[i + 1:])) / T[i, i]
+    x = np.einsum("kj,k->j", V[:m], y)
+    resid = _norm(np.einsum("ij,j->i", A, x) - b) / beta
     if resid > 1e-10:
         raise SingularSystemError(f"direct solve residual {resid:.3e} > 1e-10")
-    if split:
-        x = x[:, 0] + 1j * x[:, 1]
-    return FreqFunction(g, x.reshape(g.shape))
+    return x
 
 
 def oracle_error(u_iter: FreqFunction, u_direct: FreqFunction, s: float = 0.0) -> float:

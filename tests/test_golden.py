@@ -11,9 +11,15 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _load_cases():
@@ -87,3 +93,24 @@ def test_cli_outputs_match_golden_bytes(tmp_path):
     mismatches = [_describe(name, want[name], got[name]) for name in sorted(want)
                   if got[name] != want[name]]
     assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("case", ["solve_gauss_shift", "solve_free"])
+def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, case):
+    # the dense oracle applies I + R with numpy's own loops, not BLAS, so a
+    # fresh process at one or two OpenBLAS threads writes the same bytes
+    cases = _load_cases()
+    got = {}
+    for threads in ("1", "2"):
+        workdir = tmp_path / threads
+        workdir.mkdir()
+        for name, spec in cases.SPECS.items():
+            (workdir / name).write_text(json.dumps(spec, sort_keys=True))
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "flbarron.cli", "--out", f"{case}.json",
+                               *cases.CASES[case]], env=env, cwd=workdir,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got[threads] = {p.name: p.read_bytes() for p in sorted(workdir.glob(f"{case}.*"))}
+    assert got["1"] == got["2"]
+    assert got["1"] == {name: (GOLDEN / name).read_bytes() for name in got["1"]}

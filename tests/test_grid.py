@@ -554,10 +554,17 @@ class TestTabulatedProfileChecks:
             with pytest.raises(InvalidArgumentError, match="table nodes"):
                 build()
 
+    @pytest.mark.parametrize("nodes", [[[1.0], [2.0, 3.0]], ["a", "b"]], ids=["ragged", "strings"])
+    def test_ragged_or_non_numeric_nodes_rejected(self, nodes):
+        with pytest.raises(InvalidArgumentError, match="table nodes"):
+            tabulated_profile(nodes, [1, 2])
+
     @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0],
                                         [1.0, -math.inf, 3.0], [[1.0, 2.0, 3.0]], None,
-                                        [1.0, 2.0 + 1e-3j, 3.0]],
-                             ids=["short", "long", "nan", "inf", "2d", "missing", "complex"])
+                                        [1.0, 2.0 + 1e-3j, 3.0], [[1.0], [2.0, 3.0], [4.0]],
+                                        ["a", "b", "c"]],
+                             ids=["short", "long", "nan", "inf", "2d", "missing", "complex",
+                                  "ragged", "strings"])
     def test_bad_values_rejected(self, values):
         for build in (lambda: tabulated_profile([1.0, 2.0, 3.0], values),
                       lambda: RadialProfile("tabulated", table_nodes=[1.0, 2.0, 3.0],

@@ -126,7 +126,7 @@ def test_first_series_table_and_direct_solve_in_a_fresh_process():
                           "after_solve": {SCIPY_LOADED}}}))
     """)
     assert "scipy.special" in out["after_series"] and "scipy.linalg" not in out["after_series"]
-    assert "scipy.linalg" in out["after_solve"]
+    assert "scipy.linalg" not in out["after_solve"]  # the dense oracle is numpy GMRES
     assert out["series"] == SV.sharp_transform_radii(np.geomspace(0.05, 50.0, 7), 0.5) \
         .tobytes().hex()
     ham, f = _gaussian_solve_case()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -46,6 +47,9 @@ from conftest import (
     reference_R,
     reference_symbol,
 )
+from test_acceptance import _regression_specs
+
+CRITERION_7 = _regression_specs()
 
 
 class TestSolveNeumann:
@@ -297,32 +301,49 @@ class TestSolveDirect:
         with pytest.raises(SingularSystemError, match="numerically singular"):
             SV.solve_direct(bad, 1.0, f)
 
-    def test_complex_rhs_of_a_real_system_keeps_its_imaginary_part(self, gaussian_ham_1d,
-                                                                     grid_1d, monkeypatch):
-        import scipy.linalg
+    @pytest.mark.parametrize("case", CRITERION_7, ids=[c[0] for c in CRITERION_7])
+    def test_matches_a_dense_lu_on_the_criterion_7_grids(self, case):
+        # "shifted gauss" has a complex kernel, so a complex I + R
+        _, ham, grid, _, _ = case
+        r = grid.radius_mesh()
+        f = FreqFunction(grid, np.exp(-math.pi * r * r))
+        plan = OperatorPlan(ham, grid)
+        A = plan.matrix(1.0)
+        ref = np.linalg.solve(A, plan.h0_inverse(f.values, 1.0).ravel())
+        u = SV.solve_direct(ham, 1.0, f, matrix=A)
+        assert u.values.dtype == ref.dtype
+        assert np.max(np.abs(u.values.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-        factored = []
-        lu_factor = scipy.linalg.lu_factor
-
-        def recording(a, *args, **kwargs):
-            factored.append(np.asarray(a).dtype)
-            return lu_factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
-        f = random_complex(grid_1d, 5)
-        A = SV.assemble_dense(gaussian_ham_1d, 1.0, grid_1d)
+    def test_complex_rhs_of_a_real_system_keeps_its_imaginary_part(self, gaussian_ham_1d):
+        # M = 1025 > MAX_ITER + 1, so a matrix-sized allocation stands out
+        # above the Krylov basis: the solve holds no complex copy of the real
+        # I + R, nor any other M x M array
+        grid = make_tensor_grid(1, 8.0, 1025)
+        f = random_complex(grid, 5)
+        A = SV.assemble_dense(gaussian_ham_1d, 1.0, grid)
         assert not np.iscomplexobj(A)
         b = np.asarray(apply_h0_inverse(f, gaussian_ham_1d, 1.0).values).ravel()
         ref = np.linalg.solve(A, b)
-        u = SV.solve_direct(gaussian_ham_1d, 1.0, f)
-        assert factored == [np.float64]  # the real I + R, never a complex copy
+        tracemalloc.start()
+        try:
+            u = SV.solve_direct(gaussian_ham_1d, 1.0, f, matrix=A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes
         assert u.values.dtype == np.complex128
         assert np.max(np.abs(u.values.imag)) >= 0.1 * np.max(np.abs(ref))
         assert np.max(np.abs(u.values.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_non_finite_right_hand_side_rejected(self, gaussian_ham_1d, gauss_rhs):
+        values = np.array(gauss_rhs.values)
+        values[3] = np.nan
+        with pytest.raises(NonFiniteError, match="solver.solve_direct: GMRES step 1"):
+            SV.solve_direct(gaussian_ham_1d, 1.0, gauss_rhs.copy_with(values))
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_caller_matrix_is_not_overwritten(self, gaussian_ham_1d, gauss_rhs, order):
-        # a Fortran-ordered matrix is the one LAPACK could factor in place
+        # a Fortran-ordered matrix gives the same bits as a C-ordered one
         A = np.asarray(SV.assemble_dense(gaussian_ham_1d, 1.0, gauss_rhs.grid), order=order)
         kept = A.copy()
         u = SV.solve_direct(gaussian_ham_1d, 1.0, gauss_rhs, matrix=A)
