@@ -385,8 +385,12 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
     For the kinds singular at the origin (power, log_kernel), cells within
     3 lattice spacings of it are replaced by the mean over 16^n midpoint
     sub-cells, so integrable singularities such as |theta|^(t-n) are
-    integrated rather than evaluated at the node.  Either way the profile is
-    evaluated on the lattice once.
+    integrated rather than evaluated at the node.  That mean depends only on
+    the cell's sorted absolute index offsets from the center, so it is taken
+    once per such symmetry class, at the class's canonical cell (offsets
+    sorted ascending, all non-negative), and the near samples are exactly
+    symmetric under axis reflections and permutations.  The profile is
+    evaluated on the lattice once, plus once per class for the singular kinds.
     A nonzero real-space shift contributes the exact phase factor.
     """
     lattice = grid if grid.dim == n else FreqGrid(n, "tensor", extent=grid.extent, count=grid.count)
@@ -395,16 +399,16 @@ def sample_kernel_on_lattice(profile: RadialProfile, n: int, grid: FreqGrid,
     radius = lattice.radius_mesh()
     if profile.kind in ("power", "log_kernel"):
         vals = np.asarray(profile(np.where(radius > 0, radius, h)), dtype=float)
-        near = radius <= 3.0 * h + 1e-12 * h
-        idxs = np.argwhere(near)
+        m = (lattice.count - 1) // 2
+        idxs = np.argwhere(radius <= 3.0 * h + 1e-12 * h)
+        keys, cls = np.unique(np.sort(np.abs(idxs - m), axis=1), axis=0, return_inverse=True)
         # midpoint sub-cells: offsets never hit the cell center, so integrable
         # singularities are averaged rather than sampled at the blow-up point
         sub = ((np.arange(16) + 0.5) / 16.0 - 0.5) * h
         offs = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        for idx in idxs:
-            center = ax[idx]
-            pts = np.linalg.norm(center[None, :] + offs, axis=1)
-            vals[tuple(idx)] = float(np.mean(profile(pts)))
+        means = [float(np.mean(profile(np.linalg.norm(ax[m + key][None, :] + offs, axis=1))))
+                 for key in keys]
+        vals[tuple(idxs.T)] = np.array(means)[cls.ravel()]
     else:
         vals = np.asarray(profile(radius), dtype=float)
     kernel = vals * lattice.trapezoid_weights()

@@ -140,8 +140,10 @@ class OperatorPlan:
 
         Convolution is block-Toeplitz: the terms' samples, zero-padded to
         2M-1 per axis (a delta at M-1 off a kernel's axes) and summed with
-        their coefficients, are gathered as K[a_i - b_i + M - 1] through one
-        (M, M) offset matrix per axis; row a is divided by h(xi_a) - 1 + rho.
+        their coefficients into K, give A[a, b] = K[a_i - b_i + M - 1] on
+        each axis.  That is the window view of K reversed on every axis,
+        with its window starts reversed back, copied out once; row a is
+        divided by h(xi_a) - 1 + rho.
         """
         g = self.grid
         if g.kind != "tensor":
@@ -157,9 +159,9 @@ class OperatorPlan:
             padded[tuple(slice(m, m + M) if ax in kernel.axes else slice(M - 1, M)
                          for ax in range(d))] = kernel.samples
             total = total + coeff * padded
-        offsets = np.subtract.outer(np.arange(M), np.arange(M)) + (M - 1)
-        A = total[tuple(offsets.reshape((1,) * ax + (M,) + (1,) * (d - 1) + (M,) + (1,) * (d - 1 - ax))
-                        for ax in range(d))].reshape(g.size, g.size)
+        flip = (slice(None, None, -1),) * d
+        windows = np.lib.stride_tricks.sliding_window_view(total[flip], (M,) * d)
+        A = np.ascontiguousarray(windows[flip]).reshape(g.size, g.size)
         A /= denom
         A[np.diag_indices(g.size)] += 1.0
         return A

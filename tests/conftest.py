@@ -90,9 +90,12 @@ def reference_sample_kernel_on_lattice(profile, n: int, grid, shift=None) -> np.
     """V_hat times the trapezoid weights on the n-dim lattice of ``grid``
     from a coordinate mesh built on the spot: radii by np.linalg.norm,
     16^n midpoint sub-cells within 3 spacings of the origin for singular
-    profiles, and the phase of a nonzero shift."""
+    profiles, and the phase of a nonzero shift.  Each near cell's sub-cell
+    mean is taken at its canonical cell (its absolute index offsets from
+    the center, sorted ascending); its own weight and phase apply after."""
     ax = np.linspace(-grid.extent, grid.extent, grid.count)
     h = 2.0 * grid.extent / (grid.count - 1)
+    m = (grid.count - 1) // 2
     mesh = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
     radius = np.linalg.norm(mesh, axis=-1)
     if profile.kind in ("power", "log_kernel"):
@@ -100,7 +103,8 @@ def reference_sample_kernel_on_lattice(profile, n: int, grid, shift=None) -> np.
         sub = ((np.arange(16) + 0.5) / 16.0 - 0.5) * h
         offs = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n)
         for idx in np.argwhere(radius <= 3.0 * h + 1e-12 * h):
-            pts = np.linalg.norm(mesh[tuple(idx)][None, :] + offs, axis=1)
+            canonical = tuple(m + np.sort(np.abs(idx - m)))
+            pts = np.linalg.norm(mesh[canonical][None, :] + offs, axis=1)
             vals[tuple(idx)] = float(np.mean(profile(pts)))
     else:
         vals = np.asarray(profile(radius), dtype=float)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -176,7 +177,11 @@ class TestSampleKernelOnLattice:
     # own lattice and a sub-lattice of a larger grid
     CASES = [(1, 1, "gaussian", {}), (1, 2, "inverse_power", {"t": 0.5}),
              (2, 2, "gaussian", {}), (2, 2, "inverse_power", {"t": 1.5}),
-             (3, 3, "coulomb", {}), (3, 3, "yukawa", {"mu": 1.0})]
+             (3, 3, "coulomb", {}), (3, 3, "yukawa", {"mu": 1.0}), (1, 1, "log_1d", {})]
+    # near cells (within 3 spacings of the origin) and their symmetry classes
+    # (sorted absolute index offsets) per lattice dimension n
+    NEAR = {1: 7, 2: 29, 3: 123}
+    CLASSES = {1: 4, 2: 7, 3: 10}
 
     @pytest.mark.parametrize("n, dim, kind, params", CASES)
     @given(half=st.integers(2, 5), extent=st.floats(1.0, 8.0), shifted=st.booleans(),
@@ -193,7 +198,7 @@ class TestSampleKernelOnLattice:
 
     @pytest.mark.parametrize("n, dim, kind, params", CASES)
     def test_profile_evaluated_on_the_lattice_once(self, n, dim, kind, params, monkeypatch):
-        # singular kinds also average the sub-cells near the origin, one call per cell
+        # singular kinds also average the 16^n sub-cells of one cell per symmetry class
         grid = make_tensor_grid(dim, 4.0, 9)
         profile = fourier_transform(PotentialTerm(kind, params), n)
         shapes = []
@@ -201,9 +206,40 @@ class TestSampleKernelOnLattice:
         monkeypatch.setattr(RadialProfile, "__call__",
                             lambda self, r: shapes.append(np.shape(r)) or call(self, r))
         kernel = sample_kernel_on_lattice(profile, n, grid)
+        singular = profile.kind in ("power", "log_kernel")
         assert shapes.count((9,) * n) == 1
-        assert len(shapes) == 1 or profile.kind in ("power", "log_kernel")
+        assert shapes.count((16 ** n,)) == (self.CLASSES[n] if singular else 0)
+        assert len(shapes) == 1 + (self.CLASSES[n] if singular else 0)
         assert np.array_equal(kernel, reference_sample_kernel_on_lattice(profile, n, grid))
+
+    # (n, grid dim, kind, params, count, extent): the kernel's own lattice and a
+    # sub-lattice of a larger grid; Coulomb on 7^3 and the 1-D inverse power on
+    # 41 points break the symmetry if each near cell takes its own mean
+    SYMMETRY_CASES = [(1, 1, "inverse_power", {"t": 0.5}, 41, 3.0),
+                      (1, 2, "inverse_power", {"t": 0.5}, 11, 2.0),
+                      (2, 2, "inverse_power", {"t": 1.5}, 13, 4.0),
+                      (2, 3, "inverse_power", {"t": 0.5}, 9, 7.9),
+                      (3, 3, "coulomb", {}, 7, 3.0),
+                      (3, 3, "coulomb", {}, 13, 5.0),
+                      (1, 1, "log_1d", {}, 9, 2.5),
+                      (1, 3, "log_1d", {}, 7, 1.0)]
+
+    @pytest.mark.parametrize("n, dim, kind, params, count, extent", SYMMETRY_CASES)
+    def test_near_samples_symmetric_under_reflection_and_permutation(
+            self, n, dim, kind, params, count, extent):
+        grid = make_tensor_grid(dim, extent, count)
+        kernel = sample_kernel_on_lattice(fourier_transform(PotentialTerm(kind, params), n),
+                                          n, grid)
+        m = (count - 1) // 2
+        offsets = np.argwhere(np.ones((count,) * n, dtype=bool)) - m
+        near = offsets[np.sum(offsets ** 2, axis=1) <= 9]
+        assert len(near) == self.NEAR[n]
+        assert len({tuple(sorted(np.abs(o))) for o in near}) == self.CLASSES[n]
+        samples = kernel[tuple((near + m).T)]
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((1, -1), repeat=n):
+                image = near[:, list(perm)] * np.array(signs)
+                assert np.array_equal(kernel[tuple((image + m).T)], samples), (perm, signs)
 
 
 class TestRadialIntegral:
