@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InadmissibleTermError, InvalidArgumentError
-from .potentials import HamiltonianSpec, PotentialSpec, admissible_region, fourier_transform
+from .potentials import HamiltonianSpec, PotentialSpec, admissible, fourier_transform
 from .spaces import SpaceIndex, SplitIndex, profile_norm_report, split_norm
 from .special import (  # noqa: F401  (public surface of this module)
     bracket_lp_norm,
@@ -49,14 +49,17 @@ def big_C_V(spec: PotentialSpec, s: float, alpha: float, beta: float) -> float:
         2^{|s|/2} sum_i ||V_i||_{s,a;b} + 2^{|s|} sum_{i<j} ||V_ij||_{s,a;b}
         + 2^{|s|/2} ||V_ad||_{FL^1_s}.
 
-    Shifted terms enter with |coeff| times the centered-profile norm.
+    Shifted terms enter with |coeff| times the centered-profile norm.  A
+    one-particle or pairwise term that fails ``potentials.admissible`` at
+    (s, alpha) raises InadmissibleTermError naming it; ``split_norm`` rejects
+    alpha*beta <= n/2.
     """
     total = 0.0
     for role, i, j, term, dim in spec.terms():
         if role == "additive":
             norm = profile_norm_report(fourier_transform(term, dim), SpaceIndex(s, 1.0), dim).value
         else:
-            if not admissible_region(term, dim).contains(s, alpha):
+            if not admissible(term, dim, s, alpha):
                 where = f"i={i}" if j is None else f"(i,j)=({i},{j})"
                 raise InadmissibleTermError(
                     f"{role.replace('_', '-')} term {term.kind} at {where} "
@@ -150,19 +153,28 @@ def contraction_radius(mu_tilde_val: float, energy: float, C: float,
     return math.sqrt(bracket * bracket - 1.0)
 
 
-def coercivity_rho(spec: HamiltonianSpec, s: float, alpha: float, gamma: float,
-                   frak_C: float | None = None) -> float:
-    """Threshold rho*: any rho > rho* makes the shifted form coercive.
-
-    rho* = frak_C if A > t*frak_C, else A + (1/t - 1) A (t frak_C / A)^(1/(1-t)),
-    with A = min_i 2 pi^2 / mu_i and t = (|s| - gamma)/2 + 1 < 1.
-    """
+def _coercive_form(spec: HamiltonianSpec, s: float, alpha: float, gamma: float,
+                   frak_C: float | None) -> tuple:
+    """(t, frak_C, A) of the form A z^2 - frak_C <z>^(2t): t = (|s| - gamma)/2 + 1,
+    which must be below 1 (gamma > |s|), frak_C as given or frak_C_V, and
+    A = min_i 2 pi^2 / mu_i."""
     t = (abs(s) - gamma) / 2.0 + 1.0
     if not t < 1.0:
         raise InvalidArgumentError("need gamma > |s| so that t < 1")
     if frak_C is None:
         frak_C = frak_C_V(spec.potential, s, alpha, gamma)
-    A = min(2.0 * math.pi ** 2 / m for m in spec.masses)
+    return t, frak_C, min(2.0 * math.pi ** 2 / m for m in spec.masses)
+
+
+def coercivity_rho(spec: HamiltonianSpec, s: float, alpha: float, gamma: float,
+                   frak_C: float | None = None) -> float:
+    """Threshold rho*: any rho > rho* makes the shifted form coercive.
+
+    rho* = frak_C if A > t*frak_C, else A + (1/t - 1) A (t frak_C / A)^(1/(1-t)),
+    with A = min_i 2 pi^2 / mu_i and t = (|s| - gamma)/2 + 1; gamma <= |s|
+    (t >= 1) raises InvalidArgumentError.
+    """
+    t, frak_C, A = _coercive_form(spec, s, alpha, gamma, frak_C)
     if A > t * frak_C:
         return frak_C
     return A + (1.0 / t - 1.0) * A * (t * frak_C / A) ** (1.0 / (1.0 - t))
@@ -172,13 +184,11 @@ def coercivity_margin(spec: HamiltonianSpec, s: float, alpha: float, gamma: floa
                       rho: float, frak_C: float | None = None) -> float:
     """Largest eps with A z^2 - frak_C <z>^(2t) + rho >= eps (1 + z^2) for all z.
 
-    1/eps is the H^1 stability constant of the weak form; requires rho
-    strictly above the coercivity threshold.
+    1/eps is the H^1 stability constant of the weak form; requires
+    gamma > |s| (t < 1) and rho strictly above the coercivity threshold,
+    else InvalidArgumentError.
     """
-    t = (abs(s) - gamma) / 2.0 + 1.0
-    if frak_C is None:
-        frak_C = frak_C_V(spec.potential, s, alpha, gamma)
-    A = min(2.0 * math.pi ** 2 / m for m in spec.masses)
+    t, frak_C, A = _coercive_form(spec, s, alpha, gamma, frak_C)
 
     def worst(eps: float) -> float:
         # min over w = z^2 >= 0 of (A-eps) w - frak_C (1+w)^t + rho - eps

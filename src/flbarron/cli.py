@@ -128,12 +128,13 @@ def _meta(args) -> dict:
 
 @contextlib.contextmanager
 def _beta_hint(n: int, s: float, alpha: float, beta: float, beta_flag: bool = True):
-    """Name the flags that fix an InvalidArgumentError raised at beta <= n/(2 alpha), s finite:
-    beta = 1 + (s - gamma)/2 exceeds n/(2 alpha) iff gamma < s + 2 - n/alpha."""
+    """Name the flags that fix an InvalidArgumentError raised where ``c_alpha_beta`` rejects
+    alpha*beta <= n/2, s finite: beta = 1 + (s - gamma)/2 exceeds n/(2 alpha) iff
+    gamma < s + 2 - n/alpha."""
     try:
         yield
     except InvalidArgumentError as exc:
-        if not (math.isfinite(s) and alpha >= 1 and beta <= n / (2.0 * alpha)):
+        if not (math.isfinite(s) and alpha >= 1 and alpha * beta <= n / 2.0):
             raise
         fix = f"--beta above {n / (2.0 * alpha):g}, or " if beta_flag else ""
         raise InvalidArgumentError(

@@ -10,9 +10,11 @@ application, its adjoint, certificate and natural spaces;
 p-norm power method, started from random band-limited inputs, and compares
 the largest ratio an explicit input attains against the certified bound.
 
-On tensor grids the plan's methods also take a stack of inputs, values of
+On tensor grids the plan's operators also take a stack of inputs, values of
 shape (B, *grid.shape), and act on each slice exactly as on that slice
-alone.  The power method moves its start probes as one stack; a replay
+alone; the quadratic quantities ``OperatorPlan.quad_form`` and
+``sobolev_products`` take one function and raise DimensionMismatchError for
+a stack.  The power method moves its start probes as one stack; a replay
 (``replay_probe``) moves the stack of one start probe and gets the same
 iterate bit for bit.
 """
@@ -168,9 +170,11 @@ class OperatorPlan:
 
     def quad_form(self, u, v) -> float:
         """integral of V u v for real-valued u, v, evaluated in frequency
-        space: sum of F(Vu) * conj(v_hat) against the grid weights."""
+        space: sum of F(Vu) * conj(v_hat) against the grid weights.  One
+        function each: a stack raises DimensionMismatchError."""
+        u, v = (_one(self.grid, x, "quad_form") for x in (u, v))
         return float(np.real(np.sum(self.grid.trapezoid_weights() * self.multiply_V(u)
-                                    * np.conj(self._samples(v)))))
+                                    * np.conj(v))))
 
     def T_lambda(self, values, lam: float,
                  tail_profile: RadialProfile | None = None) -> np.ndarray:
@@ -220,12 +224,20 @@ def _cutoff(K: float) -> float:
     return K
 
 
+def _one(grid: FreqGrid, values, what: str):
+    """``values`` of one function on ``grid``; a stack raises DimensionMismatchError."""
+    if grid.batch_rank(values):
+        raise DimensionMismatchError(f"{what} takes one function (got shape {np.shape(values)})")
+    return values
+
+
 def sobolev_products(u: FreqFunction):
-    """(||u||_{L^2}^2, ||grad u||_{L^2}^2) by Parseval: the gradient picks up 4 pi^2 |xi|^2."""
+    """(||u||_{L^2}^2, ||grad u||_{L^2}^2) by Parseval: the gradient picks up
+    4 pi^2 |xi|^2.  One function: a stack raises DimensionMismatchError."""
     g = u.grid
     w = g.trapezoid_weights()
     r = g.radius_mesh()
-    a2 = np.abs(np.asarray(u.values)) ** 2
+    a2 = np.abs(_one(g, u.values, "sobolev_products")) ** 2
     l2 = float(np.sum(w * a2))
     grad2 = float(4.0 * math.pi ** 2 * np.sum(w * r * r * a2))
     return l2, grad2

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DivergentPartError, InvalidArgumentError, UnsupportedKindError
 from .grid import RadialProfile, sample_profile
 from .spaces import Split, SpaceIndex, _power_tail, default_norm_grid, fl_norm
-from .special import c_t_n, omega_d
+from .special import c_t_n, gamma, omega_d
 
 # kind -> {parameter: default}; a default of None marks a required parameter
 _CATALOG = {
@@ -204,36 +204,17 @@ def decompose_low_high(term: PotentialTerm, n: int, R: float, alpha_prime: float
 # admissibility
 # ---------------------------------------------------------------------------
 
-def assumption_region_ok(s: float, alpha: float, n: int) -> bool:
-    """2 + s - |s| - n/alpha > 0, reshaped: s >= 0 with alpha > n/2, or
-    -1 < s < 0 with alpha > n/(2(1+s))."""
-    if s >= 0:
-        return alpha > n / 2.0
-    if s > -1:
-        return alpha > n / (2.0 * (1.0 + s))
-    return False
-
-
-@dataclass(frozen=True)
-class AdmissibleRegion:
-    """Open (s, alpha) region where a term fits FL^1_s + FL^alpha'_s and the
-    standing assumption holds."""
-
-    n: int
-    t_effective: float | None  # None: only the standing assumption constrains
-
-    def contains(self, s: float, alpha: float) -> bool:
-        if not assumption_region_ok(s, alpha, self.n):
-            return False
-        if self.t_effective is None:
-            return True
-        inv = 0.0 if math.isinf(alpha) else 1.0 / alpha
-        return s < self.n * inv - self.t_effective
-
-
-def admissible_region(term: PotentialTerm, n: int) -> AdmissibleRegion:
+def admissible(term: PotentialTerm, n: int, s: float, alpha: float) -> bool:
+    """Whether ``term`` on R^n lies in FL^1_s + FL^alpha'_s at (s, alpha) under
+    the standing assumption 2 + s - |s| - n/alpha > 0, which reads: s >= 0 with
+    alpha > n/2, or -1 < s < 0 with alpha > n/(2(1+s)).  A term decaying like
+    |x|^(-t) also needs s < n/alpha - t.  The term is checked for R^n first."""
     term.validate_for_dim(n)
-    return AdmissibleRegion(n, term.power_exponent())
+    if not (alpha > n / 2.0 if s >= 0 else s > -1 and alpha > n / (2.0 * (1.0 + s))):
+        return False
+    t = term.power_exponent()
+    inv = 0.0 if math.isinf(alpha) else 1.0 / alpha
+    return t is None or s < n * inv - t
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +342,7 @@ def sharp_example_potential(delta: float, n: int) -> SharpExample:
     if delta == 1.0:
         terms = [(1, PotentialTerm("inverse_power", {"t": 1.0}, coeff=-(n - 1) / 2.0))]
         lam = -0.5
-        amp = 2.0 ** n * math.pi ** ((n - 1) / 2.0) * math.gamma((n + 1) / 2.0)
+        amp = 2.0 ** n * math.pi ** ((n - 1) / 2.0) * gamma((n + 1) / 2.0)
         psi = RadialProfile("rational_bracket", (amp, 4 * math.pi ** 2, (n + 1) / 2.0))
     else:
         terms = [

@@ -51,7 +51,7 @@ from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R 
 )
 from .potentials import HamiltonianSpec, SharpExample, sharp_example_potential
 from .spaces import SpaceIndex, _power_tail, fl_norm
-from .special import omega_d
+from .special import gamma as Gamma, omega_d
 
 MAX_ITER = 400  # Neumann iterations before NonConvergenceError, and the GMRES step cap
 
@@ -395,8 +395,8 @@ def c1_constant(n: int, delta: float) -> float:
     Gamma(1-delta/2) = (-delta/2) Gamma(-delta/2) it equals
     -pi^(-delta-n/2) Gamma((delta+n)/2) / Gamma(-delta/2).
     """
-    return (delta * math.gamma((delta + n) / 2.0)
-            / (2.0 * math.pi ** (n / 2.0 + delta) * math.gamma(1.0 - delta / 2.0)))
+    return (delta * Gamma((delta + n) / 2.0)
+            / (2.0 * math.pi ** (n / 2.0 + delta) * Gamma(1.0 - delta / 2.0)))
 
 
 def _check_delta(delta: float) -> None:

@@ -71,14 +71,6 @@ class SplitIndex:
     def alpha_prime(self) -> float:
         return conjugate(self.alpha)
 
-    def validate(self, n: int) -> None:
-        if math.isinf(self.alpha):
-            if self.beta < 0:
-                raise InvalidArgumentError("beta must be >= 0 when alpha = inf")
-        elif not (self.beta > n / (2.0 * self.alpha)):
-            raise InvalidArgumentError(
-                f"beta = {self.beta} must exceed n/(2 alpha) = {n / (2 * self.alpha)}")
-
 
 @dataclass
 class Split:
@@ -216,9 +208,10 @@ def split_norm(profile: RadialProfile, idx: SplitIndex, n: int, grid: FreqGrid |
     radii R (part norms get analytic tails when the profile decay is
     known), and the threshold split at level kappa = ||<.>^s f||_{L^alpha'}.
     With alpha = inf the norm is plainly the Barron norm and the split is
-    trivial.
+    trivial.  The index is checked first: ``c_alpha_beta`` rejects
+    alpha*beta <= n/2, and beta < 0 at alpha = inf.
     """
-    idx.validate(n)
+    cab = c_alpha_beta(idx.alpha, idx.beta, n)
     g = grid if grid is not None else default_norm_grid(n)
     func = sample_profile(profile, g)
     s, alpha = idx.s, idx.alpha
@@ -238,7 +231,7 @@ def split_norm(profile: RadialProfile, idx: SplitIndex, n: int, grid: FreqGrid |
         value = profile_norm_report(profile, SpaceIndex(s, 1.0), n, grid=g).value
         return value, Split(func, zero, "trivial", part_norms=(value, 0.0))
 
-    cab_root = c_alpha_beta(alpha, idx.beta, n) ** (1.0 / alpha)
+    cab_root = cab ** (1.0 / alpha)
     weighted, w = _weighted_samples(func, s)
     rmesh = g.radius_mesh().ravel()
 

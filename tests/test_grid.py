@@ -408,6 +408,19 @@ class TestConvolve:
 
 
 class TestRadialConvolve3D:
+    @pytest.mark.parametrize("profile", [
+        RadialProfile("gaussian", (1.7, 0.05)),
+        RadialProfile("rational_bracket", (2.3, 0.4, 1.0)),  # the Yukawa kernel's log1p form
+        RadialProfile("rational_bracket", (2.3, 0.4, 1.5)),
+    ], ids=lambda p: f"{p.kind}{p.params}")
+    def test_smooth_primitive_differentiates_to_tau_v(self, profile):
+        # Q' = coeff * u * V(u): a central difference of step 1e-5 resolves it far below 1e-7
+        coeff, h = -0.7, 1e-5
+        Q = RadialKernel3D(profile, coeff=coeff).smoothQ
+        u = np.geomspace(0.1, 20.0, 9)
+        slope = (Q(u + h) - Q(u - h)) / (2.0 * h)
+        np.testing.assert_allclose(slope, coeff * u * profile(u), rtol=1e-7, atol=0.0)
+
     def test_gaussian_closed_form(self):
         # exp(-a|.|^2) * exp(-b|.|^2) in R^3 = (pi/(a+b))^(3/2) exp(-ab/(a+b) r^2)
         a, b = 1.0, 2.0

@@ -337,6 +337,20 @@ class TestQuadraticForm:
         assert plan.quad_form(u, u) == pytest.approx(math.exp(-2 * math.pi * a * a / 3)
                                                      / math.sqrt(3), rel=1e-12)
 
+    def test_a_stack_is_rejected(self, grid_1d):
+        # each is one number of one function: a stack would sum its slices silently
+        plan = O.OperatorPlan(self.gaussian_config(), grid_1d)
+        stack = O.random_band_limited(grid_1d, 11, [0, 1, 2], real_space_real=True)
+        one = O.random_band_limited(grid_1d, 11, 0, real_space_real=True)
+        for u, v in ((stack.values, stack.values), (one.values, stack.values),
+                     (stack.values, one.values)):
+            with pytest.raises(DimensionMismatchError, match="quad_form takes one function"):
+                plan.quad_form(u, v)
+        with pytest.raises(DimensionMismatchError, match="sobolev_products takes one function"):
+            O.sobolev_products(stack)
+        assert plan.quad_form(one.values, one.values) == plan.quad_form(stack.values[0],
+                                                                        stack.values[0])
+
     def test_radial_closed_forms(self):
         # u_hat = exp(-pi r^2) is its own transform and V = exp(-pi |x|^2), so
         # <Vu, u> = int exp(-3 pi |x|^2) dx, ||u||^2 = 2^(-3/2), ||grad u||^2 = 3 pi 2^(-3/2)

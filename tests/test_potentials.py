@@ -12,7 +12,7 @@ from flbarron.potentials import (
     HamiltonianSpec,
     PotentialSpec,
     PotentialTerm,
-    admissible_region,
+    admissible,
     decompose_low_high,
     fourier_transform,
     sharp_example_potential,
@@ -113,26 +113,24 @@ class TestDecomposeLowHigh:
 
 class TestAdmissibleRegion:
     def test_coulomb_examples(self):
-        region = admissible_region(PotentialTerm("coulomb"), 3)
-        assert region.contains(0.0, 2.0)
-        assert not admissible_region(
-            PotentialTerm("inverse_power", {"t": 1.5}), 3).contains(0.0, 2.0)
+        assert admissible(PotentialTerm("coulomb"), 3, 0.0, 2.0)
+        assert not admissible(PotentialTerm("inverse_power", {"t": 1.5}), 3, 0.0, 2.0)
 
     def test_assumption_boundary(self):
-        region = admissible_region(PotentialTerm("gaussian", {"kappa": 1.0}), 3)
-        assert not region.contains(-1.0, math.inf)
-        assert region.contains(-0.5, math.inf)
-        assert not region.contains(-0.5, 2.9)  # needs alpha > n/(2(1+s)) = 3
+        term = PotentialTerm("gaussian", {"kappa": 1.0})
+        assert not admissible(term, 3, -1.0, math.inf)
+        assert admissible(term, 3, -0.5, math.inf)
+        assert not admissible(term, 3, -0.5, 2.9)  # needs alpha > n/(2(1+s)) = 3
 
     def test_antitone_in_t(self):
         lattice = [(s, a) for s in (-0.5, -0.25, 0.0, 0.5, 1.0)
                    for a in (1.6, 2.0, 3.0, 10.0, math.inf)]
         for t_small, t_big in ((0.5, 0.9), (0.9, 1.4), (1.4, 2.2)):
-            r_small = admissible_region(PotentialTerm("inverse_power", {"t": t_small}), 3)
-            r_big = admissible_region(PotentialTerm("inverse_power", {"t": t_big}), 3)
+            small = PotentialTerm("inverse_power", {"t": t_small})
+            big = PotentialTerm("inverse_power", {"t": t_big})
             for s, a in lattice:
-                if r_big.contains(s, a):
-                    assert r_small.contains(s, a)
+                if admissible(big, 3, s, a):
+                    assert admissible(small, 3, s, a)
 
 
 class TestSharpExample:
@@ -184,7 +182,7 @@ class TestSharpExample:
             (PotentialTerm("gaussian", {"kappa": 1.0}), 1, 0.5, math.inf),
         ]
         for term, n, s, alpha in cases:
-            assert admissible_region(term, n).contains(s, alpha)
+            assert admissible(term, n, s, alpha)
             ap = math.inf if alpha == 1.0 else (1.0 if math.isinf(alpha)
                                                 else alpha / (alpha - 1.0))
             sp = decompose_low_high(term, n, 1.0, ap, s=s)
