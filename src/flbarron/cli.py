@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
            "--gamma": dict(type=float, default=0.5),
            "--p": dict(type=float, default=1.0),
            "--probes": dict(type=int, default=20,
-                            help="budget of forward applications to one function; the "
-                                 "power method starts from min(3, PROBES) random probes"),
+                            help="budget of forward applications to one function; "
+                                 "p = 1 and p = inf take one, p = 2 at most 30"),
            "--rho": dict(type=float, default=1.0),
            "--lam": dict(type=float, default=0.0),
            "--K": dict(type=float, default=0.0)})

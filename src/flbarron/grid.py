@@ -438,10 +438,14 @@ class LatticeKernel:
 
 def padded_length(M: int) -> int:
     """FFT length per kernel axis of ``convolve`` on M points: wrap-around at L
-    reaches indices <= 2M-2-L, all below the kept ones (from m = (M-1)/2) iff L >= 2M-1-m.
-    L is the smallest 2-3-5-7-11-smooth length that large, as scipy.fft's
+    reaches indices <= 2M-2-L, all below the kept ones (from m = (M-1)/2) iff L >= 2M-1-m."""
+    return fast_length(2 * M - 1 - (M - 1) // 2)
+
+
+def fast_length(n: int) -> int:
+    """The smallest 2-3-5-7-11-smooth length >= n, as scipy.fft's
     ``next_fast_len`` would give, without loading scipy.fft."""
-    L = 2 * M - 1 - (M - 1) // 2
+    L = n
     while True:
         rest = L
         for p in (2, 3, 5, 7, 11):

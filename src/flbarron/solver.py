@@ -44,6 +44,7 @@ from .grid import (
 )
 from .operators import (  # noqa: F401  perfbench's tracer tests rebind apply_R here
     OperatorPlan,
+    _norm,
     apply_R,
     make_operator,
     project_high,
@@ -183,10 +184,6 @@ def solve_direct(spec: HamiltonianSpec, rho: float, f: FreqFunction,
     else:
         x = _gmres(A, b)
     return FreqFunction(g, x.reshape(g.shape))
-
-
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(np.einsum("i,i->", v.conj(), v).real)
 
 
 def _gmres(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -51,11 +51,20 @@ def bracket_lp_norm(gamma_idx: float, n: int) -> float:
     """integral over R^n of (1+|xi|^2)^(-gamma): pi^(n/2) Gamma(g-n/2)/Gamma(g).
 
     This is the 2g-th power of the L^(2g) norm of the bracket weight
-    (1+|xi|^2)^(-1/2); it equals c_alpha_beta at alpha*beta = gamma.
+    (1+|xi|^2)^(-1/2); it equals c_alpha_beta at alpha*beta = gamma.  Where
+    the two Gamma values overflow a float, the ratio is taken from
+    ``gamma_ratio``; beyond g where that loses 1e-10 relative, the overflow
+    is raised (GammaOverflowError).
     """
     if gamma_idx <= n / 2.0:
         raise InvalidArgumentError(f"gamma = {gamma_idx} must exceed n/2 = {n / 2}")
-    return math.pi ** (n / 2.0) * gamma(gamma_idx - n / 2.0) / gamma(gamma_idx)
+    try:
+        return math.pi ** (n / 2.0) * gamma(gamma_idx - n / 2.0) / gamma(gamma_idx)
+    except GammaOverflowError:
+        # the log-gamma ratio is good to about eps * lgamma(g), relative: 1e-10 up to g ~ 4e4
+        if math.lgamma(gamma_idx) * math.ulp(1.0) > 1e-10:
+            raise
+        return math.pi ** (n / 2.0) * gamma_ratio(gamma_idx, -n / 2.0)
 
 
 def c_t_n(t: float, n: int) -> float:

@@ -73,6 +73,8 @@ CASES = {
     "solve_free": ["solve", "--spec", "free.json", "--grid", "kind:tensor,extent:6,count:65"],
     **{f"probe_{op}": ["--seed", "3", *_PROBE, "--op", op]
        for op in ("r", "pk_r", "t_lambda", "pk_t_lambda", "multiply_v")},
+    "probe_pk_r_p2": ["--seed", "3", *_PROBE, "--op", "pk_r", "--p", "2"],
+    "probe_multiply_v_pinf": ["--seed", "3", *_PROBE, "--op", "multiply_v", "--p", "inf"],
     **{f"verify_eigen_d{tag}_c{cells}": ["verify-eigen", "--delta", delta, "--gammas", gammas,
                                          "--cells", str(cells)]
        for tag, delta, gammas in (("1", "1", "0.90,0.95,0.99"),

@@ -28,8 +28,17 @@ class TestGammaConstants:
             B.c_alpha_beta(1.0, 1.0, 3)  # alpha*beta = 1 <= n/2
         with pytest.raises(InvalidArgumentError, match="must be finite"):
             B.c_alpha_beta(2.0, math.inf, 3)  # Gamma(inf) / Gamma(inf) is NaN
-        with pytest.raises(GammaOverflowError, match=r"Gamma\(298.5\)"):
-            B.c_alpha_beta(2.0, 150.0, 3)
+        # Gamma(298.5) overflows a float, the log-gamma ratio does not
+        assert B.c_alpha_beta(2.0, 150.0, 3) == pytest.approx(
+            math.pi ** 1.5 / B.gamma_ratio(298.5, 1.5), rel=1e-12)
+        with pytest.raises(GammaOverflowError, match=r"Gamma\(2e\+300\)"):
+            B.c_alpha_beta(2.0, 1e300, 3)  # past the log-gamma ratio's 1e-10
+
+    def test_overflowing_gammas_take_the_log_gamma_ratio(self):
+        assert B.c_alpha_beta(2.0, 100.0, 3) == pytest.approx(0.0019873, abs=5e-8)
+        # where the two Gamma values stay finite, the plain ratio keeps its bits
+        for g in (2.0, 50.25, 171.0):
+            assert B.bracket_lp_norm(g, 3) == math.pi ** 1.5 * math.gamma(g - 1.5) / math.gamma(g)
 
     @pytest.mark.parametrize("ab", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -450,10 +450,25 @@ class TestNonFiniteFloatFlags:
             "constants": ["--spec", "coulomb", "--alpha", "2.4"],
             "solve": ["--spec", "gauss", "--grid", "kind:tensor,extent:4,count:9"],
             "verify-eigen": ["--cells", "20", "--gammas", "0.9"],
-            "probe": ["--spec", "gauss", "--grid", "kind:tensor,extent:4,count:9",
+            # spacing 0.5: at spacing 1 the discrete norm exceeds the certificate
+            # (test_probe_exits_three_on_a_coarse_grid)
+            "probe": ["--spec", "gauss", "--grid", "kind:tensor,extent:4,count:17",
                       "--probes", "2"],
             "demo-embeddings": []}
     CASES = [(cmd, flag, value) for cmd, flag in _float_flags() for value in ("nan", "inf", "-inf")]
+
+    def test_probe_exits_three_on_a_coarse_grid(self, tmp_path):
+        # the exact norm at p = 1 and p = inf of R on the 9-point grid of
+        # extent 4 (spacing 1) exceeds the certificate mu_tilde * C_V = 0.05,
+        # a Riemann sum of the kernel too coarse for it; at spacing 0.5 it holds
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(self.SPECS["gauss"]))
+        for p, ratio in (("1", 1.005), ("inf", 1.0514)):
+            out = tmp_path / f"p{p}.json"
+            assert run(["--out", str(out), "probe", "--spec", str(path), "--grid",
+                        "kind:tensor,extent:4,count:9", "--probes", "2", "--p", p]) == 3
+            rep = json.loads(out.read_text())["report"]
+            assert rep["empirical"] / rep["certified"] == pytest.approx(ratio, abs=1e-4)
 
     def test_every_subcommand_has_a_base_run(self):
         assert set(self.BASE) == {cmd for cmd, _, _ in self.CASES}

@@ -95,10 +95,12 @@ def test_cli_outputs_match_golden_bytes(tmp_path):
     assert not mismatches, "\n".join(mismatches)
 
 
-@pytest.mark.parametrize("case", ["solve_gauss_shift", "solve_free"])
+@pytest.mark.parametrize("case", ["solve_gauss_shift", "solve_free"] + sorted(
+    name for name in _load_cases().CASES if name.startswith("probe_")))
 def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, case):
-    # the dense oracle applies I + R with numpy's own loops, not BLAS, so a
-    # fresh process at one or two OpenBLAS threads writes the same bytes
+    # the dense oracle applies I + R, and Lanczos orthogonalizes its bases,
+    # with numpy's own loops, not BLAS, so a fresh process at one or two
+    # OpenBLAS threads writes the same bytes
     cases = _load_cases()
     got = {}
     for threads in ("1", "2"):

@@ -135,8 +135,10 @@ def test_first_series_table_and_direct_solve_in_a_fresh_process():
 
 
 def test_tensor_probe_loads_no_scipy_fft(tmp_path):
-    # the lattice convolution's padded FFT length is worked out without
-    # scipy.fft, and the power method's adjoints need no scipy.sparse
+    # the lattice convolution's padded FFT length and the exact norms' FFT
+    # length are worked out without scipy.fft, the exact sums (p = 1, inf)
+    # use numpy's real FFT, and the power method's and Lanczos' adjoints need
+    # no scipy.sparse: a tensor probe loads no scipy module at all
     gauss = {"n": 1, "N": 1, "masses": [1.0], "one_particle": [], "pairwise": [],
              "additive": {"kind": "gaussian", "params": {"kappa": 0.05},
                           "shift": [], "coeff": 1.0}}
@@ -145,11 +147,14 @@ def test_tensor_probe_loads_no_scipy_fft(tmp_path):
                                 "shift": [], "coeff": 1.0}]}
     (tmp_path / "gauss.json").write_text(json.dumps(gauss))
     (tmp_path / "yukawa.json").write_text(json.dumps(yukawa))
-    runs = [["--seed", "3", "probe", "--spec", "gauss.json", "--op", "r",
-             "--grid", "kind:tensor,extent:6,count:17", "--alpha", "inf", "--beta", "0.4",
-             "--probes", "3"],
-            ["--seed", "3", "probe", "--spec", "yukawa.json", "--op", "r",
-             "--grid", "kind:tensor,extent:5,count:9", "--alpha", "2", "--beta", "0.9"]]
+    gauss_run = ["--seed", "3", "probe", "--spec", "gauss.json", "--op", "r",
+                 "--grid", "kind:tensor,extent:6,count:17", "--alpha", "inf", "--beta", "0.4",
+                 "--probes", "3"]
+    yukawa_run = ["--seed", "3", "probe", "--spec", "yukawa.json", "--op", "r",
+                  "--alpha", "2", "--beta", "0.9"]
+    runs = [gauss_run, yukawa_run + ["--grid", "kind:tensor,extent:5,count:9"],
+            gauss_run + ["--p", "2"],
+            yukawa_run + ["--grid", "kind:tensor,extent:5,count:13", "--p", "inf"]]
     out = fresh(f"""
         import contextlib, io, json, sys
         from flbarron import cli
@@ -157,9 +162,8 @@ def test_tensor_probe_loads_no_scipy_fft(tmp_path):
             codes = [cli.run(argv) for argv in {runs!r}]
         print(json.dumps({{"codes": codes, "scipy": {SCIPY_LOADED}}}))
     """, cwd=tmp_path)
-    assert out["codes"] == [0, 0]
-    assert "scipy.fft" not in out["scipy"]
-    assert not [m for m in out["scipy"] if m == "scipy.sparse" or m.startswith("scipy.sparse.")]
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["scipy"] == []
 
 
 def test_parser_reuse_matches_a_fresh_parser(tmp_path):

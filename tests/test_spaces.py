@@ -170,6 +170,12 @@ class TestSplitNorm:
         with pytest.raises(NotInSpaceError):
             split_norm(prof, SplitIndex(0.0, math.inf, 0.0), 3)
 
+    def test_divergent_tail_at_a_large_beta(self):
+        # c_alpha_beta(2, 100, 3) takes the log-gamma ratio, so the tail check is reached
+        prof = fourier_transform(PotentialTerm("yukawa", {"mu": 2.0}), 3)
+        with pytest.raises(NotInSpaceError, match="tail diverges"):
+            split_norm(prof, SplitIndex(1.0, 2.0, 100.0), 3)
+
     @pytest.mark.parametrize("r_exp", [2.0, 3.0, math.inf])
     def test_threshold_split_inequalities(self, r_exp):
         # level-set split at kappa = ||g||_p gives L^1 mass <= kappa and
