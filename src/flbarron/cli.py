@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -119,10 +120,13 @@ def _build_grid(desc: str, dim: int):
     return make_tensor_grid(dim, float(fields["extent"]), int(fields["count"]))
 
 
-def _meta(args) -> dict:
-    skip = {"func", "out"}  # the destination path is not part of the computation
-    blob = json.dumps({k: v for k, v in sorted(vars(args).items()) if k not in skip},
-                      sort_keys=True, default=str)
+def _meta(args, ham: HamiltonianSpec | None = None) -> dict:
+    """The run's config hash: its arguments, with the content of the spec
+    ``ham`` read from ``--spec`` in place of that path."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    if ham is not None:
+        config["spec"] = dataclasses.asdict(ham)
+    blob = json.dumps(config, sort_keys=True, default=str)
     return {"config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16], "version": __version__}
 
 
@@ -146,7 +150,8 @@ def _beta_hint(n: int, s: float, alpha: float, beta: float, beta_flag: bool = Tr
 # ---------------------------------------------------------------------------
 
 def cmd_norm(args):
-    pot = _load_spec(args.spec).potential
+    ham = _load_spec(args.spec)
+    pot = ham.potential
     reports = []
     for role, i, j, term, dim in pot.terms():
         prof = fourier_transform(term, dim)
@@ -162,7 +167,7 @@ def cmd_norm(args):
             d = rep.to_json_dict()
             d.update({"role": role, "i": i, "j": j, "kind": term.kind})
             reports.append(d)
-    payload = {"meta": _meta(args), "reports": reports}
+    payload = {"meta": _meta(args, ham), "reports": reports}
     if args.alpha is not None:
         payload["big_C_V"] = B.big_C_V(pot, args.s, args.alpha, args.beta)
     _emit(payload, args.out)
@@ -170,7 +175,8 @@ def cmd_norm(args):
 
 
 def cmd_decompose(args):
-    pot = _load_spec(args.spec).potential
+    ham = _load_spec(args.spec)
+    pot = ham.potential
     entries = []
     for role, i, j, term, dim in pot.terms():
         if role == "additive":
@@ -180,7 +186,7 @@ def cmd_decompose(args):
                         "radius": sp.radius, "method": sp.method,
                         "low_fl1": sp.part_norms[0], "high_flap": sp.part_norms[1],
                         **({} if j is None else {"j": j})})
-    _emit({"meta": _meta(args), "decompositions": entries}, args.out)
+    _emit({"meta": _meta(args, ham), "decompositions": entries}, args.out)
     return 0
 
 
@@ -189,7 +195,7 @@ def cmd_constants(args):
     pot = ham.potential
     s, alpha, gamma = args.s, args.alpha, args.gamma
     beta = 1.0 + (s - gamma) / 2.0
-    out = {"meta": _meta(args),
+    out = {"meta": _meta(args, ham),
            "parameters": {"s": s, "alpha": alpha, "beta": beta, "gamma": gamma,
                           "rho": args.rho},
            "mu_tilde_1": B.mu_tilde(ham.masses, 1.0),
@@ -226,7 +232,7 @@ def cmd_solve(args):
     if grid.size <= MAX_DENSE_SAMPLES:
         u_direct = SV.solve_direct(ham, args.rho, f)
         report.oracle_error = SV.oracle_error(u, u_direct, s=args.s)
-    payload = {"meta": _meta(args), "report": report.to_json_dict()}
+    payload = {"meta": _meta(args, ham), "report": report.to_json_dict()}
     rows = list(enumerate(report.residual_history, start=1))
     _emit(payload, args.out, csv_rows=rows, csv_header=["iteration", "residual"])
     return 0
@@ -258,7 +264,7 @@ def cmd_probe(args):
     src, dst = natural_spaces(args.op, args.s, args.alpha, beta, args.p)
     rep = empirical_operator_norm(args.op, ham, grid, src, dst, args.probes, args.seed,
                                   certified=cert, params=params)
-    payload = {"meta": _meta(args), "report": rep.to_json_dict(),
+    payload = {"meta": _meta(args, ham), "report": rep.to_json_dict(),
                "satisfied": rep.satisfied}
     _emit(payload, args.out)
     return 0 if rep.satisfied else 3

@@ -610,7 +610,7 @@ class RadialKernel3D:
 # radii in blocks of at most this many (radius, cell, Gauss-7 point) triples,
 # and ``_geometric_sum`` takes its exact near moments in chunks of a sixteenth
 # of it (its FFT far field works one node of a cell at a time instead);
-# ``solver.sharp_transform_radii`` takes (radii x terms or nodes) blocks of at
+# ``solver.sharp_transform_radii`` takes (radii x rule nodes) blocks of at
 # most this many float64.  128 KiB blocks reuse heap memory rather than raise the peak.
 _BLOCK_ELEMS = 1 << 14
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ def gaussian_ham_1d():
 @pytest.fixture
 def coulomb_pair_spec():
     return PotentialSpec(3, 2, pairwise=[(1, 2, PotentialTerm("coulomb"))])
+
+
+def quad_sharp_transform(rho: float, delta: float) -> float:
+    """The n = 3 transform of exp(-|x|^delta) at radius rho by QUADPACK's
+    sine-weighted rule on [0, r_cut], where exp(-r_cut^delta) = 1e-18: a
+    reference independent of ``solver.sharp_transform_radii``.  A QUADPACK
+    warning (round-off, a hit subdivision limit) is raised, not its value returned."""
+    from scipy.integrate import IntegrationWarning, quad
+
+    r_cut = (18.0 * math.log(10.0)) ** (1.0 / delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        if rho == 0.0:
+            val, _ = quad(lambda r: math.exp(-r ** delta) * r ** 2, 0, r_cut,
+                          epsabs=1e-13, epsrel=1e-13, limit=400)
+            return omega_d(3) * val
+        val, _ = quad(lambda r: math.exp(-r ** delta) * r, 0, r_cut, weight="sin",
+                      wvar=2.0 * math.pi * rho, epsabs=1e-13, epsrel=1e-13, limit=4000)
+        return 2.0 / rho * val
 
 
 def random_complex(grid, seed):

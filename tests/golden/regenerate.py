@@ -2,9 +2,8 @@
 
 Each case is one ``flbarron`` command line; its JSON (and the sibling CSV
 that ``solve`` and ``verify-eigen`` write) is kept in this directory.  The
-config hash in every report covers the ``--spec`` path string, so the runs
-take place in a scratch directory holding the spec files under the fixed
-names of ``SPECS``.
+spec files of ``SPECS`` are written to a scratch directory first; the config
+hash in every report covers a spec's content, not its path.
 
 Regenerate after an intended output change, and state in CHANGES.md which
 files changed and by how much; the script prints, for every file whose bytes
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -85,7 +83,7 @@ CASES = {
 
 
 def generate(workdir: Path) -> dict:
-    """Run every case with ``workdir`` as the working directory; returns
+    """Run every case with its spec files and outputs in ``workdir``; returns
     {output file name: bytes} for each JSON and CSV written."""
     from flbarron.cli import run
 
@@ -93,17 +91,13 @@ def generate(workdir: Path) -> dict:
     for name, spec in SPECS.items():
         (workdir / name).write_text(json.dumps(spec, sort_keys=True))
     outputs = {}
-    previous = os.getcwd()
-    os.chdir(workdir)
-    try:
-        for case, argv in CASES.items():
-            code = run(["--out", f"{case}.json", *argv])
-            if code != 0:
-                raise RuntimeError(f"golden case {case} exited {code}")
-            for path in sorted(workdir.glob(f"{case}.*")):
-                outputs[path.name] = path.read_bytes()
-    finally:
-        os.chdir(previous)
+    for case, argv in CASES.items():
+        argv = [str(workdir / arg) if arg in SPECS else arg for arg in argv]
+        code = run(["--out", str(workdir / f"{case}.json"), *argv])
+        if code != 0:
+            raise RuntimeError(f"golden case {case} exited {code}")
+        for path in sorted(workdir.glob(f"{case}.*")):
+            outputs[path.name] = path.read_bytes()
     return outputs
 
 

@@ -427,6 +427,35 @@ class TestSpecFile:
         assert ham.potential.pairwise == [] and ham.potential.additive is None
 
 
+    @pytest.mark.parametrize("argv", [
+        ["norm"], ["decompose"], ["constants", "--alpha", "2.4", "--gamma", "0.4"],
+        ["solve", "--grid", "kind:tensor,extent:6,count:17"],
+        ["--seed", "3", "probe", "--op", "r", "--grid", "kind:tensor,extent:6,count:17",
+         "--alpha", "inf", "--beta", "0.4", "--probes", "3"]],
+        ids=["norm", "decompose", "constants", "solve", "probe"])
+    def test_config_hash_follows_the_spec_content_not_its_path(self, tmp_path, argv):
+        spec = {"n": 1, "N": 1, "masses": [1.0], "pairwise": [],
+                "one_particle": [{"i": 1, "kind": "gaussian", "params": {"kappa": 0.05}}]}
+        where = argv.index("--op") + 2 if "probe" in argv else 1
+        first, second = tmp_path / "a.json", tmp_path / "copy" / "b.json"
+        second.parent.mkdir()
+
+        def config_hash(path):
+            out = tmp_path / "out.json"
+            assert run(["--out", str(out), *argv[:where], "--spec", str(path),
+                        *argv[where:]]) == 0
+            return json.loads(out.read_text())["meta"]["config_hash"]
+
+        first.write_text(json.dumps(spec))
+        # the same spec under another name, with its keys in another order and
+        # an absent key spelled out at its default
+        second.write_text(json.dumps({**dict(reversed(spec.items())), "additive": None},
+                                     indent=2))
+        assert config_hash(first) == config_hash(second)
+        spec["one_particle"][0]["params"]["kappa"] = 0.06  # edited in place
+        first.write_text(json.dumps(spec))
+        assert config_hash(first) != config_hash(second)
+
 def _float_flags() -> list:
     """(subcommand, flag) for every float-typed flag the parser accepts; the
     global ones (--tol) under every subcommand."""
@@ -571,6 +600,15 @@ class TestOtherSubcommands:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["satisfied"] is True
+
+    def test_verify_eigen_at_small_delta(self, tmp_path):
+        # the transform's QUADPACK fallback raised NonConvergenceError here (exit 3)
+        out = tmp_path / "e.json"
+        assert run(["--out", str(out), "verify-eigen", "--delta", "0.2", "--gammas", "0.1,0.15",
+                    "--cells", "240"]) == 0
+        rep = json.loads(out.read_text())["report"]
+        assert rep["residual"] < 1e-3
+        assert rep["decay_exponent"] == pytest.approx(-3.2, abs=0.1)
 
     def test_demo_embeddings(self, tmp_path):
         out = tmp_path / "emb.json"

@@ -16,7 +16,6 @@ from flbarron.errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     NoContractionError,
-    NonConvergenceError,
     NonFiniteError,
     NotInSpaceError,
     SingularSystemError,
@@ -42,6 +41,7 @@ from flbarron.spaces import SpaceIndex, fl_norm
 from conftest import (
     PLAN_CASES,
     plan_case,
+    quad_sharp_transform,
     random_complex,
     reference_direct_V,
     reference_R,
@@ -473,20 +473,15 @@ class TestTransformMachinery:
         with pytest.raises(InvalidArgumentError):
             SV.sharp_transform_radii([0.5, rho], delta)
 
-    def test_quadrature_warning_raises(self):
-        # QUADPACK reports round-off here and returns 3.8e-10; the series gives 5.66e-3
-        with pytest.raises(NonConvergenceError, match=r"rho = 1.0, delta = 0.2, n = 3"):
-            SV.stretched_exp_transform(1.0, 0.2)
-
     def test_tabulated_profile_consistency(self):
         nodes = np.geomspace(0.01, 300.0, 200)
         prof = SV.tabulate_sharp_transform(nodes, 0.75)
-        # quadrature region: table holds the direct quadrature values
+        # below the seam the table holds the transform: QUADPACK's value
         k = np.searchsorted(nodes, 50.0)
-        direct = SV.stretched_exp_transform(float(nodes[k]), 0.75, 3)
+        direct = quad_sharp_transform(float(nodes[k]), 0.75)
         assert prof(nodes[k:k + 1])[0] == pytest.approx(direct, rel=1e-10)
         # model region: within the fitted two-term model's own accuracy
-        direct_far = SV.stretched_exp_transform(float(nodes[-1]), 0.75, 3)
+        direct_far = quad_sharp_transform(float(nodes[-1]), 0.75)
         assert prof(nodes[-1:])[0] == pytest.approx(direct_far, rel=1e-2)
 
 
@@ -513,19 +508,20 @@ def mp_sharp_transform(rho: float, delta: float, digits: int = 50) -> float:
 
 
 class TestSharpTransformRadii:
-    # radii on both sides of where the fixed rule hands over to the series
-    # (near 0.07, 0.18 and 0.26 for the three deltas) and up to the end of
-    # the decay-fit window at 320
+    # radii on both sides of where the rule in t hands over to the ray rule
+    # (near 0.0024, 0.060 and 0.18 for the three deltas), of where the ray
+    # rule starts to subtract 1 (1 / 2 pi = 0.16) and up to the end of the
+    # decay-fit window at 320
     RADII = (0.08, 0.12, 0.2, 0.3, 1.0, 2.5, 10.0, 50.0, 150.0, 320.0)
 
-    @pytest.mark.parametrize("delta, radii", [(0.5, (0.03, 0.05) + RADII),
+    @pytest.mark.parametrize("delta, radii", [(0.5, (0.002, 0.003, 0.03, 0.05) + RADII),
                                               (0.75, (0.03, 0.05) + RADII), (0.9, RADII)])
     def test_matches_mpmath_at_least_as_closely_as_quadrature(self, delta, radii):
         new = SV.sharp_transform_radii(np.array(radii), delta)
         for rho, value in zip(radii, new):
             ref = mp_sharp_transform(rho, delta)
             err_new = abs(value - ref) / abs(ref)
-            err_quad = abs(SV.stretched_exp_transform(rho, delta) - ref) / abs(ref)
+            err_quad = abs(quad_sharp_transform(rho, delta) - ref) / abs(ref)
             # where both are at rounding level the new path may trail by an ulp
             # or two: 1e-15 is about four and a half
             assert err_new <= err_quad + 1e-15, (rho, err_new, err_quad)
@@ -551,23 +547,58 @@ class TestSharpTransformRadii:
         values = SV.sharp_transform_radii(radii, 1.0)
         assert np.max(np.abs(values - closed) / np.abs(closed)) <= 2e-15
 
-    def test_quadrature_only_where_neither_method_counts(self, monkeypatch):
-        calls = []
-        scalar = SV.stretched_exp_transform
+    def test_each_radius_takes_the_rule_its_phase_test_names(self, monkeypatch):
+        # the rule in t where no panel spans more than 1 radian (rho = 0
+        # included), else the ray rule, which subtracts 1 where 2 pi rho >= 1
+        taken = {}
+        rule_block, ray_block = SV._rule_block, SV._ray_block
 
-        def counted(rho, delta, n=3):
-            calls.append(rho)
-            return scalar(rho, delta, n)
+        def rule(rho, *table, work):
+            taken.update((float(r), "rule") for r in rho)
+            return rule_block(rho, *table, work=work)
 
-        monkeypatch.setattr(SV, "stretched_exp_transform", counted)
-        for delta in (0.5, 0.75, 0.9, 1.0):
-            SV.sharp_transform_radii(np.geomspace(1e-4, 400.0, 200), delta)
-        SV.sharp_transform_radii(np.array([0.0, 0.5, 2.0]), 1.0)
-        assert calls == []
-        # delta = 0.3 at rho = 1e-3: the series cancels too much and the rule
-        # would span too many oscillations per panel
-        assert SV.sharp_transform_radii(np.array([1e-3]), 0.3)[0] == scalar(1e-3, 0.3)
-        assert calls == [1e-3]
+        def ray(rho, *table, work):
+            taken.update((float(r), "ray minus one" if table[-1] else "ray") for r in rho)
+            return ray_block(rho, *table, work=work)
+
+        monkeypatch.setattr(SV, "_rule_block", rule)
+        monkeypatch.setattr(SV, "_ray_block", ray)
+        for delta in (0.2, 0.5, 0.75, 0.9, 1.0):
+            max_phase = SV._rule_table(delta)[1]
+            radii = np.concatenate([[0.0, 1.0 / max_phase, np.nextafter(1.0 / max_phase, 1.0),
+                                     0.5 / math.pi, np.nextafter(0.5 / math.pi, 0.0), 1.0],
+                                    np.geomspace(1e-5, 400.0, 60)])
+            taken.clear()
+            assert np.all(np.isfinite(SV.sharp_transform_radii(radii, delta)))
+            assert sorted(taken) == sorted(radii)
+            for rho in radii:
+                want = ("rule" if rho * max_phase <= 1.0 else
+                        "ray minus one" if 2.0 * math.pi * rho >= 1.0 else "ray")
+                assert taken[float(rho)] == want, (delta, rho)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    def test_finite_on_the_whole_domain(self, delta):
+        values = SV.sharp_transform_radii(np.concatenate([[0.0], np.geomspace(1e-5, 160.0, 400)]),
+                                          delta)
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("delta, rho", [(0.2, 9.3e-5), (0.3, 1e-3), (0.3, 1.4e-4),
+                                            (0.4, 0.0143), (0.2, 1.0)])
+    def test_matches_mpmath_at_small_delta(self, delta, rho):
+        # the first four are radii of the 1800-cell residual grid; QUADPACK
+        # reports round-off at (0.2, 1.0), where it returns 3.8e-10 for 5.66e-3
+        value = SV.sharp_transform_radii(np.array([rho]), delta)[0]
+        ref = mp_sharp_transform(rho, delta)
+        assert abs(value - ref) <= 2e-15 * abs(ref)
+
+    @pytest.mark.parametrize("delta", [1.2, 1.5, 1.8, 1.95])
+    def test_matches_quadrature_above_delta_one(self, delta):
+        # above delta = 1 the rule's integrand t^(3/delta - 1) has a fractional
+        # power below t^1 at t = 0, which its panels graded toward 0 resolve
+        radii = (0.0, 0.01, 0.3)
+        for rho, value in zip(radii, SV.sharp_transform_radii(np.array(radii), delta)):
+            ref = quad_sharp_transform(rho, delta)
+            assert abs(value - ref) <= 1e-14 * abs(ref), (rho, value, ref)
 
     @pytest.mark.parametrize("delta", [0.5, 0.75, 0.9])
     def test_zero_radius_is_the_integral(self, delta):
