@@ -473,6 +473,17 @@ class TestTransformMachinery:
         with pytest.raises(InvalidArgumentError):
             SV.sharp_transform_radii([0.5, rho], delta)
 
+    def test_quadrature_warning_raises(self):
+        # QUADPACK reports round-off here and returns 3.8e-10 for 5.66e-3: the
+        # test reference raises rather than return it, and the rules need no reference
+        from scipy.integrate import IntegrationWarning
+
+        with pytest.raises(IntegrationWarning):
+            quad_sharp_transform(1.0, 0.2)
+        value = SV.stretched_exp_transform(1.0, 0.2)
+        ref = mp_sharp_transform(1.0, 0.2)
+        assert abs(value - ref) <= 2e-15 * abs(ref)
+
     def test_tabulated_profile_consistency(self):
         nodes = np.geomspace(0.01, 300.0, 200)
         prof = SV.tabulate_sharp_transform(nodes, 0.75)
@@ -575,6 +586,25 @@ class TestSharpTransformRadii:
                 want = ("rule" if rho * max_phase <= 1.0 else
                         "ray minus one" if 2.0 * math.pi * rho >= 1.0 else "ray")
                 assert taken[float(rho)] == want, (delta, rho)
+
+    def test_quadrature_only_where_neither_method_counts(self, monkeypatch):
+        # one of the two rules counts at every radius, so no radius falls back
+        # to a per-radius transform, not even the ones the series and the rule
+        # in t both left to quadrature, such as (0.3, 1e-3)
+        calls = []
+        scalar = SV.stretched_exp_transform
+
+        def counted(rho, delta, n=3):
+            calls.append(rho)
+            return scalar(rho, delta, n)
+
+        monkeypatch.setattr(SV, "stretched_exp_transform", counted)
+        for delta in (0.3, 0.5, 0.75, 0.9, 1.0):
+            SV.sharp_transform_radii(np.geomspace(1e-4, 400.0, 200), delta)
+        SV.sharp_transform_radii(np.array([0.0, 0.5, 2.0]), 1.0)
+        value = SV.sharp_transform_radii(np.array([1e-3]), 0.3)[0]
+        assert calls == []
+        assert value == scalar(1e-3, 0.3)
 
     @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
     def test_finite_on_the_whole_domain(self, delta):
