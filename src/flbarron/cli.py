@@ -281,7 +281,7 @@ def cmd_demo_embeddings(args):
     partials = []
     splits = []
     for R in (25.0, 50.0, 100.0, 200.0):
-        g = make_radial_grid(3, R, 3000, "log-uniform", r_min=1e-8)
+        g = make_radial_grid(3, R, 3000, r_min=1e-8)
         fr = sample_profile(coul, g)
         partials.append(fl_norm(fr, SpaceIndex(-1.0, 1.0)))
         v, _ = split_norm(coul, SplitIndex(0.0, 2.0, 1.0), 3, grid=g)

@@ -28,6 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
+    NotInSpaceError,
     UnsupportedKindError,
     UnsupportedScaleError,
 )
@@ -177,15 +178,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def make_radial_grid(d: int, r_max: float, count: int, scheme: str = "uniform",
-                     r_min: float | None = None) -> FreqGrid:
+def make_radial_grid(d: int, r_max: float, count: int, *, r_min: float | None = None) -> FreqGrid:
     """Radial quadrature grid on [0, r_max] with ``count`` nodes (3 per cell).
 
-    ``uniform`` uses equal cells; ``log-uniform`` uses geometric cells from
-    ``r_min`` (default r_max * 1e-8) preceded by one linear cell [0, r_min],
-    so the quadrature is still exact for cubics on the whole of [0, r_max].
-    The count is rounded down to a multiple of 3, but at least three cells
-    are built, so a count of 8 gives 9 nodes.
+    One linear cell [0, r_min] (``r_min`` defaults to r_max * 1e-8) is
+    followed by geometric cells up to r_max, so the quadrature is exact for
+    cubics on the whole of [0, r_max].  The count is rounded down to a
+    multiple of 3, but at least three cells are built, so a count of 8
+    gives 9 nodes.
     """
     if d < 1:
         raise InvalidArgumentError("dimension must be >= 1")
@@ -194,17 +194,11 @@ def make_radial_grid(d: int, r_max: float, count: int, scheme: str = "uniform",
     if count < 8:
         raise InvalidArgumentError("count must be >= 8")
     ncells = max(count // 3, 3)
-    if scheme == "uniform":
-        bounds = np.linspace(0.0, r_max, ncells + 1)
-    elif scheme == "log-uniform":
-        lo = r_max * 1e-8 if r_min is None else r_min
-        if not (0 < lo < r_max):
-            raise InvalidArgumentError("r_min must lie in (0, r_max)")
-        geo = lo * (r_max / lo) ** (np.arange(ncells) / (ncells - 1))
-        bounds = np.concatenate([[0.0], geo])
-    else:
-        raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-    return FreqGrid(dim=d, kind="radial", cell_bounds=bounds)
+    lo = r_max * 1e-8 if r_min is None else r_min
+    if not (0 < lo < r_max):
+        raise InvalidArgumentError("r_min must lie in (0, r_max)")
+    geo = lo * (r_max / lo) ** (np.arange(ncells) / (ncells - 1))
+    return FreqGrid(dim=d, kind="radial", cell_bounds=np.concatenate([[0.0], geo]))
 
 
 def make_tensor_grid(d: int, extent: float, count: int) -> FreqGrid:
@@ -532,11 +526,11 @@ def convolve(kernel: LatticeKernel, u_hat: FreqFunction) -> FreqFunction:
 # piecewise quadratic through each cell's three Gauss nodes; the kernel
 # moments are computed exactly near the singular point s = r and by Gauss-7
 # where the kernel is smooth (exact far-field expansion is catastrophically
-# ill-conditioned).  The Gauss-7 far field takes one of two routes: on
-# geometric cells with a power or log kernel it depends on the cell offset
-# only and is one FFT convolution (``_geometric_sum``); otherwise (uniform
-# cells, smooth kernels, and the linear first cell of a log-uniform grid) it
-# is summed directly over blocks of evaluation radii (``_direct_sum``).
+# ill-conditioned).  The kernel is a power or log one, and the grid's cells
+# past the linear first one are geometric, so the Gauss-7 far field over them
+# depends on the cell offset only and is one FFT convolution
+# (``_geometric_sum``); the linear first cell is summed directly over blocks
+# of evaluation radii (``_direct_sum``).
 
 def _prim_int(i: int, lo, hi, q=None, log=False):
     """integral of u^i * u^q du (or u^i ln u du) on [lo, hi], lo >= 0."""
@@ -558,40 +552,19 @@ def _exact_moments(m_shift, sign, lo, hi, q, log):
 
 
 class RadialKernel3D:
-    """Primitive Q of tau*V(tau) for the catalog kinds, dim = 3."""
+    """Primitive Q of tau*V(tau) for a power profile C tau^a, dim = 3:
+    C u^(a+2)/(a+2), or C ln u at a = -2."""
 
     def __init__(self, profile: RadialProfile, coeff: float = 1.0):
-        k, p = profile.kind, profile.params
-        self.q = None
-        self.log = False
-        self.smoothQ = None
-        if k == "power":
-            C, a = p
-            if abs(a + 2.0) < 1e-14:
-                self.log = True
-                self.scale = coeff * C
-            else:
-                self.q = a + 2.0  # tau * C tau^(a+1) integrates to C u^(a+2)/(a+2)
-                self.scale = coeff * C / (a + 2.0)
-        elif k == "rational_bracket":
-            A, c, m = p
-            if abs(m - 1.0) < 1e-14:
-                self.smoothQ = lambda u: coeff * A / (2.0 * c) * np.log1p(c * u * u)
-            else:
-                self.smoothQ = lambda u: -coeff * A * (1.0 + c * u * u) ** (1.0 - m) / (2.0 * c * (m - 1.0))
-        elif k == "gaussian":
-            A, c = p
-            self.smoothQ = lambda u: -coeff * A * np.exp(-c * u * u) / (2.0 * c)
-        else:
-            raise UnsupportedKindError(f"no radial kernel primitive for kind {k!r}")
+        if profile.kind != "power":
+            raise UnsupportedKindError(f"no radial kernel primitive for kind {profile.kind!r}")
+        C, a = profile.params
+        self.log = abs(a + 2.0) < 1e-14
+        self.q = None if self.log else a + 2.0  # tau * C tau^(a+1) integrates to C u^q / q
+        self.scale = coeff * C if self.log else coeff * C / self.q
 
     def tail_series(self):
         """(c_k, p_k) with Q(s+r) - Q(s-r) = sum_k c_k r^(2k+1) s^(p_k) for s >> r."""
-        if self.smoothQ is not None:
-            # smooth catalog kernels decay fast or grow at most like log; the
-            # profiles paired with them decay fast enough that the plain
-            # truncation is negligible, so no series correction is offered.
-            return None
         if self.log:
             return [(2.0 * self.scale / (2 * k + 1), -(2 * k + 1)) for k in range(3)]
         q = self.q
@@ -621,12 +594,19 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
 
     ``tail_profile`` (typically u's own profile) supplies the power-law
     model used for the analytic s > r_max correction; without it the
-    integral is truncated at the grid edge.
+    integral is truncated at the grid edge.  Cells past the first that are
+    not geometric are an UnsupportedScaleError, and a tail model whose part
+    beyond r_max diverges is a NotInSpaceError, both before any cell is summed.
     """
     g = u_hat.grid
     if g.kind != "radial" or g.dim != 3:
         raise DimensionMismatchError("radial_convolve_3d needs a 3-D Gauss-cell radial grid")
-    bounds = g.cell_bounds
+    rho = _geometric_ratio(g)
+    if rho is None:
+        raise UnsupportedScaleError(
+            "radial_convolve_3d needs geometric cells past the first, as make_radial_grid builds")
+    bounds, r_all = g.cell_bounds, g.nodes
+    tail = _tail_correction(kernel, tail_profile, bounds[-1], r_all)
     a, b = bounds[:-1], bounds[1:]
     c = 0.5 * (a + b)
     h = b - a
@@ -639,17 +619,12 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
     d7 = s7 - c[:, None]
     # that quadratic times the Gauss-7 weight at each of the cell's points
     gq = 0.5 * h[:, None] * _GW7 * (coef[:, :1] + coef[:, 1:2] * d7 + coef[:, 2:] * d7 * d7)
-    r_all = g.nodes
-    rho = None if kernel.smoothQ is not None else _geometric_ratio(g)
-    if rho is None:
-        out = _direct_sum(kernel, r_all, a, b, coef, gq, s7)
-    else:
-        # the linear cell [0, r_min] directly, as a row block and a column
-        out = np.empty(len(r_all))
-        out[:3] = _direct_sum(kernel, r_all[:3], a, b, coef, gq, s7)
-        out[3:] = _direct_sum(kernel, r_all[3:], a[:1], b[:1], coef[:1], gq[:1], s7[:1])
-        out[3:] += _geometric_sum(kernel, rho, r_all[3:], a[1:], b[1:], coef[1:], gq[1:], s7[1:])
-    return 2.0 * np.pi / r_all * out + _tail_correction(kernel, tail_profile, bounds[-1], r_all)
+    # the linear cell [0, r_min] directly, as a row block and a column
+    out = np.empty(len(r_all))
+    out[:3] = _direct_sum(kernel, r_all[:3], a, b, coef, gq, s7)
+    out[3:] = _direct_sum(kernel, r_all[3:], a[:1], b[:1], coef[:1], gq[:1], s7[:1])
+    out[3:] += _geometric_sum(kernel, rho, r_all[3:], a[1:], b[1:], coef[1:], gq[1:], s7[1:])
+    return 2.0 * np.pi / r_all * out + tail
 
 
 def _direct_sum(kernel: RadialKernel3D, r_all, a, b, coef, gq, s7) -> np.ndarray:
@@ -658,10 +633,7 @@ def _direct_sum(kernel: RadialKernel3D, r_all, a, b, coef, gq, s7) -> np.ndarray
     c = 0.5 * (a + b)
     h = b - a
     gq = gq.ravel()
-    exact = kernel.smoothQ is None
-    if not exact:
-        Q = kernel.smoothQ
-    elif kernel.log:  # in place: a block holds two (rows, cells, 7) arrays at a time
+    if kernel.log:  # in place: a block holds two (rows, cells, 7) arrays at a time
         Q = lambda u: np.multiply(np.log(u, out=u), kernel.scale, out=u)
     else:
         Q = lambda u: np.multiply(np.power(u, kernel.q, out=u), kernel.scale, out=u)
@@ -672,22 +644,18 @@ def _direct_sum(kernel: RadialKernel3D, r_all, a, b, coef, gq, s7) -> np.ndarray
         plus = r[..., None] + s7
         minus = r[..., None] - s7
         np.abs(minus, out=minus)
-        if exact:
-            # cells within 3h of the singular point s = -r (of Q(r+s)) or
-            # s = r (of Q(|r-s|)) take exact moments; Q never sees them
-            near_p = r + c <= 3.0 * h
-            near_m = np.abs(r - c) <= 3.0 * h
-            plus[near_p] = 1.0
-            minus[near_m] = 1.0
+        # cells within 3h of the singular point s = -r (of Q(r+s)) or
+        # s = r (of Q(|r-s|)) take exact moments; Q never sees them
+        near_p = r + c <= 3.0 * h
+        near_m = np.abs(r - c) <= 3.0 * h
+        plus[near_p] = 1.0
+        minus[near_m] = 1.0
         plus, minus = Q(plus), Q(minus)
-        if exact:
-            plus[near_p] = 0.0
-            minus[near_m] = 0.0
+        plus[near_p] = 0.0
+        minus[near_m] = 0.0
         plus -= minus
         acc = plus.reshape(len(r), -1) @ gq
-        if exact:
-            acc += _near_moments(kernel, r[:, 0], a, b, coef,
-                                 np.nonzero(near_p), np.nonzero(near_m))
+        acc += _near_moments(kernel, r[:, 0], a, b, coef, np.nonzero(near_p), np.nonzero(near_m))
         out[start:start + len(r)] = acc
     return out
 
@@ -713,9 +681,9 @@ def _near_moments(kernel: RadialKernel3D, r, a, b, coef, near_p, near_m) -> np.n
 
 
 def _geometric_ratio(g: FreqGrid) -> float | None:
-    """rho when the cells past the first are [lo rho^j, lo rho^(j+1)] (as
-    ``make_radial_grid(..., "log-uniform")`` builds them, to 1e-12 relative),
-    else None.  The grid derives each cell's Gauss-3 nodes from its bounds."""
+    """rho when the cells past the first are [lo rho^j, lo rho^(j+1)] to
+    1e-12 relative, as ``make_radial_grid`` builds them; else None (a
+    hand-built grid).  The grid derives each cell's Gauss-3 nodes from its bounds."""
     bounds = g.cell_bounds
     lo, M = bounds[1], len(bounds) - 2
     if bounds[0] != 0.0 or M < 1:
@@ -835,17 +803,18 @@ def _offset_pairs(near: np.ndarray, M: int, start: int, stop: int):
 def _tail_correction(kernel: RadialKernel3D, tail_profile: RadialProfile | None,
                      R: float, r: np.ndarray):
     """(2 pi / r) times the analytic s > R part of the integral, from every
-    term of u's tail model; 0 without a power-law series for the kernel or a
-    tail model for u."""
-    series = kernel.tail_series()
+    term of u's tail model; 0 without a tail model for u.  A term whose
+    integral beyond R diverges is a NotInSpaceError."""
     terms = None if tail_profile is None else tail_profile.tail_terms()
-    if series is None or not terms:
+    if not terms:
         return 0.0
     corr = np.zeros_like(r)
     # integrand beyond R: (s * u(s)) * ck r^(2k+1) s^pk with u ~ Au s^pu
-    for kk, (ck, pk) in enumerate(series):
+    for kk, (ck, pk) in enumerate(kernel.tail_series()):
         for (Au, pu) in terms:
             expo = 1.0 + pu + pk
-            if expo < -1.0:
-                corr += ck * Au * r ** (2 * kk + 1) * (-R ** (expo + 1.0) / (expo + 1.0))
+            if expo >= -1.0:
+                raise NotInSpaceError(
+                    f"the convolution's tail diverges: s^{expo:g} beyond the grid edge")
+            corr += ck * Au * r ** (2 * kk + 1) * (-R ** (expo + 1.0) / (expo + 1.0))
     return 2.0 * np.pi / r * corr

@@ -39,6 +39,7 @@ from .bounds import mu_tilde, sigma_exponent
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
+    UnsupportedKindError,
     UnsupportedScaleError,
 )
 from .grid import (
@@ -101,6 +102,11 @@ class OperatorPlan:
                 raise UnsupportedScaleError("radial multiplication implemented for N=1, n=3")
             if any(t.shift for _, _, _, t, _ in terms):
                 raise UnsupportedScaleError("shifted terms need a tensor grid")
+            for role, _, _, t, _ in terms:
+                if t.kind not in ("coulomb", "inverse_power"):
+                    raise UnsupportedKindError(
+                        f"{role} term of kind {t.kind!r}: radial grids convolve power kernels "
+                        "only (coulomb, inverse_power)")
             return [RadialKernel3D(fourier_transform(t, dim), coeff=t.coeff)
                     for _, _, _, t, dim in terms]
         return [(t.coeff, lattice_kernel(fourier_transform(t, dim), g, role,

@@ -595,7 +595,7 @@ def high_band_barron_norm(profile: RadialProfile, gamma: float) -> float:
     r_max = _BAND_R_MAX
     if _power_tail(terms, 1.0, gamma, 3, r_max) is None:
         raise NotInSpaceError(f"{profile.kind} profile not in B^{gamma}: its tail diverges")
-    grid = make_radial_grid(3, r_max, 3 * 1500, "log-uniform", r_min=1e-6)
+    grid = make_radial_grid(3, r_max, 3 * 1500, r_min=1e-6)
     base = fl_norm(project_high(sample_profile(profile, grid), _BAND_LO), SpaceIndex(gamma, 1.0))
     tail = 0.0
     for A, p in terms:
@@ -704,4 +704,4 @@ def sharp_example_residual(delta: float, ncells: int = 3 * 150,
 def _residual_grid(example: SharpExample, ncells: int) -> FreqGrid:
     """``ncells`` log-uniform nodes up to radius 2000, 800 for a tabulated profile."""
     r_max = 800.0 if example.psi_profile is None else 2000.0
-    return make_radial_grid(3, r_max, ncells, "log-uniform", r_min=1e-4)
+    return make_radial_grid(3, r_max, ncells, r_min=1e-4)

@@ -192,7 +192,7 @@ def profile_norm_report(profile: RadialProfile, idx: SpaceIndex, n: int,
 
 def default_norm_grid(n: int) -> FreqGrid:
     """The radial grid profile norms take by default: 3600 log-uniform nodes on [0, 200]."""
-    return make_radial_grid(n, 200.0, 3 * 1200, "log-uniform", r_min=1e-8)
+    return make_radial_grid(n, 200.0, 3 * 1200, r_min=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def embedding_constant(src: tuple, dst: tuple, n: int) -> float:
 
 def epsilon_ball_integral(k: float, n: int) -> float:
     """int_{|xi|<=k} <xi>^(-n) d xi by radial quadrature."""
-    grid = make_radial_grid(n, float(k), 3000, "log-uniform", r_min=min(1e-8 * k, 1e-8))
+    grid = make_radial_grid(n, float(k), 3000, r_min=min(1e-8 * k, 1e-8))
     return float(np.sum(grid.trapezoid_weights() * grid.bracket_power(-n)))
 
 

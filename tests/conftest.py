@@ -318,21 +318,14 @@ def reference_radial_convolve_3d(kernel, u_hat, tail_profile=None):
     VinvT = np.transpose(np.linalg.inv(V), (0, 2, 1))
     r_eval = g.nodes
 
-    if kernel.smoothQ is not None:
-        Qm = lambda r: (lambda s: kernel.smoothQ(np.abs(r - s)))
-        Qp = lambda r: (lambda s: kernel.smoothQ(r + s))
-        exactable = False
-    else:
-        q, log = kernel.q, kernel.log
-        scale = kernel.scale
-        Qm = lambda r: (lambda s: scale * (np.log(np.abs(r - s)) if log else np.abs(r - s) ** q))
-        Qp = lambda r: (lambda s: scale * (np.log(r + s) if log else (r + s) ** q))
-        exactable = True
+    q, log, scale = kernel.q, kernel.log, kernel.scale
+    Qm = lambda r: (lambda s: scale * (np.log(np.abs(r - s)) if log else np.abs(r - s) ** q))
+    Qp = lambda r: (lambda s: scale * (np.log(r + s) if log else (r + s) ** q))
 
     out = np.empty(len(r_eval))
     for idx, r in enumerate(np.asarray(r_eval, dtype=float)):
         m_abs = np.zeros((ncells, 3))
-        near = np.abs(r - c) <= 3.0 * h if exactable else np.zeros(ncells, dtype=bool)
+        near = np.abs(r - c) <= 3.0 * h
         far = ~near
         if far.any():
             m_abs[far] = _gauss7_moments(Qm(r), c[far], a[far], b[far])
@@ -353,7 +346,7 @@ def reference_radial_convolve_3d(kernel, u_hat, tail_profile=None):
                     kernel.q, kernel.log)
             m_abs[near] = acc
         m_plus = np.zeros((ncells, 3))
-        nearp = (r + c) <= 3.0 * h if exactable else np.zeros(ncells, dtype=bool)
+        nearp = (r + c) <= 3.0 * h
         farp = ~nearp
         if farp.any():
             m_plus[farp] = _gauss7_moments(Qp(r), c[farp], a[farp], b[farp])

@@ -59,7 +59,7 @@ def test_criterion_1_gamma_constants():
         from flbarron.grid import RadialProfile
 
         prof = RadialProfile("rational_bracket", (1.0, 1.0, gamma))
-        g = make_radial_grid(n, 1e5, 9000, "log-uniform")
+        g = make_radial_grid(n, 1e5, 9000)
         return profile_norm_report(prof, SpaceIndex(0.0, 1.0), n, grid=g).value
 
     cross = {
@@ -67,7 +67,7 @@ def test_criterion_1_gamma_constants():
         "bracket(2,3)": (bracket_quad(2.0, 3), math.pi ** 2),
     }
     # c_{1,3} via a Parseval ratio of gaussian integrals
-    g = make_radial_grid(3, 40.0, 3000, "log-uniform")
+    g = make_radial_grid(3, 40.0, 3000)
     gauss = np.exp(-math.pi * g.nodes ** 2)
     lhs = float(np.sum(4 * math.pi * g.weights * g.nodes ** 2 * gauss / g.nodes))
     rhs_over_c = float(np.sum(4 * math.pi * g.weights * g.nodes ** 2 * gauss / g.nodes ** 2))
@@ -359,7 +359,7 @@ def test_criterion_7_solver_regression():
 def test_criterion_8_bootstrap():
     # eigenfunction data
     ex = sharp_example_potential(1.0, 3)
-    g3 = make_radial_grid(3, 2000.0, 240, "log-uniform", r_min=1e-4)
+    g3 = make_radial_grid(3, 2000.0, 240, r_min=1e-4)
     psi = sample_profile(ex.psi_profile, g3)
     rep_e = SV.bootstrap_series(ex.hamiltonian, "eigen", psi, s=0.0, alpha=2.4,
                                 beta=0.75, energy=ex.eigenvalue)
@@ -410,7 +410,7 @@ def test_criterion_9_embedding_demos():
     coul = fourier_transform(PotentialTerm("coulomb"), 3)
     partials, splits = [], []
     for R in (25.0, 50.0, 100.0, 200.0):
-        g = make_radial_grid(3, R, 3000, "log-uniform", r_min=1e-8)
+        g = make_radial_grid(3, R, 3000, r_min=1e-8)
         partials.append(fl_norm(sample_profile(coul, g), SpaceIndex(-1.0, 1.0)))
         v, _ = split_norm(coul, SplitIndex(0.0, 2.0, 1.0), 3, grid=g)
         splits.append(v)

@@ -15,7 +15,7 @@ from flbarron.potentials import HamiltonianSpec, PotentialSpec, PotentialTerm
 def bracket_quadrature(gamma, n):
     from flbarron.spaces import SpaceIndex, profile_norm_report
 
-    g = make_radial_grid(n, 1e5, 9000, "log-uniform")
+    g = make_radial_grid(n, 1e5, 9000)
     prof = RadialProfile("rational_bracket", (1.0, 1.0, gamma))
     return profile_norm_report(prof, SpaceIndex(0.0, 1.0), n, grid=g).value
 

@@ -82,14 +82,11 @@ CASES = {  # id: (call, error class, message fragment)
         lambda: FreqGrid(1, "tensor", count=3),
         InvalidArgumentError, "needs extent and count"),
     "radial_r_min_above_r_max": (
-        lambda: make_radial_grid(3, 1.0, 30, "log-uniform", r_min=2.0),
+        lambda: make_radial_grid(3, 1.0, 30, r_min=2.0),
         InvalidArgumentError, "r_min must lie"),
     "radial_r_min_zero": (
-        lambda: make_radial_grid(3, 1.0, 30, "log-uniform", r_min=0.0),
+        lambda: make_radial_grid(3, 1.0, 30, r_min=0.0),
         InvalidArgumentError, "r_min must lie"),
-    "radial_unknown_scheme": (
-        lambda: make_radial_grid(3, 1.0, 30, "cubic"),
-        InvalidArgumentError, "unknown scheme"),
     "profile_unknown_kind": (
         lambda: RadialProfile("nope")(1.0),
         UnsupportedKindError, "unknown profile kind"),
@@ -115,6 +112,9 @@ CASES = {  # id: (call, error class, message fragment)
     "radial_kernel_of_log": (
         lambda: RadialKernel3D(RadialProfile("log_kernel", (-2.0,))),
         UnsupportedKindError, "no radial kernel primitive"),
+    "radial_kernel_of_gaussian": (
+        lambda: RadialKernel3D(RadialProfile("gaussian", (1.0, 1.0))),
+        UnsupportedKindError, "no radial kernel primitive for kind 'gaussian'"),
     # operator plans and probing
     "radial_plan_n1": (
         lambda: radial_multiply(one_particle(1, PotentialTerm("gaussian"))),
@@ -122,6 +122,13 @@ CASES = {  # id: (call, error class, message fragment)
     "radial_plan_shifted_term": (
         lambda: radial_multiply(one_particle(3, PotentialTerm("coulomb", shift=(0.5, 0.0, 0.0)))),
         UnsupportedScaleError, "shifted terms need a tensor grid"),
+    "radial_plan_yukawa_term": (
+        lambda: radial_multiply(one_particle(3, PotentialTerm("yukawa", {"mu": 1.0}))),
+        UnsupportedKindError, "one_particle term of kind 'yukawa'"),
+    "radial_plan_gaussian_term": (
+        lambda: radial_multiply(HamiltonianSpec(
+            PotentialSpec(3, 1, additive=PotentialTerm("gaussian")), (1.0,))),
+        UnsupportedKindError, "additive term of kind 'gaussian'"),
     "probe_zero_probes": (
         lambda: O.empirical_operator_norm("identity", FREE, tensor(), S.SpaceIndex(0, 1),
                                           S.SpaceIndex(0, 1), probes=0, seed=0),

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from scipy.special import dawsn
 
 from flbarron import grid as grid_module
-from flbarron.errors import DimensionMismatchError, InvalidArgumentError, UnsupportedScaleError
+from flbarron.errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    NotInSpaceError,
+    UnsupportedScaleError,
+)
 from flbarron.grid import (
     MAX_TENSOR_SAMPLES,
     FreqFunction,
@@ -33,7 +38,14 @@ from flbarron.grid import (
     tabulated_profile,
 )
 
-from flbarron.potentials import PotentialSpec, PotentialTerm, fourier_transform
+from flbarron.operators import OperatorPlan
+from flbarron.potentials import (
+    PotentialSpec,
+    PotentialTerm,
+    fourier_transform,
+    sharp_example_potential,
+)
+from flbarron.solver import tabulate_sharp_transform
 
 from conftest import (
     reference_direct_V,
@@ -44,25 +56,19 @@ from conftest import (
 
 
 class TestMakeRadialGrid:
-    def test_uniform_spans_interval(self):
-        g = make_radial_grid(3, 1.0, 1000, "uniform")
-        assert g.nodes[0] > 0
-        assert g.nodes[0] < 2e-3
-        assert g.nodes[-1] > 0.998
-        assert np.all(np.diff(g.nodes) > 0)
-        assert np.all(g.weights > 0)
-
     def test_log_uniform_reaches_small_radii(self):
-        g = make_radial_grid(1, 100.0, 4096, "log-uniform")
+        g = make_radial_grid(1, 100.0, 4096)
         assert g.nodes[0] < 1e-6
         # geometric spacing in the bulk
         mids = g.cell_bounds[2:-1] / g.cell_bounds[1:-2]
         assert np.allclose(mids, mids[0], rtol=1e-8)
 
-    @pytest.mark.parametrize("scheme", ["uniform", "log-uniform"])
+    # log-uniform cells after the default first cell [0, 2e-8], and after a
+    # linear first cell [0, 1] as wide as the geometric ones together
+    @pytest.mark.parametrize("r_min", [None, 1.0], ids=["log-uniform", "wide_first_cell"])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-    def test_cubic_exactness(self, scheme, degree):
-        g = make_radial_grid(1, 2.0, 60, scheme)
+    def test_cubic_exactness(self, r_min, degree):
+        g = make_radial_grid(1, 2.0, 60, r_min=r_min)
         exact = 2.0 ** (degree + 1) / (degree + 1)
         approx = float(np.sum(g.weights * g.nodes ** degree))
         assert abs(approx - exact) <= 1e-10 * exact
@@ -74,12 +80,15 @@ class TestMakeRadialGrid:
             make_radial_grid(3, 1.0, 4)
         with pytest.raises(InvalidArgumentError):
             make_radial_grid(0, 1.0, 100)
+        # r_min is keyword-only: a scheme name in its old place is never read as a radius
+        with pytest.raises(TypeError):
+            make_radial_grid(3, 1.0, 30, "log-uniform")
 
     @pytest.mark.parametrize("r_max", [math.inf, math.nan])
     def test_non_finite_r_max_named(self, r_max):
         # inf used to fail as "r_min must lie in (0, r_max)", a value never passed
         with pytest.raises(InvalidArgumentError, match="r_max must be positive and finite"):
-            make_radial_grid(3, r_max, 30, "log-uniform")
+            make_radial_grid(3, r_max, 30)
 
 
 class TestMakeTensorGrid:
@@ -114,10 +123,11 @@ class TestGeometry:
         assert np.array_equal(g.trapezoid_weights(), w)
 
     @given(dim=st.integers(1, 3), r_max=st.floats(0.1, 1e3), count=st.integers(9, 300),
-           scheme=st.sampled_from(["uniform", "log-uniform"]))
+           r_min_frac=st.one_of(st.none(), st.floats(1e-10, 0.5)))
     @settings(max_examples=40, deadline=None)
-    def test_radial_matches_reference(self, dim, r_max, count, scheme):
-        g = make_radial_grid(dim, r_max, count, scheme)
+    def test_radial_matches_reference(self, dim, r_max, count, r_min_frac):
+        r_min = None if r_min_frac is None else r_min_frac * r_max
+        g = make_radial_grid(dim, r_max, count, r_min=r_min)
         _, r, w = reference_geometry(g)
         assert np.array_equal(g.radius_mesh(), r)
         assert np.array_equal(g.trapezoid_weights(), w)
@@ -145,7 +155,7 @@ class TestGeometry:
 
     def test_radial_weights_integrate_over_r_d(self):
         # int_{|xi| <= 1} d xi = 4 pi / 3 in three dimensions
-        g = make_radial_grid(3, 1.0, 60, "uniform")
+        g = make_radial_grid(3, 1.0, 60)
         assert float(np.sum(g.trapezoid_weights())) == pytest.approx(4 * math.pi / 3, rel=1e-13)
 
     def test_stacks_only_on_tensor_grids(self):
@@ -244,22 +254,22 @@ class TestSampleKernelOnLattice:
 
 class TestRadialIntegral:
     def test_lorentzian_1d(self):
-        g = make_radial_grid(1, 1e4, 6000, "log-uniform")
+        g = make_radial_grid(1, 1e4, 6000)
         f = sample_profile(RadialProfile("rational_bracket", (1.0, 1.0, 1.0)), g)
         assert radial_integral(f) == pytest.approx(math.pi, rel=1e-3)
 
     def test_bracket4_3d(self):
-        g = make_radial_grid(3, 1e6, 9000, "log-uniform")
+        g = make_radial_grid(3, 1e6, 9000)
         f = sample_profile(RadialProfile("rational_bracket", (1.0, 1.0, 2.0)), g)
         assert radial_integral(f) == pytest.approx(math.pi ** 2, rel=1e-4)
 
     def test_unit_function_truncated(self):
-        g = make_radial_grid(1, 1.0, 99, "uniform")
+        g = make_radial_grid(1, 1.0, 99)
         f = FreqFunction(g, np.ones_like(g.nodes))
         assert radial_integral(f) == pytest.approx(2.0, abs=1e-12)
 
     def test_homogeneity(self):
-        g = make_radial_grid(2, 10.0, 300, "uniform")
+        g = make_radial_grid(2, 10.0, 300)
         f = sample_profile(RadialProfile("gaussian", (1.0, 1.0)), g)
         a = radial_integral(f)
         b = radial_integral(f.copy_with(3.5 * np.asarray(f.values)))
@@ -268,7 +278,7 @@ class TestRadialIntegral:
     def test_refinement_second_order_or_better(self):
         vals = []
         for count in (60, 120, 240):
-            g = make_radial_grid(3, 30.0, count, "uniform")
+            g = make_radial_grid(3, 30.0, count)
             f = sample_profile(RadialProfile("rational_bracket", (1.0, 1.0, 2.0)), g)
             vals.append(radial_integral(f))
         d1 = abs(vals[1] - vals[0])
@@ -408,33 +418,11 @@ class TestConvolve:
 
 
 class TestRadialConvolve3D:
-    @pytest.mark.parametrize("profile", [
-        RadialProfile("gaussian", (1.7, 0.05)),
-        RadialProfile("rational_bracket", (2.3, 0.4, 1.0)),  # the Yukawa kernel's log1p form
-        RadialProfile("rational_bracket", (2.3, 0.4, 1.5)),
-    ], ids=lambda p: f"{p.kind}{p.params}")
-    def test_smooth_primitive_differentiates_to_tau_v(self, profile):
-        # Q' = coeff * u * V(u): a central difference of step 1e-5 resolves it far below 1e-7
-        coeff, h = -0.7, 1e-5
-        Q = RadialKernel3D(profile, coeff=coeff).smoothQ
-        u = np.geomspace(0.1, 20.0, 9)
-        slope = (Q(u + h) - Q(u - h)) / (2.0 * h)
-        np.testing.assert_allclose(slope, coeff * u * profile(u), rtol=1e-7, atol=0.0)
-
-    def test_gaussian_closed_form(self):
-        # exp(-a|.|^2) * exp(-b|.|^2) in R^3 = (pi/(a+b))^(3/2) exp(-ab/(a+b) r^2)
-        a, b = 1.0, 2.0
-        g = make_radial_grid(3, 8.0, 300)
-        u = sample_profile(RadialProfile("gaussian", (1.0, b)), g)
-        out = radial_convolve_3d(RadialKernel3D(RadialProfile("gaussian", (1.0, a))), u)
-        expected = (math.pi / (a + b)) ** 1.5 * np.exp(-a * b / (a + b) * g.nodes ** 2)
-        assert np.max(np.abs(out - expected)) <= 2e-9 * np.max(expected)
-
     def test_inverse_square_closed_form(self):
         # |.|^-2 * exp(-b|.|^2) in R^3 = 2 pi^(3/2) D(sqrt(b) r) / (b r), D = Dawson's
         # integral; the kernel's log primitive takes exact moments near s = r
         b = 2.0
-        g = make_radial_grid(3, 8.0, 300, "log-uniform", r_min=1e-3)
+        g = make_radial_grid(3, 8.0, 300, r_min=1e-3)
         u = sample_profile(RadialProfile("gaussian", (1.0, b)), g)
         out = radial_convolve_3d(RadialKernel3D(RadialProfile("power", (1.0, -2.0))), u)
         r = g.nodes
@@ -444,7 +432,7 @@ class TestRadialConvolve3D:
     @staticmethod
     def case(name):
         """(kernel, u, tail_profile) on a log-uniform 3-D grid."""
-        g = make_radial_grid(3, 300.0, 450, "log-uniform", r_min=1e-4)
+        g = make_radial_grid(3, 300.0, 450, r_min=1e-4)
         prof = RadialProfile("rational_bracket", (1.7, 1.0, 2.0))
         u = sample_profile(prof, g)
         power = RadialKernel3D(RadialProfile("power", (0.8, -1.5)), coeff=1.3)
@@ -452,8 +440,6 @@ class TestRadialConvolve3D:
             return power, u, prof
         if name == "log":
             return RadialKernel3D(RadialProfile("power", (-0.6, -2.0))), u, prof
-        if name == "rational_bracket":
-            return RadialKernel3D(RadialProfile("rational_bracket", (0.9, 2.0, 1.5))), u, prof
         if name == "tabulated_tail":
             tab = tabulated_profile(g.nodes, u.values, tail_model=((1.7, -4.0), (-3.4, -6.0)))
             return power, u, tab
@@ -465,8 +451,8 @@ class TestRadialConvolve3D:
             return RadialKernel3D(fourier_transform(term, 3), coeff=term.coeff), u, prof
         raise ValueError(name)
 
-    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket", "tabulated_tail",
-                                      "sharp_t1", "sharp_t0.5", "sharp_t1.25", "sharp_t1.5"])
+    @pytest.mark.parametrize("name", ["power", "log", "tabulated_tail", "sharp_t1", "sharp_t0.5",
+                                      "sharp_t1.25", "sharp_t1.5"])
     def test_matches_per_radius_reference(self, name):
         kernel, u, tail = self.case(name)
         ref = reference_radial_convolve_3d(kernel, u, tail_profile=tail)
@@ -476,41 +462,48 @@ class TestRadialConvolve3D:
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("name", ["power", "log", "rational_bracket",
-                                      "sharp_t1", "sharp_t0.5", "sharp_t1.25", "sharp_t1.5"])
+    @pytest.mark.parametrize("name", ["power", "log", "sharp_t1", "sharp_t0.5", "sharp_t1.25",
+                                      "sharp_t1.5"])
     def test_geometric_cells_take_the_fft_route(self, name, monkeypatch):
-        # the FFT far field runs exactly for power and log kernels on geometric cells
+        # every grid that make_radial_grid builds takes the FFT far field, once per call
         kernel, u, prof = self.case(name)
         calls = []
         fft_sum = grid_module._geometric_sum
         monkeypatch.setattr(grid_module, "_geometric_sum",
                             lambda *args: calls.append(1) or fft_sum(*args))
         radial_convolve_3d(kernel, u, tail_profile=prof)
-        assert len(calls) == (kernel.smoothQ is None)
-        uniform = make_radial_grid(3, 300.0, 450)
-        radial_convolve_3d(kernel, sample_profile(prof, uniform), tail_profile=prof)
-        assert _geometric_ratio(uniform) is None and len(calls) == (kernel.smoothQ is None)
+        assert len(calls) == 1
+        default = make_radial_grid(3, 300.0, 450)
+        radial_convolve_3d(kernel, sample_profile(prof, default), tail_profile=prof)
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("name", ["power", "log"])
-    def test_non_geometric_cells_take_the_direct_sum(self, name):
-        # one bound moved off the geometric sequence: the direct sum runs and
-        # still matches the reference
-        kernel, u, prof = self.case(name)
+    @given(dim=st.integers(1, 3), r_max=st.floats(1e-3, 1e6), count=st.integers(8, 12000),
+           r_min_frac=st.one_of(st.none(), st.floats(1e-300, 0.999)))
+    @settings(max_examples=200, deadline=None)
+    def test_every_built_grid_is_geometric(self, dim, r_max, count, r_min_frac):
+        # radial_convolve_3d has no route for other cells, so every count a
+        # caller may pass must give bounds within _geometric_ratio's 1e-12
+        r_min = None if r_min_frac is None else r_min_frac * r_max
+        g = make_radial_grid(dim, r_max, count, r_min=r_min)
+        rho = _geometric_ratio(g)
+        assert rho is not None and rho > 1.0
+
+    def test_non_geometric_cells_are_rejected(self):
+        # one bound of a hand-built grid moved off the geometric sequence
+        kernel, u, prof = self.case("power")
         bounds = u.grid.cell_bounds.copy()
         bounds[40] *= 1.0 + 1e-9
         g = FreqGrid(3, "radial", cell_bounds=bounds)
         assert _geometric_ratio(g) is None
-        v = sample_profile(prof, g)
-        ref = reference_radial_convolve_3d(kernel, v, tail_profile=prof)
-        out = radial_convolve_3d(kernel, v, tail_profile=prof)
-        assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+        with pytest.raises(UnsupportedScaleError, match="geometric cells"):
+            radial_convolve_3d(kernel, sample_profile(prof, g), tail_profile=prof)
 
     @pytest.mark.parametrize("r_max, count, r_min", [
         (8.0, 300, 1e-3), (300.0, 450, 1e-4), (300.0, 9, 1e-4), (2000.0, 240, 1e-4),
         *[(r_max, count, 1e-4) for r_max in (800.0, 2000.0)
           for count in sorted({20, 90, *range(120, 1801, 30)})]])
     def test_offset_near_sets_are_the_coordinate_masks(self, r_max, count, r_min):
-        g = make_radial_grid(3, r_max, count, "log-uniform", r_min=r_min)
+        g = make_radial_grid(3, r_max, count, r_min=r_min)
         rho = _geometric_ratio(g)
         a, b = g.cell_bounds[1:-1], g.cell_bounds[2:]
         c, h, r = 0.5 * (a + b), b - a, g.nodes[3:, None]
@@ -549,8 +542,32 @@ class TestRadialConvolve3D:
         assert np.allclose(whole, parts, rtol=1e-14, atol=0.0)
         assert not np.allclose(whole, _tail_correction(kernel, lead, R, r), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("r_max", [1e2, 1e3, 1e4])
+    def test_diverging_tail_raises(self, r_max):
+        # q = 1/2 and u ~ s^-1.5: the leading tail term (s u) s^(q-1) ~ s^-1 has
+        # no finite integral beyond R, so any value returned would depend on r_max
+        g = make_radial_grid(3, r_max, 600, r_min=1e-4)
+        prof = RadialProfile("power", (1.0, -1.5))
+        with pytest.raises(NotInSpaceError, match="tail diverges"):
+            radial_convolve_3d(RadialKernel3D(prof), sample_profile(prof, g), tail_profile=prof)
+
+    @pytest.mark.parametrize("delta", [0.2, 0.5, 0.75, 1.0])
+    def test_sharp_example_tails_converge(self, delta):
+        # the example's kernels (|x|^-t, t in {2 - 2 delta, 2 - delta}, Coulomb at
+        # delta = 1) against psi's tail model: every term decays like s^(-2-2 delta) or faster
+        ex = sharp_example_potential(delta, 3)
+        g = make_radial_grid(3, 800.0, 120, r_min=1e-4)
+        psi = ex.psi_profile if delta == 1.0 else tabulate_sharp_transform(g.nodes, delta)
+        kernels = OperatorPlan(ex.hamiltonian, g)._kernels
+        assert kernels
+        for kernel in kernels:
+            expos = [1.0 + pu + pk for _, pk in kernel.tail_series() for _, pu in psi.tail_terms()]
+            assert max(expos) <= -2.0 - 2.0 * delta + 1e-12
+            corr = _tail_correction(kernel, psi, g.cell_bounds[-1], g.nodes)
+            assert np.all(np.isfinite(corr)) and np.any(corr != 0)
+
     def test_needs_3d_radial_grid(self, grid_1d):
-        kernel = RadialKernel3D(RadialProfile("gaussian", (1.0, 1.0)))
+        kernel = RadialKernel3D(fourier_transform(PotentialTerm("coulomb"), 3))
         with pytest.raises(DimensionMismatchError):
             radial_convolve_3d(kernel, FreqFunction(grid_1d, np.ones(grid_1d.shape)))
 

@@ -114,7 +114,7 @@ class TestMultiplyV:
     def test_complex_samples_rejected_on_radial_grids(self):
         # the bipolar convolution is real: complex samples fail by name, with
         # no imaginary part dropped, however small
-        grid = make_radial_grid(3, 50.0, 90, "log-uniform", r_min=1e-3)
+        grid = make_radial_grid(3, 50.0, 90, r_min=1e-3)
         pot = PotentialSpec(3, 1, one_particle=[(1, PotentialTerm("coulomb", {}))])
         plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid)
         real = np.exp(-grid.nodes)
@@ -246,7 +246,7 @@ class TestOperatorPlan:
             assert out.dtype == want
 
     def test_radial_plan_has_real_kernels(self):
-        pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
+        pot = PotentialSpec(3, 1, additive=PotentialTerm("coulomb"))
         grid = make_radial_grid(3, 6.0, 30)
         plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid)
         u = np.exp(-grid.nodes ** 2)
@@ -356,13 +356,14 @@ class TestQuadraticForm:
                                                                         stack.values[0])
 
     def test_radial_closed_forms(self):
-        # u_hat = exp(-pi r^2) is its own transform and V = exp(-pi |x|^2), so
-        # <Vu, u> = int exp(-3 pi |x|^2) dx, ||u||^2 = 2^(-3/2), ||grad u||^2 = 3 pi 2^(-3/2)
-        g = make_radial_grid(3, 6.0, 600, "log-uniform", r_min=1e-4)
+        # u_hat = exp(-pi r^2) is its own transform and V = |x|^-1, so
+        # <Vu, u> = int |x|^-1 exp(-2 pi |x|^2) dx = 1, ||u||^2 = 2^(-3/2),
+        # ||grad u||^2 = 3 pi 2^(-3/2)
+        g = make_radial_grid(3, 6.0, 600, r_min=1e-4)
         u = FreqFunction(g, np.exp(-math.pi * g.nodes ** 2))
-        pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
+        pot = PotentialSpec(3, 1, additive=PotentialTerm("coulomb"))
         plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), g)
-        assert plan.quad_form(u.values, u.values) == pytest.approx(3 ** -1.5, rel=1e-9)
+        assert plan.quad_form(u.values, u.values) == pytest.approx(1.0, rel=1e-9)
         l2, grad2 = O.sobolev_products(u)
         assert l2 == pytest.approx(2 ** -1.5, rel=1e-9)
         assert grad2 == pytest.approx(3 * math.pi * 2 ** -1.5, rel=1e-9)
@@ -489,7 +490,7 @@ class TestStacked:
         self.assert_slices_equal(stack, ref)
 
     def test_radial_plan_rejects_a_stack(self):
-        pot = PotentialSpec(3, 1, additive=PotentialTerm("gaussian"))
+        pot = PotentialSpec(3, 1, additive=PotentialTerm("coulomb"))
         grid = make_radial_grid(3, 6.0, 30)
         plan = O.OperatorPlan(HamiltonianSpec(pot, (1.0,)), grid)
         stack = np.ones((2,) + grid.shape)

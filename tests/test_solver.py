@@ -406,7 +406,7 @@ class TestEigenResidual:
 
     def test_wrong_eigenvalue_detected(self):
         ex = sharp_example_potential(1.0, 3)
-        g = make_radial_grid(3, 2000.0, 240, "log-uniform", r_min=1e-4)
+        g = make_radial_grid(3, 2000.0, 240, r_min=1e-4)
         psi = sample_profile(ex.psi_profile, g)
         bad = SV.eigen_residual(ex.hamiltonian, psi, 0.0, tail_profile=ex.psi_profile)
         good = SV.eigen_residual(ex.hamiltonian, psi, -0.5, tail_profile=ex.psi_profile)
@@ -434,7 +434,7 @@ class TestEigenResidual:
         ex = sharp_example_potential(delta, 3)
         bare = dataclasses.replace(ex, psi_profile=None)
         monkeypatch.setattr(SV, "sharp_example_potential", lambda d, n: bare)
-        g = make_radial_grid(3, 800.0, ncells, "log-uniform", r_min=1e-4)
+        g = make_radial_grid(3, 800.0, ncells, r_min=1e-4)
         prof = SV.tabulate_sharp_transform(g.nodes, delta)
         expected = SV.eigen_residual(ex.hamiltonian, sample_profile(prof, g), ex.eigenvalue,
                                      tail_profile=prof, r_eval_max=40.0)
@@ -734,7 +734,7 @@ class TestBlowupTable:
 
         monkeypatch.setattr(SV, "sharp_transform_radii", counting)
         SV.sharpness_experiment(0.75, gammas=(0.65, 0.7), residual_cells=120)
-        residual = make_radial_grid(3, 800.0, 120, "log-uniform", r_min=1e-4).nodes
+        residual = make_radial_grid(3, 800.0, 120, r_min=1e-4).nodes
         assert int(np.sum(residual <= SV._SEAM)) == 108
         # residual table, band table, one 16-point seam fit they share, pilot and window fits
         assert sum(counts) == 108 + 325 + 16 + 16 + 24 == 489

@@ -25,7 +25,7 @@ from conftest import random_complex, reference_fl_norm
 
 class TestFlNorm:
     def test_indicator_mass(self):
-        g = make_radial_grid(1, 1.0, 300, "uniform")
+        g = make_radial_grid(1, 1.0, 300)
         f = FreqFunction(g, np.ones_like(g.nodes))
         assert fl_norm(f, SpaceIndex(0.0, 1.0)) == pytest.approx(2.0, abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestFlNorm:
                 SplitIndex(s, 2.0, beta)
 
     def test_sup_norm_is_grid_max(self):
-        g = make_radial_grid(1, 10.0, 120, "uniform")
+        g = make_radial_grid(1, 10.0, 120)
         f = sample_profile(RadialProfile("rational_bracket", (3.0, 1.0, 0.5)), g)
         assert fl_norm(f, SpaceIndex(1.0, math.inf)) == pytest.approx(3.0, rel=1e-12)
 
@@ -86,7 +86,7 @@ class TestFlNorm:
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_smoothness(self, s, t):
         s, t = max(s, t), min(s, t)
-        g = make_radial_grid(2, 20.0, 120, "log-uniform")
+        g = make_radial_grid(2, 20.0, 120)
         f = sample_profile(RadialProfile("gaussian", (1.0, 0.3)), g)
         assert fl_norm(f, SpaceIndex(t, 1.0)) <= fl_norm(f, SpaceIndex(s, 1.0)) * (1 + 1e-12)
 
@@ -99,7 +99,7 @@ class TestProfileNormReport:
         (RadialProfile("gaussian", (3.0, 0.3)), 0.0, 0.0),
     ], ids=["tail_bound_wins", "grid_sup_wins"])
     def test_sup_norm_is_the_larger_of_grid_sup_and_tail_bound(self, profile, s, bound):
-        g = make_radial_grid(3, 10.0, 120, "uniform")
+        g = make_radial_grid(3, 10.0, 120)
         idx = SpaceIndex(s, math.inf)
         base = fl_norm(sample_profile(profile, g), idx)
         rep = profile_norm_report(profile, idx, 3, grid=g)
@@ -111,7 +111,7 @@ class TestProfileNormReport:
 
 class TestSplitNorm:
     def test_zero_function(self):
-        g = make_radial_grid(3, 10.0, 90, "uniform")
+        g = make_radial_grid(3, 10.0, 90)
         prof = RadialProfile("gaussian", (0.0, 1.0))
         value, split = split_norm(prof, SplitIndex(0.0, 2.0, 1.0), 3, grid=g)
         assert value == 0.0
@@ -119,7 +119,7 @@ class TestSplitNorm:
 
     def test_alpha_inf_equals_barron(self):
         prof = RadialProfile("gaussian", (2.0, 1.0))
-        g = make_radial_grid(3, 30.0, 600, "log-uniform")
+        g = make_radial_grid(3, 30.0, 600)
         value, split = split_norm(prof, SplitIndex(0.5, math.inf, 0.0), 3, grid=g)
         f = sample_profile(prof, g)
         direct = fl_norm(f, SpaceIndex(0.5, 1.0))
@@ -181,7 +181,7 @@ class TestSplitNorm:
         # level-set split at kappa = ||g||_p gives L^1 mass <= kappa and
         # L^r mass <= ||g||_p for any r >= p, samplewise on the grid
         rng = np.random.default_rng(7)
-        g = make_radial_grid(1, 5.0, 150, "uniform")
+        g = make_radial_grid(1, 5.0, 150)
         p = 2.0
         for _ in range(10):
             steps = rng.uniform(0, 3, size=len(g.nodes)) * (rng.random(len(g.nodes)) > 0.3)
