@@ -488,9 +488,10 @@ class TestRadialConvolve3D:
         rho = _geometric_ratio(g)
         assert rho is not None and rho > 1.0
 
-    def test_non_geometric_cells_are_rejected(self):
+    @pytest.mark.parametrize("name", ["power", "log"])
+    def test_non_geometric_cells_are_rejected(self, name):
         # one bound of a hand-built grid moved off the geometric sequence
-        kernel, u, prof = self.case("power")
+        kernel, u, prof = self.case(name)
         bounds = u.grid.cell_bounds.copy()
         bounds[40] *= 1.0 + 1e-9
         g = FreqGrid(3, "radial", cell_bounds=bounds)
