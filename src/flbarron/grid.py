@@ -528,9 +528,10 @@ def convolve(kernel: LatticeKernel, u_hat: FreqFunction) -> FreqFunction:
 # where the kernel is smooth (exact far-field expansion is catastrophically
 # ill-conditioned).  The kernel is a power or log one, and the grid's cells
 # past the linear first one are geometric, so the Gauss-7 far field over them
-# depends on the cell offset only and is one FFT convolution
-# (``_geometric_sum``); the linear first cell is summed directly over blocks
-# of evaluation radii (``_direct_sum``).
+# depends on the cell offset only and is one FFT convolution, and the exact
+# near moments scale from one table over that offset (``_geometric_sum``);
+# the linear first cell is summed directly over blocks of evaluation radii
+# (``_direct_sum``).
 
 def _prim_int(i: int, lo, hi, q=None, log=False):
     """integral of u^i * u^q du (or u^i ln u du) on [lo, hi], lo >= 0."""
@@ -581,10 +582,11 @@ class RadialKernel3D:
 
 # Element budget of one block's temporaries: ``_direct_sum`` takes evaluation
 # radii in blocks of at most this many (radius, cell, Gauss-7 point) triples,
-# and ``_geometric_sum`` takes its exact near moments in chunks of a sixteenth
-# of it (its FFT far field works one node of a cell at a time instead);
-# ``solver.sharp_transform_radii`` takes (radii x rule nodes) blocks of at
-# most this many float64.  128 KiB blocks reuse heap memory rather than raise the peak.
+# ``_offset_near_moments`` its table entries in blocks of at most this many
+# (entry, cell) pairs (the FFT far field works one node of a cell at a time
+# instead), and ``solver.sharp_transform_radii`` takes (radii x rule nodes)
+# blocks of at most this many float64.  128 KiB blocks reuse heap memory
+# rather than raise the peak.
 _BLOCK_ELEMS = 1 << 14
 
 
@@ -623,7 +625,7 @@ def radial_convolve_3d(kernel: RadialKernel3D, u_hat: FreqFunction,
     out = np.empty(len(r_all))
     out[:3] = _direct_sum(kernel, r_all[:3], a, b, coef, gq, s7)
     out[3:] = _direct_sum(kernel, r_all[3:], a[:1], b[:1], coef[:1], gq[:1], s7[:1])
-    out[3:] += _geometric_sum(kernel, rho, r_all[3:], a[1:], b[1:], coef[1:], gq[1:], s7[1:])
+    out[3:] += _geometric_sum(kernel, rho, r_all[3:], a[1:], coef[1:], gq[1:], s7[1:])
     return 2.0 * np.pi / r_all * out + tail
 
 
@@ -663,21 +665,25 @@ def _direct_sum(kernel: RadialKernel3D, r_all, a, b, coef, gq, s7) -> np.ndarray
 def _near_moments(kernel: RadialKernel3D, r, a, b, coef, near_p, near_m) -> np.ndarray:
     """Per radius, the exact moments of the (row, cell) pairs ``near_p`` of
     Q(r+s) and ``near_m`` of Q(|r-s|) against the cells' quadratics."""
-    c = 0.5 * (a + b)
     (ip, jp), (im, jm) = near_p, near_m
-    rp, rm = r[ip], r[im]
-    # Q(r+s) on [r+a, r+b]; Q(|r-s|) split at s = r into s < r and s > r
+    lo, hi, shift, sign = _near_pieces(r[ip], a[jp], b[jp], r[im], a[jm], b[jm])
     row = np.concatenate([ip, im, im])
     cell = np.concatenate([jp, jm, jm])
-    lo = np.concatenate([rp + a[jp], rm - np.minimum(b[jm], rm), np.maximum(a[jm], rm) - rm])
-    hi = np.concatenate([rp + b[jp], rm - a[jm], b[jm] - rm])
-    shift = np.concatenate([-(rp + c[jp]), rm - c[jm], rm - c[jm]])
-    counts = [len(ip), len(im), len(im)]
-    sign = np.repeat([1.0, -1.0, 1.0], counts)
-    weight = np.repeat([kernel.scale, -kernel.scale, -kernel.scale], counts)
+    weight = np.repeat([kernel.scale, -kernel.scale, -kernel.scale], [len(ip), len(im), len(im)])
     k = hi > lo
     mom = _exact_moments(shift[k], sign[k], lo[k], hi[k], kernel.q, kernel.log)
     return np.bincount(row[k], weight[k] * np.einsum("pj,pj->p", coef[cell[k]], mom), len(r))
+
+
+def _near_pieces(rp, ap, bp, rm, am, bm):
+    """(lo, hi, shift, sign) with which ``_exact_moments`` gives the moments of
+    Q(r+s) at rp over cells [ap, bp], then of Q(|r-s|) at rm over cells
+    [am, bm], split at s = r into s < r and s > r (pieces with hi <= lo are empty)."""
+    cp, cm = 0.5 * (ap + bp), 0.5 * (am + bm)
+    lo = np.concatenate([rp + ap, rm - np.minimum(bm, rm), np.maximum(am, rm) - rm])
+    hi = np.concatenate([rp + bp, rm - am, bm - rm])
+    shift = np.concatenate([-(rp + cp), rm - cm, rm - cm])
+    return lo, hi, shift, np.repeat([1.0, -1.0, 1.0], [len(rp), len(rm), len(rm)])
 
 
 def _geometric_ratio(g: FreqGrid) -> float | None:
@@ -709,35 +715,67 @@ def _offset_near_sets(rho: float, M: int):
     return ratio + mid <= reach, np.abs(ratio - mid) <= reach
 
 
-def _geometric_sum(kernel: RadialKernel3D, rho: float, r, a, b, coef, gq, s7) -> np.ndarray:
+def _geometric_sum(kernel: RadialKernel3D, rho: float, r, a, coef, gq, s7) -> np.ndarray:
     """``_direct_sum`` over M geometric cells at their own nodes, for a power or log kernel.
 
     With r = lo rho^I tau_p and s = lo rho^J sigma_k (node p of cell I,
     Gauss-7 point k of cell J), Q(r+s) - Q(|r-s|) is scale r^q [(1+t)^q -
     |1-t|^q] (power) or scale [log(1+t) - log|1-t|] (log) with t = rho^(J-I)
     sigma_k / tau_p, so the far field is, per (p, k), a convolution over the
-    offset I - J, taken by FFT.  A log kernel's log r cancels only where
-    both terms are far; where one term is near, the other still carries
-    scale log r times the cell's weight sum.
+    offset I - J, taken by FFT, and the exact near moments are one table over
+    (I - J, p) (``_offset_near_moments``).
     """
-    M = len(gq)
-    near_p, near_m = _offset_near_sets(rho, M)
+    near_p, near_m = _offset_near_sets(rho, len(gq))
     far = _offset_far_field(kernel, rho, r, gq, s7, near_p, near_m)
-    weight = gq.sum(axis=1)
-    log_terms = np.zeros(len(r))
-    # the near pairs of a block of cells I at a time, so that the exact
-    # moments' temporaries stay within _BLOCK_ELEMS / 16 pairs
-    cells = max(1, _BLOCK_ELEMS // 16 // max(1, near_p.sum(), near_m.sum()))
-    for start in range(0, M, cells):
-        pairs_p = _offset_pairs(near_p, M, start, start + cells)
-        pairs_m = _offset_pairs(near_m, M, start, start + cells)
-        if kernel.log:
-            log_terms += np.bincount(pairs_m[0], weight[pairs_m[1]], len(r))
-            log_terms -= np.bincount(pairs_p[0], weight[pairs_p[1]], len(r))
-        far += _near_moments(kernel, r, a, b, coef, pairs_p, pairs_m)
+    return far + _offset_near_moments(kernel, rho, a, coef, gq, near_p, near_m)
+
+
+def _offset_near_moments(kernel: RadialKernel3D, rho: float, a, coef, gq, near_p, near_m):
+    """The exact near moments of ``_geometric_sum`` at each node.
+
+    For node p of cell I against cell J = I - m, the bounds and the shift of
+    ``_near_moments`` are a_J times functions of (m, p) alone, so the moments
+    are a_J^(q+1+j) M_j(m, p) (power) or a_J^(1+j) (L_j + ln(a_J) N_j)(m, p)
+    (log; N_j those of Q = 1): one table over the near (m, p) entries in units
+    of a_J, against the cell quadratics scaled once; entry (m, p) adds cell J's
+    scaled quadratic at node p of cell J + m.  Where one term of a log kernel
+    is near, the other still carries scale log r = scale (ln a_J + ln(r / a_J))
+    times cell J's weight sum.
+    """
+    M = len(a)
+    row, p = np.nonzero(near_p | near_m)
+    m = row + 1 - M
+    R = rho ** m * _cell_points(rho, _GX3)[p]  # r / a_J
+    in_p, in_m = near_p[row, p].astype(float), near_m[row, p].astype(float)
+    lo, hi, shift, sign = _near_pieces(R, 1.0, rho, R, 1.0, rho)
+    weight = np.concatenate([in_p, -in_m, -in_m])
+    k = (hi > lo) & (weight != 0.0)
+    args = shift[k], sign[k], lo[k], hi[k]
+    # row j: cell J's quadratic coefficient j times a_J^(q+1+j)
+    scaled = coef.T * a ** ((0.0 if kernel.log else kernel.q) + np.arange(1.0, 4.0)[:, None])
     if kernel.log:
-        far += kernel.scale * log_terms * np.log(r)
-    return far
+        mom = np.concatenate([_exact_moments(*args, None, True),
+                              _exact_moments(*args, 0.0, False)], axis=1)
+        w_sum, ln_a = gq.sum(axis=1), np.log(a)
+        scaled = np.concatenate([scaled, scaled * ln_a, [w_sum * ln_a, w_sum]])
+    else:
+        mom = _exact_moments(*args, kernel.q, False)
+    entry = np.tile(np.arange(len(m)), 3)[k]
+    table = [np.bincount(entry, weight[k] * col, len(m)) for col in mom.T]
+    if kernel.log:
+        table += [in_m - in_p, (in_m - in_p) * np.log(R)]
+    # entry e adds sum_j table[j, e] scaled[j, J] at node 3 (J + m_e) + p_e
+    table, J, near = np.array(table), np.arange(M), np.zeros(3 * M)
+    step = max(1, _BLOCK_ELEMS // M)
+    for start in range(0, len(m), step):
+        e = slice(start, start + step)
+        I = J + m[e, None]
+        keep = (I >= 0) & (I < M)
+        vals = table[0, e, None] * scaled[0]
+        for t, col in zip(table[1:, e], scaled[1:]):
+            vals += t[:, None] * col
+        near += np.bincount((3 * I + p[e, None])[keep], vals[keep], 3 * M)
+    return kernel.scale * near
 
 
 def _offset_far_field(kernel: RadialKernel3D, rho: float, r, gq, s7, near_p, near_m):
@@ -788,16 +826,6 @@ def _offset_far_field(kernel: RadialKernel3D, rho: float, r, gq, s7, near_p, nea
     far = np.where(bound[0] * r ** powers[0] <= bound[1] * r ** powers[1],
                    *(c * r ** (q + e) for c, e in zip(conv, powers)))
     return kernel.scale * far
-
-
-def _offset_pairs(near: np.ndarray, M: int, start: int, stop: int):
-    """(node index 3I + p, cell J) of every pair with cell I in [start, stop)
-    that an offset mask of ``_offset_near_sets`` marks."""
-    m, p = np.nonzero(near)
-    I = np.arange(start, min(M, stop))[:, None]
-    J = I - (m + 1 - M)
-    keep = (J >= 0) & (J < M)
-    return np.broadcast_to(3 * I + p, keep.shape)[keep], J[keep]
 
 
 def _tail_correction(kernel: RadialKernel3D, tail_profile: RadialProfile | None,

@@ -380,18 +380,19 @@ _BAND_R_MAX = 60.0               # ... sampled from the profile, its tail model 
 
 
 def _ray_rule():
-    """(s, w s e^(-s sin theta), 2 theta + s cos theta) at the nodes s = 2 pi rho y of
-    the ray rule: Gauss-16 on [0, 1e-7] and on each of 27 geometric panels (3 per
-    decade) from there to 60 / sin theta, where e^(-s sin theta) = e^(-60)."""
+    """(s, c sin(phase), c cos(phase)), c = w s e^(-s sin theta), phase = 2 theta + s cos
+    theta, at the nodes s = 2 pi rho y of the ray rule: Gauss-16 on [0, 1e-7] and on 27
+    geometric panels (3 per decade) to 60 / sin theta, where e^(-s sin theta) = e^(-60)."""
     x, w = leggauss(16)
     edges = np.concatenate([[0.0], np.geomspace(1e-7, 60.0 / math.sin(_THETA), 28)])
     half = 0.5 * np.diff(edges)
     s = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel()
     c = (half[:, None] * w).ravel() * s * np.exp(-s * math.sin(_THETA))
-    return s, c, 2.0 * _THETA + s * math.cos(_THETA)
+    phase = 2.0 * _THETA + s * math.cos(_THETA)
+    return s, c * np.sin(phase), c * np.cos(phase)
 
 
-_RAY_S, _RAY_C, _RAY_PHASE = _ray_rule()
+_RAY_S, _RAY_CS, _RAY_CC = _ray_rule()
 
 
 def c1_constant(n: int, delta: float) -> float:
@@ -444,29 +445,32 @@ def sharp_transform_radii(rhos, delta: float) -> np.ndarray:
     The ray rule alone would lose about eps/rho at small radii, where e^(2i theta)
     turns the O(1) real part into the imaginary one; for delta < 0.25 it still
     loses digits just above the phase test's cut (at delta = 0.2, 1.5e-11 at
-    rho = 1e-8 and 1.2e-14 at 1e-7).  A radius's value depends on that radius
-    alone, not on the other radii of the call.
+    rho = 1e-8 and 1.2e-14 at 1e-7).  Both rules take their sines from one
+    vectorised tan of the half angle; the rule in t is built only where a radius
+    takes it.  A radius's value depends on that radius alone.
     """
     _check_delta(delta)
     rhos = np.asarray(rhos, dtype=float)
     if not np.all((rhos >= 0) & (rhos < np.inf)):
         raise InvalidArgumentError("rho must be finite and >= 0 at every radius")
-    rule, max_phase = _rule_table(delta)
-    ray = (_RAY_S ** delta, _RAY_C, _RAY_PHASE)
+    edges, max_phase = _rule_table(delta)
     near = rhos * max_phase <= 1.0
     far = 2.0 * math.pi * rhos >= 1.0
+    rule = _rule_nodes(edges, delta) if near.any() else None
+    ray = (_RAY_S ** delta, _RAY_CS, _RAY_CC, delta)
+    jobs = [(idx, block, table) for idx, block, table in (
+        (np.flatnonzero(near), _rule_block, rule),
+        (np.flatnonzero(~near & ~far), _ray_block, (*ray, False)),
+        (np.flatnonzero(~near & far), _ray_block, (*ray, True))) if idx.size]
+    # radii per block, and three scratch arrays sized to the largest block that every
+    # block reuses: with fresh temporaries per block, malloc may hand the freed top
+    # of the heap back to the OS after each block and page it in again for the next
+    rows = [min(idx.size, max(1, _BLOCK_ELEMS // table[0].size)) for idx, _, table in jobs]
+    work = np.empty((3, max([n * t[0].size for n, (_, _, t) in zip(rows, jobs)], default=0)))
     vals = np.empty_like(rhos)
-    # three block-sized scratch arrays that every block of this call reuses: with
-    # fresh temporaries per block, malloc may hand the freed top of the heap
-    # back to the OS after each block and page it in again for the next one
-    work = np.empty((3, max(_BLOCK_ELEMS, rule[0].size)))
-    for mask, block, table in ((near, _rule_block, rule),
-                               (~near & ~far, _ray_block, (*ray, delta, False)),
-                               (~near & far, _ray_block, (*ray, delta, True))):
-        idx = np.flatnonzero(mask)
-        step = max(1, _BLOCK_ELEMS // table[0].size)
-        for lo in range(0, idx.size, step):
-            i = idx[lo:lo + step]
+    for n, (idx, block, table) in zip(rows, jobs):
+        for lo in range(0, idx.size, n):
+            i = idx[lo:lo + n]
             vals[i] = block(rhos[i], *table, work=work)
     return vals
 
@@ -477,53 +481,63 @@ def _block_views(work, rows: int, cols: int):
 
 
 def _rule_table(delta: float):
-    """((2 pi r, c), largest phase per panel over rho): nodes and weights with
-    F(rho) = sum c sinc(2 rho r)."""
+    """(panel edges in t of the rule in t, the largest phase 2 pi (r_hi - r_lo)
+    of any of its panels per unit rho)."""
     h = _T_CUT / _RULE_PANELS
     # beyond t_max, exp(-t) t^(3/delta - 1) holds below 1e-20 of the integral at rho = 0
     t_max = _T_CUT + (3.0 / delta) * math.log(_T_CUT)
     edges = np.concatenate([[0.0], h * 2.0 ** -np.arange(_RULE_GRADED, 0, -1),
                             h * np.arange(1, math.ceil(t_max / h) + 1)])
+    return edges, 2.0 * math.pi * float(np.max(np.diff(edges ** (1.0 / delta))))
+
+
+def _rule_nodes(edges: np.ndarray, delta: float):
+    """(pi r, c / (pi r), c) at the nodes of the rule in t on ``edges``, with
+    F(rho) = sum c sinc(2 rho r)."""
     half = 0.5 * np.diff(edges)
     t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _RULE_X).ravel()
     r = t ** (1.0 / delta)
     # 4 pi int exp(-r^delta) r^2 sinc(2 rho r) dr with dr = r / (delta t) dt
     c = (4.0 * math.pi / delta) * (half[:, None] * _RULE_W).ravel() * np.exp(-t) * r ** 3 / t
-    max_phase = 2.0 * math.pi * float(np.max(np.diff(edges ** (1.0 / delta))))
-    return (2.0 * math.pi * r, c), max_phase
+    return math.pi * r, c / (math.pi * r), c
 
 
-def _rule_block(rho, two_pi_r, c, work):
-    """Values of the rule in t.  Row sums, not a matrix product, so a radius's
-    value never depends on the other radii of its block."""
-    phase, kern, _ = _block_views(work, rho.size, c.size)
-    np.multiply.outer(rho, two_pi_r, out=phase)
-    np.sin(phase, out=kern)
-    with np.errstate(invalid="ignore"):
-        np.divide(kern, phase, out=kern)  # sinc(2 rho r); 0/0 only at rho = 0
-    kern[rho == 0] = 1.0
-    return np.multiply(kern, c, out=kern).sum(axis=1)
+def _rule_block(rho, pi_r, w, c, work):
+    """Values of the rule in t: with tau = tan(pi rho r), sin(2 pi rho r) =
+    2 tau / (1 + tau^2), so F(rho) = (1/rho) sum w tau / (1 + tau^2) with
+    w = c / (pi r), and F(0) = sum c.  Row sums, not a matrix product, so a
+    radius's value never depends on the other radii of its block."""
+    tau, den, _ = _block_views(work, rho.size, c.size)
+    np.tan(np.multiply.outer(rho, pi_r, out=tau), out=tau)
+    np.divide(tau, np.add(np.square(tau, out=den), 1.0, out=den), out=tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.multiply(tau, w, out=tau).sum(axis=1) / rho
+    vals[rho == 0] = c.sum()
+    return vals
 
 
-def _ray_block(rho, s_pow, c, phase, delta, minus_one, work):
-    """Values of the ray rule: the sum over its nodes of
-    Im[c e^(i phase) exp(-A z)] = c exp(-a) sin(phase - b), a = A cos(delta theta)
-    and b = A sin(delta theta), or with ``minus_one`` of Im[c e^(i phase) (exp(-A z) - 1)]
-    = c (expm1(-a) sin(phase - b) - 2 cos(phase - b/2) sin(b/2)), whose terms are
-    small where A is."""
+def _ray_block(rho, s_pow, cs, cc, delta, minus_one, work):
+    """Values of the ray rule: the sum over its nodes of Im[c e^(i phase) exp(-A z)]
+    = exp(-a) (cs - D), or with ``minus_one`` of Im[c e^(i phase) (exp(-A z) - 1)]
+    = expm1(-a) (cs - D) - D, where a = A cos(delta theta), b = A sin(delta theta),
+    cs = c sin(phase), cc = c cos(phase) and D = cs (1 - cos b) + cc sin b.  With
+    t = tan(b/2), sin b = 2t / (1 + t^2) and 1 - cos b = t sin b, so D, and with
+    it the minus-one form's rounding, is small where A is."""
     k = 2.0 * math.pi * rho
-    A, b, u = _block_views(work, rho.size, c.size)
+    A, t, u = _block_views(work, rho.size, cs.size)
     np.multiply.outer(k ** -delta, s_pow, out=A)
-    np.multiply(A, math.sin(delta * _THETA), out=b)
-    np.sin(np.subtract(phase, b, out=u), out=u)
+    np.tan(np.multiply(A, 0.5 * math.sin(delta * _THETA), out=t), out=t)
+    np.divide(t, np.add(np.square(t, out=u), 1.0, out=u), out=u)
+    u += u          # sin b
+    t *= u          # 1 - cos b
+    t *= cs
+    t += np.multiply(u, cc, out=u)  # D
     decay = np.expm1 if minus_one else np.exp
-    terms = np.multiply(decay(np.multiply(A, -math.cos(delta * _THETA), out=A), out=A), u, out=A)
+    terms = decay(np.multiply(A, -math.cos(delta * _THETA), out=A), out=A)
+    terms *= np.subtract(cs, t, out=u)
     if minus_one:
-        half = np.multiply(b, 0.5, out=b)
-        np.multiply(np.cos(np.subtract(phase, half, out=u), out=u), np.sin(half, out=b), out=u)
-        terms -= u
-        terms -= u
-    return 2.0 * np.multiply(terms, c, out=terms).sum(axis=1) / (rho * k * k)
+        terms -= t
+    return 2.0 * terms.sum(axis=1) / (rho * k * k)
 
 
 def seam_tail_model(delta: float) -> tuple:

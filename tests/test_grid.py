@@ -22,8 +22,8 @@ from flbarron.grid import (
     RadialKernel3D,
     RadialProfile,
     _geometric_ratio,
+    _near_moments,
     _offset_near_sets,
-    _offset_pairs,
     _tail_correction,
     convolve,
     lattice_kernel,
@@ -417,6 +417,16 @@ class TestConvolve:
         assert np.max(np.abs(lhs.values - rhs)) <= 1e-12 * scale
 
 
+def offset_pairs(near: np.ndarray, M: int):
+    """(node index 3I + p, cell J = I - m) of every pair of M geometric cells
+    that an offset mask of ``_offset_near_sets`` marks at (m, p)."""
+    m, p = np.nonzero(near)
+    I = np.arange(M)[:, None]
+    J = I - (m + 1 - M)
+    keep = (J >= 0) & (J < M)
+    return np.broadcast_to(3 * I + p, keep.shape)[keep], J[keep]
+
+
 class TestRadialConvolve3D:
     def test_inverse_square_closed_form(self):
         # |.|^-2 * exp(-b|.|^2) in R^3 = 2 pi^(3/2) D(sqrt(b) r) / (b r), D = Dawson's
@@ -511,10 +521,33 @@ class TestRadialConvolve3D:
         near_p, near_m = _offset_near_sets(rho, len(a))
         for offsets, coords in ((near_p, r + c <= 3.0 * h), (near_m, np.abs(r - c) <= 3.0 * h)):
             mask = np.zeros_like(coords)
-            mask[_offset_pairs(offsets, len(a), 0, len(a))] = True
+            mask[offset_pairs(offsets, len(a))] = True
             assert np.array_equal(mask, coords)
         if count == 9:  # a coarse grid: cell ratio about 1.7e3, and Q(r+s) has near cells
             assert rho == pytest.approx(math.sqrt(3e6)) and near_p.any()
+
+    @pytest.mark.parametrize("name", ["power", "log", "sharp_t0.5", "sharp_t1.5"])
+    @pytest.mark.parametrize("count", [9, 20, 90, 240, 450, 901, 1800])
+    def test_offset_table_equals_pairwise_near_moments(self, name, count, monkeypatch):
+        # the near part from the table over (m, p) equals the exact moments of
+        # every near (node, cell) pair taken one pair at a time in grid units
+        kernel, _, prof = self.case(name)
+        u = sample_profile(prof, make_radial_grid(3, 300.0, count, r_min=1e-4))
+        calls = []
+        table_sum = grid_module._offset_near_moments
+        monkeypatch.setattr(grid_module, "_offset_near_moments",
+                            lambda *args: calls.append((args, table_sum(*args))) or calls[-1][1])
+        radial_convolve_3d(kernel, u, tail_profile=prof)
+        (kern, _, a, coef, gq, near_p, near_m), got = calls[0]
+        r = u.grid.nodes[3:]
+        pairs_p, pairs_m = offset_pairs(near_p, len(a)), offset_pairs(near_m, len(a))
+        want = _near_moments(kern, r, a, u.grid.cell_bounds[2:], coef, pairs_p, pairs_m)
+        if kern.log:
+            weight = gq.sum(axis=1)
+            log_terms = (np.bincount(pairs_m[0], weight[pairs_m[1]], len(r))
+                         - np.bincount(pairs_p[0], weight[pairs_p[1]], len(r)))
+            want += kern.scale * log_terms * np.log(r)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", ["power", "log", "sharp_t0.5", "sharp_t1.5"])
     def test_negative_tail_coefficient_negates_the_correction(self, name):

@@ -606,17 +606,26 @@ class TestSharpTransformRadii:
         assert calls == []
         assert value == scalar(1e-3, 0.3)
 
-    @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    @pytest.mark.parametrize("delta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0,
+                                       1.2, 1.5, 1.8, 1.95])
     def test_finite_on_the_whole_domain(self, delta):
-        values = SV.sharp_transform_radii(np.concatenate([[0.0], np.geomspace(1e-5, 160.0, 400)]),
+        # exp(-|x|^delta) is a symmetric stable characteristic function for
+        # 0 < delta <= 2, so its transform is a positive density: a swapped
+        # sine and cosine or a sign slip in either rule shows as a value <= 0
+        values = SV.sharp_transform_radii(np.concatenate([[0.0], np.geomspace(1e-5, 1e5, 400)]),
                                           delta)
         assert np.all(np.isfinite(values))
+        assert np.all(values > 0)
 
     @pytest.mark.parametrize("delta, rho", [(0.2, 9.3e-5), (0.3, 1e-3), (0.3, 1.4e-4),
-                                            (0.4, 0.0143), (0.2, 1.0)])
+                                            (0.4, 0.0143), (0.2, 1.0)] + [
+        (delta, rho) for delta in (0.1, 0.15, 0.2, 0.3)
+        for rho in (1e-6, 1e-4, 3e-3, 0.1, 1.0, 50.0) if (delta, rho) != (0.2, 1.0)])
     def test_matches_mpmath_at_small_delta(self, delta, rho):
         # the first four are radii of the 1800-cell residual grid; QUADPACK
-        # reports round-off at (0.2, 1.0), where it returns 3.8e-10 for 5.66e-3
+        # reports round-off at (0.2, 1.0), where it returns 3.8e-10 for 5.66e-3;
+        # the grid after them is where the rules have the fewest digits to
+        # spare, and from rho = 1e-6 up the transform stays at rounding level
         value = SV.sharp_transform_radii(np.array([rho]), delta)[0]
         ref = mp_sharp_transform(rho, delta)
         assert abs(value - ref) <= 2e-15 * abs(ref)
